@@ -22,6 +22,7 @@ import random
 import re
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 SEPARATOR = "\n\n---\n\n"
 REMINDER = "Your response must contain exactly these labeled fields"
@@ -52,19 +53,23 @@ FAIL_SHARE = 0.02
 BAD_LINE_SHARE = 0.02  # of error records
 DIVERGE_SHARE = 0.04  # of error records
 
-_ONSETS = "b c d f g h k l m n p r s t v z br cl dr gr pl pr st tr sh th".split()
-_VOWELS = "a e i o u ae ia io ou ei".split()
+_ONSETS = "bcdfghklmnprstvz"
+_VOWELS = "aeiou"
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 # --- vocabulary ---------------------------------------------------------------
 
 
-def _pseudo_words(rng: random.Random, n: int, syllables: tuple[int, int]) -> list[str]:
+def _pseudo_words(rng: random.Random, n: int) -> list[str]:
+    """Distinct words of two-letter syllables. The syllable count follows the
+    rank (2, 3, 4, 2, ...), so the text's length in characters, and with it
+    the work per note, is the same for every seed."""
     seen: set[str] = set()
     words: list[str] = []
     while len(words) < n:
-        word = "".join(rng.choice(_ONSETS) + rng.choice(_VOWELS) for _ in range(rng.randint(*syllables)))
+        syllables = 2 + len(words) % 3
+        word = "".join(rng.choice(_ONSETS) + rng.choice(_VOWELS) for _ in range(syllables))
         if word not in seen:
             seen.add(word)
             words.append(word)
@@ -81,7 +86,7 @@ class Vocabulary:
 
     @classmethod
     def make(cls, rng: random.Random, size: int = 6000, n_entities: int = 3000) -> "Vocabulary":
-        words = _pseudo_words(rng, size + n_entities, (2, 4))
+        words = _pseudo_words(rng, size + n_entities)
         weights = [1.0 / (rank + 1) ** 1.05 for rank in range(size)]
         return cls(words[:size], list(itertools.accumulate(weights)), words[size:])
 
@@ -289,11 +294,20 @@ def make_uw_cases(
     return cases
 
 
+MAX_DRAWS = 100
+
+
 def make_ms_cases(
     rng: random.Random, vocab: Vocabulary, mcqs: list[Mcq], sources: list[int], prefix: str, seen: set[str],
-    shape: Shape = Shape(),
+    shape: Shape = Shape(), accept: Callable[[Case], bool] = lambda case: True,
 ) -> list[Case]:
-    """One record per source MCQ; sources must be distinct across a workload."""
+    """One record per source MCQ; sources must be distinct across a workload.
+
+    The answer key assumes that retrieval ranks a note's source question
+    first, which filler drawn from the same vocabulary can break. ``accept``
+    checks a drawn note; a rejected note's text is drawn again, with the same
+    plan.
+    """
     n = len(sources)
     flags = _exact_counts(n, ((1, ERROR_SHARE), (0, 1 - ERROR_SHARE)))
     rng.shuffle(flags)
@@ -307,16 +321,16 @@ def make_ms_cases(
         wrong = next(text for label, text in mcq.options if label != mcq.answer)
         flag = flags[i]
         asserted = wrong if flag else right
-        body = [vocab.sentence(rng, *shape.words) for _ in range(lengths[i])]
-        q_pos = rng.randint(0, len(body))
-        body.insert(q_pos, mcq.question)
-        fact_id = 1 + rng.randint(q_pos + 1, len(body))
-        sentences = [_opening(rng, vocab, seen), *body]
-        template = "Findings on review were most consistent with {}."
-        sentences.insert(fact_id, template.format(asserted))
         feat = feats[i]
-        cases.append(
-            Case(
+        template = "Findings on review were most consistent with {}."
+        for _ in range(MAX_DRAWS):
+            body = [vocab.sentence(rng, *shape.words) for _ in range(lengths[i])]
+            q_pos = rng.randint(0, len(body))
+            body.insert(q_pos, mcq.question)
+            fact_id = 1 + rng.randint(q_pos + 1, len(body))
+            sentences = [_opening(rng, vocab, seen), *body]
+            sentences.insert(fact_id, template.format(asserted))
+            case = Case(
                 record_id=f"{prefix}{i:05d}",
                 sentences=tuple(sentences),
                 flag=flag,
@@ -333,7 +347,11 @@ def make_ms_cases(
                 mcq_id=sources[i],
                 mcq_question=mcq.question,
             )
-        )
+            if accept(case):
+                break
+        else:
+            raise RuntimeError(f"no note for source question {sources[i]} passed the check in {MAX_DRAWS} draws")
+        cases.append(case)
     return cases
 
 
@@ -471,11 +489,22 @@ def _live_inputs(block: str) -> dict[str, str]:
     return inputs
 
 
+# Scripted LM latency. The project's baseline compile probe ran at 20 ms per
+# call; the constants split that mean into a per-call base, a per-prompt-word
+# cost (the compile workload's prompts average about 430 words, so about
+# 4.3 ms) and a tail that doubles the latency of one request in ten (2 ms on
+# average). Compile re-sends identical requests, which share a tail decision,
+# so a larger tail would make wall time vary from seed to seed.
+LATENCY_BASE_S = 0.014
+LATENCY_PER_WORD_S = 1e-5
+LATENCY_TAIL_S = 0.020
+LATENCY_TAIL_SHARE = 10  # percent of requests, chosen by content hash
+
+
 def latency_s(prompt_words: int, content: str) -> float:
     """Scripted LM latency: per-call base, per-prompt-word cost, hashed heavy tail."""
-    tail = zlib.crc32(content.encode("utf-8")) % 100
-    extra = 0.004 if tail < 10 else 0.0
-    return 0.005 + 5e-7 * prompt_words + extra
+    tail = zlib.crc32(content.encode("utf-8")) % 100 < LATENCY_TAIL_SHARE
+    return LATENCY_BASE_S + LATENCY_PER_WORD_S * prompt_words + (LATENCY_TAIL_S if tail else 0.0)
 
 
 # --- the answer key --------------------------------------------------------------------

@@ -12,6 +12,10 @@ JSON object ``{"correct", "attempted", "failed", "metrics"}``. With
 ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1``
 untraced and traced repetitions alternate and the metrics are the per-layer
 ones, measured from spans recorded around calls into each module.
+
+Input preparation (generation, index build, cache recording) runs in a child
+process, so the measuring process's peak memory covers only the library's
+set-up and timed phase.
 """
 
 from __future__ import annotations
@@ -21,22 +25,26 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import platform
 import random
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
 import gen
-from tracer import Tracer, distribution
+from tracer import Tracer, distribution, union_length
 
 LAYERS = ("gateway", "program", "pipelines", "retrieval", "optimize", "metrics", "corpus")
 QUALITY = ("flag_accuracy", "sentence_accuracy", "correction_rouge_l")
 MIN_REPETITIONS = 2
+SETUPS = 3  # timed set-ups per repetition; setup_s is their median over the run
+PREPARED = "prepared.pickle"
 NPROC = len(os.sched_getaffinity(0))
 
 # Stages each compile metric reads; backend calls to any other stage during
@@ -68,10 +76,11 @@ def import_medcorr(root: Path):
 # --- the backend wrapper and the predict counter ---------------------------------------
 
 
-def stage_of(request) -> str:
-    if len(request.messages) == 1:
+def stage_of(contents: tuple[str, ...]) -> str:
+    """The stage a request's message contents belong to."""
+    if len(contents) == 1:
         return "propose"
-    label = request.messages[0].content.rsplit("\n", 1)[-1].split(":", 1)[0] + ":"
+    label = contents[0].rsplit("\n", 1)[-1].split(":", 1)[0] + ":"
     return gen.STAGE_BY_LABEL.get(label, "other")
 
 
@@ -79,6 +88,11 @@ class CountingBackend:
     """Wraps the backend the gateway would call and logs every request that
     reaches it. With ``latency`` it sleeps the scripted model latency; when a
     tracer is attached it records a span per call and the in-flight depth.
+
+    The log holds each request's payload as nested tuples of strings, which
+    the collector stops tracking, rather than the request objects: those
+    would add about a quarter to the objects every collection in the timed
+    phase walks.
 
     The span's layer is ``lm`` for the scripted model, which stands in for
     the remote endpoint, and ``gateway`` for the replay backend."""
@@ -89,42 +103,44 @@ class CountingBackend:
         self.latency = latency
         self.tracer = tracer
         self.layer = "lm" if latency else "gateway"
-        self.log: list[object] = []
+        self.log: list[tuple] = []
         self._lock = threading.Lock()
         self.inflight = self.inflight_max = 0
 
     def complete(self, request):
+        contents = tuple([m.content for m in request.messages])
         span = None
         if self.tracer is not None:
             span = self.tracer.open("gateway.backend", self.layer)
-            span.note = request
+            span.note = stage_of(contents)
             with self._lock:
                 self.inflight += 1
                 self.inflight_max = max(self.inflight_max, self.inflight)
         try:
             response = self.inner.complete(request)
             if self.latency:
-                time.sleep(gen.latency_s(response.prompt_tokens, request.messages[-1].content))
+                time.sleep(gen.latency_s(response.prompt_tokens, contents[-1]))
         finally:
             if span is not None:
                 with self._lock:
                     self.inflight -= 1
                 self.tracer.close(span)
-        self.log.append(request)
+        self.log.append((contents, tuple([m.role for m in request.messages]),
+                         request.model, request.temperature, request.top_p, request.max_tokens))
         return response
 
     def counts(self) -> dict[str, int]:
         stages: dict[str, int] = {}
-        seen: set[str] = set()
+        seen: set[tuple] = set()
         repeats = tokens = chars = 0
-        for request in self.log:
-            stage = stage_of(request)
+        for payload in self.log:
+            contents = payload[0]
+            stage = stage_of(contents)
             stages[stage] = stages.get(stage, 0) + 1
-            tokens += sum(len(m.content.split()) for m in request.messages)
-            chars += sum(len(m.content) for m in request.messages)
-            key = json.dumps(request.payload(), sort_keys=True)
-            repeats += key in seen
-            seen.add(key)
+            tokens += sum(len(c.split()) for c in contents)
+            chars += sum(len(c) for c in contents)
+            repeats += payload in seen
+            seen.add(payload)
         return {
             "lm_calls": len(self.log), "prompt_tokens": tokens, "prompt_chars": chars,
             "repeat_requests": repeats,
@@ -172,11 +188,13 @@ class PredictCounter:
 
 
 class Workload:
-    """Prepare once; then each repetition is ``setup`` (timed as setup_s)
-    followed by ``run`` (timed as wall_s)."""
+    """``prepare`` once, in a child process; then each repetition is ``setup``
+    (timed as setup_s) followed by ``run`` (timed as wall_s)."""
 
     name = ""
     live = False  # whether the scripted model with latency replaces the configured backend
+    # What ``prepare`` sets that the measuring process needs; the rest stays in the child.
+    keep: tuple[str, ...] = ("config_path", "cache_path", "prep")
 
     def __init__(self, lib: dict, work: Path, seed: int):
         self.lib = lib
@@ -209,6 +227,11 @@ class Workload:
         self.prep.update(build_s=t1 - t0, save_s=t2 - t1, index_bytes=path.stat().st_size)
         return index
 
+    def ranks_source_first(self, index):
+        """Whether retrieval puts a generated note's source question first."""
+        query = self.lib["retrieval"].query
+        return lambda case: query(index, "\n".join(case.sentences), k=1)[0].doc_id == case.mcq_id
+
     def record(self, config_path: Path, pipeline, records, oracle: gen.Oracle, cache_path: Path):
         """Run ``pipeline`` over ``records`` against the scripted model, appending every response to ``cache_path``."""
         lib = self.lib
@@ -225,6 +248,7 @@ class ReplayWorkload(Workload):
     """Predict in replay mode, serialize predictions and traces, evaluate against gold."""
 
     n_records = 0
+    keep = (*Workload.keep, "records_path", "recorded", "expected_csv", "expected_quality")
 
     def prepare(self) -> None:
         lib = self.lib
@@ -240,10 +264,10 @@ class ReplayWorkload(Workload):
         self.oracle = gen.Oracle(self.cases)
         records = self.parse(self.records_path)
         recorded = self.record(self.config_path, self.pipeline(index), records, self.oracle, self.cache_path)
-        self.recorded = {
+        self.recorded = digests({
             "predictions": pipelines.serialize_predictions(recorded),
             "traces": pipelines.serialize_traces(recorded),
-        }
+        })
         expected = [
             gen.expected_prediction(self.oracle, c, self.mcq_of(c), {}, self.gate()) for c in self.cases
         ]
@@ -288,17 +312,17 @@ class ReplayWorkload(Workload):
 
     def check(self, result: dict) -> list[str]:
         problems = []
-        for key, text in result["outputs"].items():
-            if text != self.recorded[key]:
+        for key, digest in self.recorded.items():
+            if result["digests"][key] != digest:
                 problems.append(f"replayed {key} differ from the recording run")
         problems += mismatched_lines(result["outputs"]["predictions"], self.expected_csv)
         problems += quality_problems(result["quality"], self.expected_quality)
         return problems
 
-    def final_check(self, result: dict) -> list[str]:
+    def final_check(self, outputs: dict) -> list[str]:
         """``replay-verify`` through the CLI on the predictions file."""
         pred_path = self.work / "predictions.csv"
-        pred_path.write_text(result["outputs"]["predictions"], encoding="utf-8")
+        pred_path.write_text(outputs["predictions"], encoding="utf-8")
         argv = ["replay-verify", "--pipeline", self.selector, "--records", str(self.records_path),
                 "--pred", str(pred_path), "--config", str(self.config_path)]
         if self.selector == "ms":
@@ -328,6 +352,7 @@ class MsReplay(ReplayWorkload):
     selector = "ms"
     n_records = 24
     n_mcqs = 10_000
+    keep = (*ReplayWorkload.keep, "index_path")
 
     def generate(self):
         vocab = gen.Vocabulary.make(self.rng)
@@ -335,7 +360,10 @@ class MsReplay(ReplayWorkload):
         self.index_path = self.work / "index.json"
         index = self.build_index(self.mcqs, self.index_path)
         sources = self.rng.sample(range(self.n_mcqs), self.n_records)
-        return gen.make_ms_cases(self.rng, vocab, self.mcqs, sources, "ms", set()), index
+        cases = gen.make_ms_cases(
+            self.rng, vocab, self.mcqs, sources, "ms", set(), accept=self.ranks_source_first(index)
+        )
+        return cases, index
 
     def mcq_of(self, case: gen.Case):
         return self.mcqs[case.mcq_id]
@@ -364,6 +392,7 @@ class Compile(Workload):
     }
     n_mcqs = 120
     n_other = 4000
+    keep = (*Workload.keep, "paths", "pristine_cache", "index_path", "out_dir", "cases", "mcqs", "oracle")
 
     def prepare(self) -> None:
         lib = self.lib
@@ -372,7 +401,7 @@ class Compile(Workload):
         seen: set[str] = set()
         self.mcqs = gen.make_mcqs(rng, vocab, self.n_mcqs)
         self.index_path = self.work / "index.json"
-        self.build_index(self.mcqs, self.index_path)
+        index = self.build_index(self.mcqs, self.index_path)
         sources = rng.sample(range(self.n_mcqs), sum(self.sizes.values()))
         self.cases: dict[str, list[gen.Case]] = {}
         self.paths: dict[str, Path] = {}
@@ -381,7 +410,8 @@ class Compile(Workload):
             shape = self.shapes[split]
             self.cases[f"uw_{split}"] = gen.make_uw_cases(rng, vocab, n, f"uw{split}", seen, shape)
             self.cases[f"ms_{split}"] = gen.make_ms_cases(
-                rng, vocab, self.mcqs, sources[start:start + n], f"ms{split}", seen, shape
+                rng, vocab, self.mcqs, sources[start:start + n], f"ms{split}", seen, shape,
+                accept=self.ranks_source_first(index),
             )
             start += n
         for key, cases in self.cases.items():
@@ -477,11 +507,15 @@ class Compile(Workload):
         problems += quality_problems(result["quality"], key)
         return problems
 
-    def final_check(self, result: dict) -> list[str]:
+    def final_check(self, outputs: dict) -> list[str]:
         return []
 
 
 WORKLOADS = {w.name: w for w in (Compile, MsReplay, UwReplay)}
+
+
+def digests(outputs: dict[str, str]) -> dict[str, str]:
+    return {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs.items()}
 
 
 def mismatched_lines(actual: str, expected: str) -> list[str]:
@@ -557,7 +591,7 @@ def downstream_calls(tracer: Tracer, run) -> int:
     count = 0
     for span in tracer.named("gateway.backend", run):
         step = next((p for p in tracer.ancestors(span) if p.name in ("optimize.search", "optimize.bootstrap")), None)
-        stage = stage_of(span.note)
+        stage = span.note
         if step is None or step.note is None or stage == "propose":
             continue
         reads = METRIC_READS.get(step.note[:2])
@@ -565,7 +599,7 @@ def downstream_calls(tracer: Tracer, run) -> int:
     return count
 
 
-def layer_metrics(tracer: Tracer, setup, run, backend: CountingBackend, counts: dict, wall: float,
+def layer_metrics(tracer: Tracer, setup, run, inflight_max: int, counts: dict, wall: float,
                   workload: Workload, cache_entries: int, compile_reports) -> dict[str, float]:
     m: dict[str, float] = {}
     selfs = tracer.self_times((setup, run))
@@ -579,9 +613,10 @@ def layer_metrics(tracer: Tracer, setup, run, backend: CountingBackend, counts: 
     backend_s = sum(tracer.durations("gateway.backend", run))
     m["gateway.requests"] = len(tracer.named("gateway.complete", run))
     m["gateway.repeat_requests"] = counts["repeat_requests"]
-    m["gateway.inflight.max"] = backend.inflight_max
+    m["gateway.inflight.max"] = inflight_max
     m["gateway.inflight.mean"] = backend_s / wall
     m["gateway.backend_s"] = backend_s
+    m["gateway.backend_busy_frac"] = union_length((s.start, s.end) for s in tracer.named("gateway.backend", run)) / wall
     m["gateway.wait_s"] = sum(tracer.durations("gateway.complete", run)) - backend_s
     add_dist("gateway.append_us", [d * 1e6 for d in tracer.durations("gateway.append", run)])
     m["gateway.cache_load_s"] = sum(tracer.durations("gateway.cache_load", setup))
@@ -643,16 +678,29 @@ def layer_metrics(tracer: Tracer, setup, run, backend: CountingBackend, counts: 
 # --- measurement -------------------------------------------------------------------------
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def repetition(workload: Workload, counter: PredictCounter, tracer: Tracer | None) -> dict:
+    """Set-up and the timed phase, as one invocation of the program runs
+    them, then ``SETUPS - 1`` more timed set-ups whose state is dropped.
+
+    A full collection, untimed, precedes every set-up and the timed phase.
+    Each then starts from the same collector state, so the collections the
+    program triggers fall at the same points in every repetition. Peak
+    memory is read right after the timed phase, before the extra set-ups,
+    so the first repetition's reading is the peak of one invocation."""
     lib = workload.lib
+    workload.reset()
     if tracer is not None:
         install_tracer(tracer, lib)
     try:
-        workload.reset()
+        gc.collect()
         setup_span = tracer.open("bench.setup", "bench") if tracer else None
         t0 = time.perf_counter()
         state = workload.setup()
-        setup_s = time.perf_counter() - t0
+        setup_times = [time.perf_counter() - t0]
         if tracer:
             tracer.close(setup_span)
         gateway = state["gateway"]
@@ -664,6 +712,7 @@ def repetition(workload: Workload, counter: PredictCounter, tracer: Tracer | Non
             inner = lib["gateway"].ScriptedBackend(workload.oracle.respond)
         backend = gateway.backend = CountingBackend(inner, latency=workload.live, tracer=tracer)
         counter.take()
+        gc.collect()
         run_span = tracer.open("bench.run", "bench") if tracer else None
         t1 = time.perf_counter()
         result = workload.run(state)
@@ -673,23 +722,31 @@ def repetition(workload: Workload, counter: PredictCounter, tracer: Tracer | Non
     finally:
         if tracer is not None:
             tracer.uninstall()
+    peak = peak_rss_mb()
     ops, raised = counter.take()
     counts = backend.counts()
-    result.update(setup_s=setup_s, wall_s=wall, ops=ops, raised=raised, counts=counts,
-                  quality=pooled_quality(result.pop("reports")))
+    inflight_max = backend.inflight_max
+    del state, gateway, backend
+    workload.reset()
+    for _ in range(SETUPS - 1):
+        gc.collect()
+        t0 = time.perf_counter()
+        workload.setup()
+        setup_times.append(time.perf_counter() - t0)
+    result.update(setup_times=setup_times, wall_s=wall, peak_rss_mb=peak, ops=ops, raised=raised, counts=counts,
+                  digests=digests(result["outputs"]), quality=pooled_quality(result.pop("reports")))
     compile_reports = result.pop("compile_reports")
     if tracer is not None:
-        result["layers"] = layer_metrics(tracer, setup_span, run_span, backend, counts, wall, workload,
+        result["layers"] = layer_metrics(tracer, setup_span, run_span, inflight_max, counts, wall, workload,
                                          cache_entries, compile_reports)
     return result
 
 
 def exact_signature(result: dict) -> tuple:
     """Everything that must repeat exactly across repetitions of one seed."""
-    counts = result["counts"]
     return (
-        tuple((name, hashlib.sha256(text.encode("utf-8")).hexdigest()) for name, text in sorted(result["outputs"].items())),
-        tuple(sorted(counts.items())),
+        tuple(sorted(result["digests"].items())),
+        tuple(sorted(result["counts"].items())),
         result["ops"], result["raised"],
         tuple(result["quality"][q] for q in QUALITY),
     )
@@ -705,10 +762,11 @@ def measure(workload: Workload, seconds: float, trace: bool, spans_path: Path) -
     while True:
         traced = trace and len(results) % 2 == 1
         tracer = Tracer() if traced else None
-        gc.collect()
+        outputs = None  # the previous repetition's outputs are checked; let them go
         result = repetition(workload, counter, tracer)
         result["traced"] = traced
         problems += workload.check(result)
+        outputs = result.pop("outputs")
         result["signature"] = exact_signature(result)
         if results and result["signature"] != results[0]["signature"]:
             problems.append(f"repetition {len(results)} ({'traced' if traced else 'untraced'}) "
@@ -718,8 +776,6 @@ def measure(workload: Workload, seconds: float, trace: bool, spans_path: Path) -
             if traced_counts is not None and layer_counts != traced_counts:
                 problems.append(f"traced repetition {len(results)} differs from the first traced one in per-layer counts")
             traced_counts = layer_counts
-        if results:
-            results[-1].pop("outputs")
         results.append(result)
         if tracer is not None:
             tracer.dump(spans_path)
@@ -730,39 +786,37 @@ def measure(workload: Workload, seconds: float, trace: bool, spans_path: Path) -
         if problems:
             break
     if not problems:
-        problems += workload.final_check(results[-1])
+        problems += workload.final_check(outputs)
     return {"results": results, "problems": problems}
 
 
 def summarize(measured: dict, trace: bool) -> dict:
     results = measured["results"]
     first = results[0]
-    attempted = sum(r["ops"] for r in results)
-    if trace:
+    traced = [r for r in results if r["traced"]]
+    if trace and not traced:
+        # A check failed before the first traced repetition: no per-layer values.
+        values = {}
+    elif trace:
         plain = [r["wall_s"] for r in results if not r["traced"]]
-        traced = [r for r in results if r["traced"]]
-        layers = {}
-        for name in traced[0]["layers"]:
-            layers[name] = statistics.median(r["layers"][name] for r in traced)
-        layers["trace.overhead_s"] = statistics.median(r["wall_s"] for r in traced) - statistics.median(plain)
-        layers["trace.wall_s"] = statistics.median(r["wall_s"] for r in traced)
-        values = layers
+        values = {name: statistics.median(r["layers"][name] for r in traced) for name in traced[0]["layers"]}
+        values["trace.overhead_s"] = statistics.median(r["wall_s"] for r in traced) - statistics.median(plain)
+        values["trace.wall_s"] = statistics.median(r["wall_s"] for r in traced)
     else:
         values = {
-            "setup_s": statistics.median(r["setup_s"] for r in results),
+            "setup_s": statistics.median(t for r in results for t in r["setup_times"]),
             "wall_s": statistics.median(r["wall_s"] for r in results),
             "lm_calls": first["counts"]["lm_calls"],
             "prompt_tokens": first["counts"]["prompt_tokens"],
             "failed_frac": first["raised"] / first["ops"],
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": first["peak_rss_mb"],
             **first["quality"],
         }
-    units = load_units(trace)
-    failed = len(measured["problems"])
+    units = load_units(trace) if values else {}
     return {
         "correct": not measured["problems"],
-        "attempted": attempted,
-        "failed": failed,
+        "attempted": sum(r["ops"] for r in results),
+        "failed": len(measured["problems"]),
         "metrics": {name: {"value": values[name], "unit": unit} for name, unit in units.items()},
     }
 
@@ -782,35 +836,51 @@ def machine() -> dict:
     return {"nproc": NPROC, "cpu": model, "python": platform.python_version()}
 
 
+def prepare_in_child(args: argparse.Namespace, work: Path) -> None:
+    """Generate inputs, build the index and record the cache in a child
+    process that leaves only files in ``work``."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+            "--seed", str(args.seed), "--prepare", str(work)]
+    code = subprocess.run(argv, stdout=subprocess.DEVNULL, check=False).returncode
+    if code != 0:
+        sys.exit(f"perfbench: input preparation exited {code}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--prepare", type=Path, help=argparse.SUPPRESS)  # the child's working directory
     args = parser.parse_args(argv)
 
     root = Path.cwd()
     lib = import_medcorr(root)
+    if args.prepare is not None:
+        workload = WORKLOADS[args.workload](lib, args.prepare, args.seed)
+        workload.prepare()
+        with open(args.prepare / PREPARED, "wb") as handle:
+            pickle.dump({name: getattr(workload, name) for name in workload.keep}, handle)
+        return 0
+
     scratch = root / ".perfbench"
     work = scratch / f"{args.workload}-seed{args.seed}-pid{os.getpid()}"
     work.mkdir(parents=True)
     try:
-        workload = WORKLOADS[args.workload](lib, work, args.seed)
         t0 = time.perf_counter()
-        workload.prepare()
+        prepare_in_child(args, work)
         prepare_s = time.perf_counter() - t0
-        # The generator's cases, answer key and recordings stay alive for the
-        # whole run; keep them out of the collections the program triggers.
-        gc.collect()
-        gc.freeze()
+        workload = WORKLOADS[args.workload](lib, work, args.seed)
+        with open(work / PREPARED, "rb") as handle:
+            workload.__dict__.update(pickle.load(handle))
         spans_path = scratch / f"spans-{args.workload}-seed{args.seed}.jsonl"
         measured = measure(workload, args.seconds, bool(args.trace), spans_path)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    summary = summarize(measured, bool(args.trace))
     for problem in measured["problems"]:
         print(f"perfbench: CHECK FAILED: {problem}", file=sys.stderr)
+    summary = summarize(measured, bool(args.trace))
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "prepare_s": prepare_s,
         "repetitions": len(measured["results"]), "machine": machine(),

@@ -118,13 +118,9 @@ class Tracer:
             children[id(span.parent)].append(span)
         totals: dict[str, float] = defaultdict(float)
         for span in inside:
-            covered = 0.0
-            cursor = span.start
-            for lo, hi in sorted((max(c.start, span.start), min(c.end, span.end)) for c in children.get(id(span), ())):
-                lo = max(lo, cursor)
-                if hi > lo:
-                    covered += hi - lo
-                    cursor = hi
+            covered = union_length(
+                (max(c.start, span.start), min(c.end, span.end)) for c in children.get(id(span), ())
+            )
             totals[span.layer] += (span.end - span.start) - covered
         return totals
 
@@ -159,6 +155,18 @@ class Tracer:
                     "record": s.record,
                     "error": s.error,
                 }) + "\n")
+
+
+def union_length(intervals) -> float:
+    """Total length covered by the union of ``(start, end)`` intervals."""
+    covered = 0.0
+    cursor = float("-inf")
+    for lo, hi in sorted(intervals):
+        lo = max(lo, cursor)
+        if hi > lo:
+            covered += hi - lo
+            cursor = hi
+    return covered
 
 
 def distribution(values: list[float]) -> dict[str, float]:
