@@ -133,11 +133,9 @@ def build_gateway(config: EngineConfig) -> LmGateway:
     if gw.backend == "replay":
         cache = ReplayCache(gw.cache_path)
         backend = ReplayBackend(cache)
-        record = False
     elif gw.backend == "live":
-        cache = ReplayCache(gw.cache_path) if gw.cache_path else None
+        cache = ReplayCache(gw.cache_path or None)
         backend = LiveBackend(gw.base_url, api_key=gw.api_key)
-        record = gw.record and cache is not None
     else:
         raise ConfigError(
             "the scripted backend needs a programmatic responder; "
@@ -150,7 +148,7 @@ def build_gateway(config: EngineConfig) -> LmGateway:
         top_p=gw.top_p,
         max_tokens=gw.max_tokens,
         cache=cache,
-        record=record,
+        record=gw.record,
         concurrency=gw.concurrency,
     )
 

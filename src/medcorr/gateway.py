@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -20,6 +23,8 @@ from typing import Callable, Protocol
 import requests
 
 from .errors import CacheMissError, LiveRequestError, ValidationError
+
+logger = logging.getLogger(__name__)
 
 VALID_ROLES = ("system", "user", "assistant")
 
@@ -92,33 +97,52 @@ def canonical_key(request: LmRequest) -> str:
 class ReplayCache:
     """Append-only json-lines store of ``{key, request, response}`` entries.
 
-    Reads are lock-free over an immutable snapshot dict; appends serialize
-    on a lock and flush to disk immediately.
+    The first response stored for a key wins, in memory and on disk: a later
+    append of the same key is ignored, and so is a later line for a key
+    already loaded. Reads are lock-free dict lookups; appends serialize on a
+    lock and flush to disk immediately. An unterminated, unparseable final
+    line, which a crash mid-append leaves, is ignored with a warning and cut
+    from the file before the next append; a malformed line anywhere else is
+    an error.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, LmResponse] = {}
         self._lock = threading.Lock()
+        # (size to cut the file to, text to write first) before the next
+        # append, when the file does not end in a newline.
+        self._tail: tuple[int, str] | None = None
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
         assert self.path is not None
-        for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), start=1):
+        data = self.path.read_bytes()
+        lines = data.split(b"\n")
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
                 response = entry["response"]
-                self._entries[entry["key"]] = LmResponse(
-                    text=response["text"],
-                    prompt_tokens=int(response.get("prompt_tokens", 0)),
-                    completion_tokens=int(response.get("completion_tokens", 0)),
-                    backend_tag="replay",
+                self._entries.setdefault(
+                    entry["key"],
+                    LmResponse(
+                        text=response["text"],
+                        prompt_tokens=int(response.get("prompt_tokens", 0)),
+                        completion_tokens=int(response.get("completion_tokens", 0)),
+                        backend_tag="replay",
+                    ),
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"cache file {self.path} line {lineno} is malformed: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                if lineno < len(lines):
+                    raise ValidationError(f"cache file {self.path} line {lineno} is malformed: {exc}") from exc
+                logger.warning("cache file %s ends in a torn line %d; ignoring it: %s", self.path, lineno, exc)
+                self._tail = (len(data) - len(line), "")
+                return
+        if lines[-1]:
+            self._tail = (len(data), "\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -126,32 +150,48 @@ class ReplayCache:
     def get(self, key: str) -> LmResponse | None:
         return self._entries.get(key)
 
-    def append(self, request: LmRequest, response: LmResponse) -> None:
-        key = canonical_key(request)
-        line = json.dumps(
-            {
-                "key": key,
-                "request": json.loads(canonical_request_json(request)),
-                "response": {
-                    "text": response.text,
-                    "prompt_tokens": response.prompt_tokens,
-                    "completion_tokens": response.completion_tokens,
-                    "backend_tag": response.backend_tag,
+    def append(
+        self, request: LmRequest, response: LmResponse, key: str | None = None, write: bool = True
+    ) -> None:
+        """Store ``response`` under the request's canonical key (``key`` when the
+        caller already computed it) unless the key is present; with ``write``
+        and a path, also append it to the file."""
+        if key is None:
+            key = canonical_key(request)
+        line = None
+        if write and self.path is not None:
+            line = json.dumps(
+                {
+                    "key": key,
+                    "request": request.payload(),
+                    "response": {
+                        "text": response.text,
+                        "prompt_tokens": response.prompt_tokens,
+                        "completion_tokens": response.completion_tokens,
+                        "backend_tag": response.backend_tag,
+                    },
                 },
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+                ensure_ascii=False,
+                sort_keys=True,
+            )
         with self._lock:
+            if key in self._entries:
+                return
+            if line is not None:
+                assert self.path is not None
+                prefix = ""
+                if self._tail is not None:
+                    size, prefix = self._tail
+                    os.truncate(self.path, size)
+                    self._tail = None
+                with self.path.open("a", encoding="utf-8") as handle:
+                    handle.write(prefix + line + "\n")
             self._entries[key] = LmResponse(
                 text=response.text,
                 prompt_tokens=response.prompt_tokens,
                 completion_tokens=response.completion_tokens,
                 backend_tag="replay",
             )
-            if self.path is not None:
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
 
 
 class Backend(Protocol):
@@ -271,11 +311,19 @@ class LiveBackend:
 
 @dataclass
 class LmGateway:
-    """Shared completion entry point with bounded in-flight concurrency.
+    """Shared completion entry point: a single-flight, read-through cache in
+    front of the backend, with bounded in-flight concurrency.
 
     Holds the generation defaults (model, temperature, top_p, max_tokens)
-    that pipelines use when building requests. When ``record`` is set and a
-    cache is attached, every non-replay response is appended to the cache.
+    that pipelines use when building requests. For a non-replay backend, a
+    request whose canonical key is in ``cache`` (loaded from disk or
+    completed earlier in this run) is answered from it, and a request whose
+    key is already in flight waits for that call instead of issuing its own.
+    So the first response for a key wins for the rest of the run; when
+    ``record`` is set it is also appended to the cache file. Errors are not
+    cached: waiters get the exception and a later call retries. Without a
+    configured cache the gateway keeps an in-memory one. A replay backend is
+    called directly, since it is itself the cache lookup.
     """
 
     backend: Backend
@@ -287,11 +335,17 @@ class LmGateway:
     record: bool = False
     concurrency: int = 4
     _semaphore: threading.Semaphore = field(init=False, repr=False)
+    _lock: threading.Lock = field(init=False, repr=False)
+    _inflight: dict[str, Future] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
             raise ValidationError(f"concurrency must be >= 1, got {self.concurrency}")
         self._semaphore = threading.Semaphore(self.concurrency)
+        self._lock = threading.Lock()
+        self._inflight = {}
+        if self.cache is None:
+            self.cache = ReplayCache()
 
     def request(self, messages: list[Message] | tuple[Message, ...]) -> LmRequest:
         return LmRequest(
@@ -303,10 +357,34 @@ class LmGateway:
         )
 
     def complete(self, request: LmRequest) -> LmResponse:
-        with self._semaphore:
-            response = self.backend.complete(request)
-        if self.record and self.cache is not None and response.backend_tag != "replay":
-            self.cache.append(request, response)
+        backend = self.backend
+        if backend.tag == "replay":
+            with self._semaphore:
+                return backend.complete(request)
+        key = canonical_key(request)
+        with self._lock:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached
+            flight = self._inflight.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._inflight[key] = Future()
+        if not leader:
+            return flight.result()
+        try:
+            with self._semaphore:
+                response = backend.complete(request)
+            self.cache.append(request, response, key=key, write=self.record)
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            # The response is in the cache before the key leaves the in-flight
+            # map, so a later caller finds one or the other.
+            with self._lock:
+                del self._inflight[key]
+        flight.set_result(response)
         return response
 
     def complete_messages(self, messages: list[Message] | tuple[Message, ...]) -> LmResponse:

@@ -168,14 +168,20 @@ class ExternalScorer:
                 raise ValidationError(
                     f"external scorer {self.name!r} returned HTTP {http.status_code}: {http.text[:200]}"
                 )
-            batch_scores = http.json().get("scores")
+            payload = http.json()
+            batch_scores = payload.get("scores") if isinstance(payload, dict) else None
             if not isinstance(batch_scores, list) or len(batch_scores) != len(batch):
                 raise ValidationError(
                     f"external scorer {self.name!r} returned {len(batch_scores or [])} scores "
                     f"for {len(batch)} pairs"
                 )
             for value in batch_scores:
-                score = float(value)
+                try:
+                    score = float(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValidationError(
+                        f"external scorer {self.name!r} returned non-numeric score {value!r}"
+                    ) from None
                 if not 0.0 <= score <= 1.0:
                     raise ValidationError(f"external scorer {self.name!r} score {score} out of [0, 1]")
                 scores.append(score)

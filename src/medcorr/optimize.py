@@ -27,7 +27,7 @@ from .corpus import ClinicalRecord
 from .errors import GatewayError, MedcorrError, ValidationError
 from .gateway import LmGateway, Message
 from .metrics import composite_score, rouge_l_f
-from .pipelines import MsPipeline, Prediction, UwPipeline
+from .pipelines import MsPipeline, Prediction, UwPipeline, map_ordered
 from .program import Demo, Program, Signature, field_label
 
 logger = logging.getLogger(__name__)
@@ -239,15 +239,6 @@ class CompileReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
 
 
-def _evaluate_candidate(
-    pipeline: PipelineLike,
-    valset: Sequence[ClinicalRecord],
-    metric: Metric,
-    gateway: LmGateway,
-) -> list[float]:
-    return [_predict_scored(pipeline, record, metric, gateway)[1] for record in valset]
-
-
 def _candidate_pipeline(
     pipeline: PipelineLike,
     instructions: Mapping[str, str],
@@ -276,6 +267,54 @@ def _pick_winner(candidates: Sequence[Candidate]) -> int:
     return best.candidate_id
 
 
+def _search(
+    pipeline: PipelineLike,
+    stage_names: tuple[str, ...],
+    specs: Sequence[tuple[dict[str, str], dict[str, tuple[Demo, ...]]]],
+    trainset_record_ids: tuple[str, ...],
+    valset: Sequence[ClinicalRecord],
+    metric: Metric,
+    seed: int,
+    gateway: LmGateway,
+) -> tuple[PipelineLike, CompileReport]:
+    """Score every (instructions, demos) spec on the valset; compile the winner.
+
+    All (candidate, record) pairs share one pool of ``gateway.concurrency``
+    workers and scores are collected by index, so the report does not depend
+    on completion order. The first gateway error in (candidate, record)
+    order propagates.
+    """
+    candidate_pipelines = [_candidate_pipeline(pipeline, instructions, demos) for instructions, demos in specs]
+    pairs = [(candidate, record) for candidate in candidate_pipelines for record in valset]
+    flat = map_ordered(
+        lambda pair: _predict_scored(pair[0], pair[1], metric, gateway)[1], pairs, gateway.concurrency
+    )
+    candidates: list[Candidate] = []
+    per_example: dict[int, tuple[float, ...]] = {}
+    for candidate_id, (instructions, demos) in enumerate(specs):
+        scores = tuple(flat[candidate_id * len(valset) : (candidate_id + 1) * len(valset)])
+        per_example[candidate_id] = scores
+        candidates.append(
+            Candidate(
+                candidate_id=candidate_id,
+                instructions=instructions,
+                demos=demos,
+                validation_score=sum(scores) / len(scores),
+            )
+        )
+    report = CompileReport(
+        seed=seed,
+        stages=stage_names,
+        trainset_record_ids=trainset_record_ids,
+        valset_record_ids=tuple(r.record_id for r in valset),
+        candidates=tuple(candidates),
+        winner_id=_pick_winner(candidates),
+        per_example_scores=per_example,
+    )
+    winner = report.winner
+    return _candidate_pipeline(pipeline, winner.instructions, winner.demos), report
+
+
 def random_search_compile(
     pipeline: PipelineLike,
     pools: Mapping[str, Sequence[Demo]],
@@ -298,44 +337,22 @@ def random_search_compile(
         stage: pipeline.stages[stage].signature.instruction for stage in stage_names
     }
     rng = random.Random(seed)
-    specs: list[dict[str, tuple[Demo, ...]]] = [{stage: () for stage in stage_names}]
+    specs = [(dict(baseline_instructions), {stage: () for stage in stage_names})]
     if any(pools.values()):
         for _ in range(1, n_candidates):
             specs.append(
-                {
-                    stage: tuple(rng.sample(list(pools[stage]), min(demos_per_stage, len(pools[stage]))))
-                    for stage in stage_names
-                }
+                (
+                    dict(baseline_instructions),
+                    {
+                        stage: tuple(rng.sample(list(pools[stage]), min(demos_per_stage, len(pools[stage]))))
+                        for stage in stage_names
+                    },
+                )
             )
-    candidates: list[Candidate] = []
-    per_example: dict[int, tuple[float, ...]] = {}
-    for candidate_id, demo_spec in enumerate(specs):
-        candidate_pipeline = _candidate_pipeline(pipeline, baseline_instructions, demo_spec)
-        scores = _evaluate_candidate(candidate_pipeline, valset, metric, gateway)
-        per_example[candidate_id] = tuple(scores)
-        candidates.append(
-            Candidate(
-                candidate_id=candidate_id,
-                instructions=dict(baseline_instructions),
-                demos=demo_spec,
-                validation_score=sum(scores) / len(scores),
-            )
-        )
-    winner_id = _pick_winner(candidates)
-    report = CompileReport(
-        seed=seed,
-        stages=stage_names,
-        trainset_record_ids=tuple(
-            sorted({d.source_record_id for pool in pools.values() for d in pool if d.source_record_id})
-        ),
-        valset_record_ids=tuple(r.record_id for r in valset),
-        candidates=tuple(candidates),
-        winner_id=winner_id,
-        per_example_scores=per_example,
+    trainset_record_ids = tuple(
+        sorted({d.source_record_id for pool in pools.values() for d in pool if d.source_record_id})
     )
-    winner = report.winner
-    compiled = _candidate_pipeline(pipeline, winner.instructions, winner.demos)
-    return compiled, report
+    return _search(pipeline, stage_names, specs, trainset_record_ids, valset, metric, seed, gateway)
 
 
 def _render_demo_lines(signature: Signature, demos: Sequence[Demo]) -> str:
@@ -442,33 +459,8 @@ def mipro_compile(
         }
         specs.append((instructions, demos))
 
-    candidates: list[Candidate] = []
-    per_example: dict[int, tuple[float, ...]] = {}
-    for candidate_id, (instructions, demos) in enumerate(specs):
-        candidate_pipeline = _candidate_pipeline(pipeline, instructions, demos)
-        scores = _evaluate_candidate(candidate_pipeline, valset, metric, gateway)
-        per_example[candidate_id] = tuple(scores)
-        candidates.append(
-            Candidate(
-                candidate_id=candidate_id,
-                instructions=instructions,
-                demos=demos,
-                validation_score=sum(scores) / len(scores),
-            )
-        )
-    winner_id = _pick_winner(candidates)
-    report = CompileReport(
-        seed=seed,
-        stages=stage_names,
-        trainset_record_ids=tuple(r.record_id for r in trainset),
-        valset_record_ids=tuple(r.record_id for r in valset),
-        candidates=tuple(candidates),
-        winner_id=winner_id,
-        per_example_scores=per_example,
-    )
-    winner = report.winner
-    compiled = _candidate_pipeline(pipeline, winner.instructions, winner.demos)
-    return compiled, report
+    trainset_record_ids = tuple(r.record_id for r in trainset)
+    return _search(pipeline, stage_names, specs, trainset_record_ids, valset, metric, seed, gateway)
 
 
 def compile_ms_pipeline(

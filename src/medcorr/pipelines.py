@@ -21,7 +21,7 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .corpus import ClinicalRecord, McqRecord
 from .errors import MedcorrError, PipelineStageError, ValidationError
@@ -307,10 +307,6 @@ class MsPipeline:
     gate_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("extract_choice", "compare_answer", "correct"):
-            program = getattr(self, name)
-            if len(program.demos) > 20:
-                raise ValidationError(f"ms stage {name!r} carries more than 20 demos")
         if self.localize.demos:
             raise ValidationError("ms localize stage must carry zero demos")
         if self.gate_threshold is not None and not 0.0 <= self.gate_threshold <= 1.0:
@@ -489,6 +485,26 @@ def default_uw_pipeline(gate_threshold: float = DEFAULT_GATE_THRESHOLD) -> UwPip
 # --- batch prediction ---------------------------------------------------------
 
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> list[_R]:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+
+    Results come back in input order regardless of completion order. The
+    first exception in input order propagates, and calls not yet started
+    are cancelled.
+    """
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def predict_batch(
     pipeline: MsPipeline | UwPipeline,
     records: Sequence[ClinicalRecord],
@@ -505,19 +521,14 @@ def predict_batch(
         raise ValidationError(f"concurrency must be >= 1, got {concurrency}")
 
     def one(record: ClinicalRecord) -> Prediction:
-        return pipeline.predict(record, gateway)
+        try:
+            return pipeline.predict(record, gateway)
+        except MedcorrError as exc:
+            if strict:
+                raise
+            return no_error_prediction(record.record_id, error=str(exc))
 
-    results: list[Prediction] = []
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(one, record) for record in records]
-        for record, future in zip(records, futures):
-            try:
-                results.append(future.result())
-            except MedcorrError as exc:
-                if strict:
-                    raise
-                results.append(no_error_prediction(record.record_id, error=str(exc)))
-    return results
+    return map_ordered(one, records, concurrency)
 
 
 # --- predictions and trace files ----------------------------------------------

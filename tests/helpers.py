@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from contextlib import contextmanager
@@ -9,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable, Sequence
 
 from medcorr.corpus import ClinicalRecord, McqRecord, Sentence
-from medcorr.gateway import LmRequest
+from medcorr.gateway import LmRequest, LmResponse
 from medcorr.na import NA
 from medcorr.program import field_label
 
@@ -237,6 +238,21 @@ def magic_demo_setup():
         raise AssertionError(stage)
 
     return train, val, LmGateway(backend=ScriptedBackend(respond))
+
+
+class SamplingBackend:
+    """Stands in for a live model sampling at temperature 1.0: call ``n``
+    answers ``render(request, n)``, by default ``sample n``, so a repeated
+    request gets a different completion each time."""
+
+    tag = "scripted"
+
+    def __init__(self, render: Callable[[LmRequest, int], str] = lambda request, n: f"sample {n}"):
+        self._render = render
+        self._draws = itertools.count()
+
+    def complete(self, request: LmRequest) -> LmResponse:
+        return LmResponse(text=self._render(request, next(self._draws)), backend_tag=self.tag)
 
 
 # --- synthetic corpora ------------------------------------------------------------

@@ -420,6 +420,24 @@ def test_evaluate_with_external_scorers_via_cli(tmp_path):
     assert report.unavailable == ()
 
 
+def test_evaluate_with_non_numeric_scorer_scores_exits_by_contract(tmp_path, capsys):
+    from helpers import scripted_http_server
+
+    def scorer(path, body):
+        return 200, {"scores": ["abc"] * len(json.loads(body)["pairs"])}
+
+    pred_csv = perfect_predictions_csv(tmp_path)
+    report_json = tmp_path / "report.json"
+    with scripted_http_server(scorer) as base_url:
+        argv = ["evaluate", "--pred", str(pred_csv), "--gold", str(RECORDS_CSV),
+                "--out", str(report_json), "--scorer", f"bertscore={base_url}/score"]
+        assert run_command(argv) == 0
+        report = ScoreReport.from_json(report_json.read_text(encoding="utf-8"))
+        assert report.unavailable == ("bertscore",)
+        assert run_command([*argv, "--strict-scorers"]) == 1
+    assert "non-numeric" in capsys.readouterr().err
+
+
 # --- compile ---------------------------------------------------------------------------------
 
 

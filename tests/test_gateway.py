@@ -12,6 +12,7 @@ from medcorr.gateway import (
     LiveBackend,
     LmGateway,
     LmRequest,
+    LmResponse,
     Message,
     ReplayBackend,
     ReplayCache,
@@ -20,7 +21,7 @@ from medcorr.gateway import (
     canonical_request_json,
 )
 
-from helpers import chat_completion_payload, scripted_http_server
+from helpers import SamplingBackend, chat_completion_payload, scripted_http_server
 
 # Computed once from the documented canonicalization, then frozen.
 GOLDEN_KEY = "42550cf1c49e78b8355a7c9555166435df51fe07274df86ab00a3a092c15eaa2"
@@ -200,6 +201,49 @@ def test_cache_rejects_malformed_line(tmp_path):
         ReplayCache(path)
 
 
+def cache_line(request: LmRequest, text: str) -> str:
+    return json.dumps(
+        {"key": canonical_key(request), "request": request.payload(), "response": {"text": text}}
+    )
+
+
+def test_cache_rejects_malformed_line_mid_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = cache_line(fixture_request(), "one")
+    path.write_text(f'{good}\n{{"key": "torn\n{good}\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 2"):
+        ReplayCache(path)
+
+
+# A crash mid-append leaves an unterminated final line, cut anywhere, even
+# inside a multi-byte character.
+@pytest.mark.parametrize("torn", [b'{"key": "abc", "respo', b'{"key": "caf\xc3'])
+def test_cache_ignores_torn_final_line_and_cuts_it_before_appending(tmp_path, caplog, torn):
+    path = tmp_path / "cache.jsonl"
+    first, second = fixture_request(), fixture_request(max_tokens=16)
+    good = cache_line(first, "one")
+    path.write_bytes(f"{good}\n".encode("utf-8") + torn)
+    cache = ReplayCache(path)
+    assert len(cache) == 1
+    assert "torn line 2" in caplog.text
+
+    cache.append(second, ScriptedBackend(lambda r: "two").complete(second))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[0] == good
+    reloaded = ReplayCache(path)
+    assert [reloaded.get(canonical_key(r)).text for r in (first, second)] == ["one", "two"]
+
+
+def test_cache_appends_after_an_unterminated_complete_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = fixture_request(), fixture_request(max_tokens=16)
+    path.write_text(cache_line(first, "one"), encoding="utf-8")
+    cache = ReplayCache(path)
+    cache.append(second, ScriptedBackend(lambda r: "two").complete(second))
+    reloaded = ReplayCache(path)
+    assert [reloaded.get(canonical_key(r)).text for r in (first, second)] == ["one", "two"]
+
+
 # --- live backend -----------------------------------------------------------------
 
 
@@ -346,3 +390,137 @@ def test_replay_determinism_same_cache_same_bytes(tmp_path):
         gateway = LmGateway(backend=ReplayBackend(ReplayCache(cache_path)))
         texts.append(gateway.complete(fixture_request()).text)
     assert texts[0] == texts[1] == "stable"
+
+
+def test_record_then_replay_returns_what_the_live_run_returned(tmp_path):
+    # A sampling backend answers a repeated request differently; replay must
+    # still reproduce the live run, so the first sample for a key wins.
+    cache_path = tmp_path / "cache.jsonl"
+    live = LmGateway(backend=SamplingBackend(), cache=ReplayCache(cache_path), record=True)
+    live_texts = [live.complete(fixture_request()).text for _ in range(2)]
+    replay = LmGateway(backend=ReplayBackend(ReplayCache(cache_path)))
+    replay_texts = [replay.complete(fixture_request()).text for _ in range(2)]
+    assert replay_texts == live_texts == ["sample 0", "sample 0"]
+    assert len(cache_path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+class GatedBackend:
+    """Blocks every call for ``blocked_text`` until ``release`` is set, then
+    answers it, or raises while ``failing`` is set; other requests answer at once."""
+
+    tag = "scripted"
+
+    def __init__(self, blocked_text: str):
+        self.blocked_text = blocked_text
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.failing = False
+        self.calls: list[str] = []
+
+    def complete(self, request: LmRequest):
+        text = request.messages[-1].content
+        self.calls.append(text)
+        if text == self.blocked_text:
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+            if self.failing:
+                raise LiveRequestError("endpoint down")
+        return LmResponse(text=f"echo {text}")
+
+
+def run_threads(n: int, target) -> list[threading.Thread]:
+    threads = [threading.Thread(target=target) for _ in range(n)]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def join_all(threads: list[threading.Thread]) -> None:
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_gateway_single_flight_calls_backend_once_and_waiters_hold_no_slot():
+    slow = fixture_request(messages=(Message("user", "slow"),))
+    backend = GatedBackend("slow")
+    gateway = LmGateway(backend=backend, concurrency=2)
+    texts: list[str] = []
+    threads = run_threads(8, lambda: texts.append(gateway.complete(slow).text))
+    assert backend.entered.wait(timeout=10)
+    time.sleep(0.2)  # let the other threads reach the gateway and wait
+    # Seven waiters and one slot in use: a second slot must still be free.
+    other = gateway.complete(fixture_request(messages=(Message("user", "fast"),)))
+    assert other.text == "echo fast"
+    backend.release.set()
+    join_all(threads)
+    assert texts == ["echo slow"] * 8
+    assert backend.calls.count("slow") == 1
+    assert gateway.complete(slow).text == "echo slow"
+    assert backend.calls.count("slow") == 1
+
+
+def test_gateway_does_not_cache_errors():
+    request = fixture_request(messages=(Message("user", "slow"),))
+    backend = GatedBackend("slow")
+    backend.failing = True
+    gateway = LmGateway(backend=backend, concurrency=4)
+    errors: list[Exception] = []
+
+    def call():
+        try:
+            gateway.complete(request)
+        except LiveRequestError as exc:
+            errors.append(exc)
+
+    threads = run_threads(6, call)
+    assert backend.entered.wait(timeout=10)
+    time.sleep(0.2)
+    backend.release.set()
+    join_all(threads)
+    assert len(errors) == 6
+    assert backend.calls == ["slow"]
+
+    backend.failing = False
+    assert gateway.complete(request).text == "echo slow"
+    assert backend.calls == ["slow", "slow"]
+
+
+def test_gateway_stress_each_key_reaches_backend_and_file_once(tmp_path):
+    import random
+    import sys
+
+    keys = [f"text {i}" for i in range(40)]
+    calls: list[str] = []
+
+    def respond(request):
+        calls.append(request.messages[-1].content)
+        return request.messages[-1].content.upper()
+
+    cache_path = tmp_path / "cache.jsonl"
+    gateway = LmGateway(
+        backend=ScriptedBackend(respond), cache=ReplayCache(cache_path), record=True, concurrency=3
+    )
+    mismatches: list[str] = []
+
+    def worker(seed: int):
+        order = keys * 3
+        random.Random(seed).shuffle(order)
+        for text in order:
+            got = gateway.complete(fixture_request(messages=(Message("user", text),))).text
+            if got != text.upper():
+                mismatches.append(got)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(12)]
+        for thread in threads:
+            thread.start()
+        join_all(threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert mismatches == []
+    assert sorted(calls) == sorted(keys)
+    written = [json.loads(line)["key"] for line in cache_path.read_text(encoding="utf-8").splitlines()]
+    assert len(written) == len(set(written)) == len(keys)

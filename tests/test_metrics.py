@@ -339,6 +339,38 @@ def test_evaluate_scorer_failure_strict_raises():
             )
 
 
+# Bodies a misbehaving scorer may send: non-numeric scores, null scores,
+# a number too large for a float, and a JSON list instead of an object.
+BAD_SCORER_BODIES = [
+    lambda n: {"scores": ["abc"] * n},
+    lambda n: {"scores": [None] * n},
+    lambda n: {"scores": [10**400] * n},
+    lambda n: [0.5] * n,
+]
+
+
+def bad_body_script(make_body):
+    def script(path, body):
+        import json
+
+        return 200, make_body(len(json.loads(body)["pairs"]))
+
+    return script
+
+
+@pytest.mark.parametrize("make_body", BAD_SCORER_BODIES, ids=["string", "null", "overflow", "list-body"])
+def test_evaluate_bad_scorer_body_marks_unavailable_or_raises_when_strict(make_body):
+    golds = five_golds()
+    preds = perfect_predictions(golds)
+    with scripted_http_server(bad_body_script(make_body)) as base_url:
+        scorer = ExternalScorer("bertscore", f"{base_url}/score")
+        report = evaluate(preds, golds, scorers=[scorer])
+        with pytest.raises(ValidationError, match="bertscore"):
+            evaluate(preds, golds, scorers=[scorer], strict_scorers=True)
+    assert report.unavailable == ("bertscore",)
+    assert "bertscore" not in report.composite_means
+
+
 def test_external_scorer_rejects_out_of_range_scores():
     def bad(path, body):
         import json

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import pytest
 
 from medcorr.errors import ValidationError
-from medcorr.gateway import LmGateway, ScriptedBackend
+from medcorr.gateway import LmGateway, ReplayBackend, ReplayCache, ScriptedBackend
 from medcorr.optimize import (
     Candidate,
     CompileReport,
@@ -21,11 +22,12 @@ from medcorr.optimize import (
     sentence_match_metric,
 )
 from medcorr.pipelines import default_ms_pipeline, default_uw_pipeline
-from medcorr.program import Demo
+from medcorr.program import Demo, program_to_json
 from medcorr.retrieval import build_index
 
 from helpers import (
     PROPOSAL_MARKER,
+    SamplingBackend,
     live_block,
     magic_demo_setup,
     ms_gold_responder,
@@ -469,3 +471,65 @@ def test_error_records_helper():
     subset = error_records(records)
     assert all(r.gold_flag == 1 for r in subset)
     assert len(subset) == 3
+
+
+def compile_outputs(compiled, reports) -> dict[str, str]:
+    return {
+        **{f"{stage}.json": program_to_json(program) for stage, program in compiled.stages.items()},
+        **{f"compile_report_{name}.json": report.to_json() for name, report in reports.items()},
+    }
+
+
+def compile_uw(records, gateway):
+    return compile_outputs(
+        *compile_uw_pipeline(
+            default_uw_pipeline(), records[:6], records[6:], gateway, seed=3, budget=(2, 4), demos_per_stage=3
+        )
+    )
+
+
+def test_recorded_sampling_compile_replays_to_the_same_outputs(tmp_path):
+    records = synth_uw_records(10)
+    gold = uw_gold_responder(records)
+
+    def sample(request, n):
+        # Odd samples get the error flag wrong, so which sample a repeated
+        # request received changes the scores.
+        text = gold(request).replace("Rationale: ", f"Rationale: sample {n}; ", 1)
+        return text if n % 2 == 0 else re.sub(r"Error Flag: (\d)", lambda m: f"Error Flag: {1 - int(m[1])}", text)
+
+    cache_path = tmp_path / "cache.jsonl"
+    live = compile_uw(records, LmGateway(backend=SamplingBackend(sample), cache=ReplayCache(cache_path), record=True))
+    replayed = compile_uw(records, LmGateway(backend=ReplayBackend(ReplayCache(cache_path))))
+    assert replayed == live
+
+
+def test_compile_outputs_do_not_depend_on_concurrency():
+    uw_records = synth_uw_records(10)
+    ms_records, corpus, asserted = synth_ms_dataset(10)
+    index = build_index(corpus)
+    for_uw, for_ms = [], []
+    for concurrency in (1, 4):
+        uw_gateway = LmGateway(backend=ScriptedBackend(uw_gold_responder(uw_records)), concurrency=concurrency)
+        for_uw.append(compile_uw(uw_records, uw_gateway))
+        ms_gateway = LmGateway(backend=ScriptedBackend(ms_gold_responder(ms_records, asserted)), concurrency=concurrency)
+        for_ms.append(
+            compile_outputs(
+                *compile_ms_pipeline(
+                    default_ms_pipeline(index), ms_records[:6], ms_records[6:], ms_gateway,
+                    seed=5, n_candidates=4, demos_per_stage=3,
+                )
+            )
+        )
+    assert for_uw[0] == for_uw[1]
+    assert for_ms[0] == for_ms[1]
+
+
+def test_compile_ms_pipeline_honours_a_demo_cap_above_twenty():
+    records, corpus, asserted = synth_ms_dataset(28)
+    gateway = LmGateway(backend=ScriptedBackend(ms_gold_responder(records, asserted)))
+    _, reports = compile_ms_pipeline(
+        default_ms_pipeline(build_index(corpus)), records[:24], records[24:], gateway,
+        seed=1, n_candidates=2, demos_per_stage=21,
+    )
+    assert len(reports["flag"].candidates[1].demos["extract_choice"]) == 21
