@@ -20,7 +20,6 @@ API_KEY_ENV = "MEDCORR_API_KEY"
 BASE_URL_ENV = "MEDCORR_BASE_URL"
 
 BACKENDS = ("live", "replay", "scripted")
-SELECTORS = ("ms", "uw")
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,8 @@ class GatewayConfig:
 @dataclass(frozen=True)
 class PathsConfig:
     records: str = ""
-    mcq_corpus: str = ""
     index: str = ""
     compiled_dir: str = ""
-    output_dir: str = "."
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    selector: str = "uw"
     gate_threshold: float = 0.7
     ms_gate_enabled: bool = False
     strict: bool = False
@@ -136,8 +132,6 @@ def _validate(config: EngineConfig) -> None:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"optimize.{key} must be in [0, 1], got {value}")
     pipe = config.pipeline
-    if pipe.selector not in SELECTORS:
-        raise ConfigError(f"pipeline.selector must be one of {list(SELECTORS)}, got {pipe.selector!r}")
     if not 0.0 <= pipe.gate_threshold <= 1.0:
         raise ConfigError(f"pipeline.gate_threshold must be in [0, 1], got {pipe.gate_threshold}")
 

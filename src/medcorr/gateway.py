@@ -126,6 +126,8 @@ class ReplayCache:
             try:
                 entry = json.loads(line)
                 response = entry["response"]
+                if not isinstance(response["text"], str):
+                    raise TypeError(f"response text is {type(response['text']).__name__}, not a string")
                 self._entries.setdefault(
                     entry["key"],
                     LmResponse(

@@ -243,6 +243,8 @@ class ScoreReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScoreReport":
+        if not isinstance(payload, dict):
+            raise ValidationError("malformed score report: not a JSON object")
         version = payload.get("format_version")
         if version != REPORT_FORMAT_VERSION:
             raise ValidationError(f"unsupported report format_version {version!r}")
@@ -285,15 +287,6 @@ class ScoreReport:
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
-
-
-def _composite_of(pred_na: bool, gold_na: bool, base_value: float | None) -> float:
-    if pred_na and gold_na:
-        return 1.0
-    if pred_na != gold_na:
-        return 0.0
-    assert base_value is not None
-    return base_value
 
 
 def evaluate(
@@ -341,8 +334,6 @@ def evaluate(
 
     rows: list[RecordScores] = []
     for i, (pred, gold) in enumerate(pairs):
-        pred_na = is_na(pred.corrected_sentence)
-        gold_na = is_na(gold.gold_correction)
         candidate = str(pred.corrected_sentence)
         reference = str(gold.gold_correction)
 
@@ -359,7 +350,8 @@ def evaluate(
                 else None
             )
         composites = {
-            name: _composite_of(pred_na, gold_na, value) for name, value in base_scores.items()
+            name: composite_score(pred.corrected_sentence, gold.gold_correction, lambda *_: value)
+            for name, value in base_scores.items()
         }
 
         rows.append(

@@ -7,7 +7,9 @@ scores seeded random demo subsets on the validation set against a zero-demo
 baseline (candidate 0), so the winner can never score below zero-shot.
 ``mipro_compile`` extends the search space with LM-proposed instructions,
 sampling uniformly over (instruction x demo subset) per stage; the Bayesian
-surrogate of the full method is intentionally not reproduced.
+surrogate of the full method is intentionally not reproduced. Random search
+is the one-instruction case of that joint search: both draw their candidates
+with one drawer and score them with one search loop.
 
 Localization and correction compiles must only ever see error-containing
 records; use :func:`error_records` when assembling their train/val sets.
@@ -21,13 +23,13 @@ import math
 import random
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import ClinicalRecord
 from .errors import GatewayError, MedcorrError, ValidationError
 from .gateway import LmGateway, Message
 from .metrics import composite_score, rouge_l_f
-from .pipelines import MsPipeline, Prediction, UwPipeline, map_ordered
+from .pipelines import MsPipeline, Pipeline, Prediction, UwPipeline, map_ordered
 from .program import Demo, Program, Signature, field_label
 
 logger = logging.getLogger(__name__)
@@ -41,18 +43,6 @@ BINARY_PASS_THRESHOLD = 1.0
 ROUGE_PASS_THRESHOLD = 0.8
 
 _PROPOSAL_TEMPLATE = resources.files("medcorr").joinpath("assets/instruction_proposal_v1.txt")
-
-
-class PipelineLike(Protocol):
-    @property
-    def stages(self) -> dict[str, Program]: ...
-
-    @property
-    def optimizable_stages(self) -> tuple[str, ...]: ...
-
-    def replace_stages(self, updates: Mapping[str, Program]) -> "PipelineLike": ...
-
-    def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction: ...
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ def error_records(records: Sequence[ClinicalRecord]) -> list[ClinicalRecord]:
 
 
 def _predict_scored(
-    pipeline: PipelineLike,
+    pipeline: Pipeline,
     record: ClinicalRecord,
     metric: Metric,
     gateway: LmGateway,
@@ -127,7 +117,7 @@ def _predict_scored(
 
 
 def bootstrap_demos(
-    pipeline: PipelineLike,
+    pipeline: Pipeline,
     trainset: Sequence[ClinicalRecord],
     metric: Metric,
     max_demos: int,
@@ -240,10 +230,10 @@ class CompileReport:
 
 
 def _candidate_pipeline(
-    pipeline: PipelineLike,
+    pipeline: Pipeline,
     instructions: Mapping[str, str],
     demos: Mapping[str, tuple[Demo, ...]],
-) -> PipelineLike:
+) -> Pipeline:
     updates: dict[str, Program] = {}
     for stage, program in pipeline.stages.items():
         if stage not in instructions and stage not in demos:
@@ -267,16 +257,50 @@ def _pick_winner(candidates: Sequence[Candidate]) -> int:
     return best.candidate_id
 
 
-def _search(
-    pipeline: PipelineLike,
+Spec = tuple[dict[str, str], dict[str, tuple[Demo, ...]]]
+
+
+def _draw_specs(
     stage_names: tuple[str, ...],
-    specs: Sequence[tuple[dict[str, str], dict[str, tuple[Demo, ...]]]],
+    proposals: Mapping[str, Sequence[str]],
+    pools: Mapping[str, Sequence[Demo]],
+    n_candidates: int,
+    demos_per_stage: int,
+    seed: int,
+) -> list[Spec]:
+    """Candidate 0 is each stage's original instruction (proposal 0) with no
+    demos; each later one draws, per stage, an instruction (only when there
+    is a choice) and a demo subset. When no stage has a demo or a second
+    instruction, candidate 0 is the only one."""
+    specs: list[Spec] = [
+        ({stage: proposals[stage][0] for stage in stage_names}, {stage: () for stage in stage_names})
+    ]
+    if not any(pools[stage] or len(proposals[stage]) > 1 for stage in stage_names):
+        return specs
+    rng = random.Random(seed)
+    for _ in range(1, n_candidates):
+        instructions = {
+            stage: rng.choice(proposals[stage]) if len(proposals[stage]) > 1 else proposals[stage][0]
+            for stage in stage_names
+        }
+        demos = {
+            stage: tuple(rng.sample(list(pools[stage]), min(demos_per_stage, len(pools[stage]))))
+            for stage in stage_names
+        }
+        specs.append((instructions, demos))
+    return specs
+
+
+def _search(
+    pipeline: Pipeline,
+    stage_names: tuple[str, ...],
+    specs: Sequence[Spec],
     trainset_record_ids: tuple[str, ...],
     valset: Sequence[ClinicalRecord],
     metric: Metric,
     seed: int,
     gateway: LmGateway,
-) -> tuple[PipelineLike, CompileReport]:
+) -> tuple[Pipeline, CompileReport]:
     """Score every (instructions, demos) spec on the valset; compile the winner.
 
     All (candidate, record) pairs share one pool of ``gateway.concurrency``
@@ -316,7 +340,7 @@ def _search(
 
 
 def random_search_compile(
-    pipeline: PipelineLike,
+    pipeline: Pipeline,
     pools: Mapping[str, Sequence[Demo]],
     valset: Sequence[ClinicalRecord],
     metric: Metric,
@@ -324,8 +348,9 @@ def random_search_compile(
     demos_per_stage: int = DEFAULT_DEMOS_PER_STAGE,
     seed: int = 0,
     gateway: LmGateway | None = None,
-) -> tuple[PipelineLike, CompileReport]:
-    """Seeded random search over demo subsets; candidate 0 is the zero-demo baseline."""
+) -> tuple[Pipeline, CompileReport]:
+    """Seeded random search over demo subsets, each stage keeping its own
+    instruction; candidate 0 is the zero-demo baseline."""
     if gateway is None:
         raise ValidationError("random_search_compile needs a gateway")
     if n_candidates < 1:
@@ -333,22 +358,8 @@ def random_search_compile(
     if not valset:
         raise ValidationError("random_search_compile needs a non-empty valset")
     stage_names = tuple(sorted(pools))
-    baseline_instructions = {
-        stage: pipeline.stages[stage].signature.instruction for stage in stage_names
-    }
-    rng = random.Random(seed)
-    specs = [(dict(baseline_instructions), {stage: () for stage in stage_names})]
-    if any(pools.values()):
-        for _ in range(1, n_candidates):
-            specs.append(
-                (
-                    dict(baseline_instructions),
-                    {
-                        stage: tuple(rng.sample(list(pools[stage]), min(demos_per_stage, len(pools[stage]))))
-                        for stage in stage_names
-                    },
-                )
-            )
+    proposals = {stage: [pipeline.stages[stage].signature.instruction] for stage in stage_names}
+    specs = _draw_specs(stage_names, proposals, pools, n_candidates, demos_per_stage, seed)
     trainset_record_ids = tuple(
         sorted({d.source_record_id for pool in pools.values() for d in pool if d.source_record_id})
     )
@@ -402,7 +413,7 @@ def propose_instructions(
 
 
 def mipro_compile(
-    pipeline: PipelineLike,
+    pipeline: Pipeline,
     trainset: Sequence[ClinicalRecord],
     valset: Sequence[ClinicalRecord],
     metric: Metric,
@@ -411,7 +422,7 @@ def mipro_compile(
     gateway: LmGateway | None = None,
     demos_per_stage: int = DEFAULT_DEMOS_PER_STAGE,
     stages: Sequence[str] | None = None,
-) -> tuple[PipelineLike, CompileReport]:
+) -> tuple[Pipeline, CompileReport]:
     """Joint search over LM-proposed instructions and bootstrapped demo subsets.
 
     Candidate 0 is always (original instruction, zero demos). A budget of
@@ -430,12 +441,8 @@ def mipro_compile(
     if unknown:
         raise ValidationError(f"unknown stages {sorted(unknown)}")
 
-    original_instructions = {
-        stage: pipeline.stages[stage].signature.instruction for stage in stage_names
-    }
-
     pools: dict[str, list[Demo]] = {stage: [] for stage in stage_names}
-    proposals: dict[str, list[str]] = {stage: [original_instructions[stage]] for stage in stage_names}
+    proposals = {stage: [pipeline.stages[stage].signature.instruction] for stage in stage_names}
     if n_candidates > 1:
         pools = bootstrap_demos(pipeline, trainset, metric, demos_per_stage, gateway, seed, stages=stage_names)
         if n_proposals > 1:
@@ -446,19 +453,7 @@ def mipro_compile(
                     gateway,
                     n_proposals - 1,
                 )
-
-    rng = random.Random(seed)
-    specs: list[tuple[dict[str, str], dict[str, tuple[Demo, ...]]]] = [
-        (dict(original_instructions), {stage: () for stage in stage_names})
-    ]
-    for _ in range(1, n_candidates):
-        instructions = {stage: rng.choice(proposals[stage]) for stage in stage_names}
-        demos = {
-            stage: tuple(rng.sample(pools[stage], min(demos_per_stage, len(pools[stage]))))
-            for stage in stage_names
-        }
-        specs.append((instructions, demos))
-
+    specs = _draw_specs(stage_names, proposals, pools, n_candidates, demos_per_stage, seed)
     trainset_record_ids = tuple(r.record_id for r in trainset)
     return _search(pipeline, stage_names, specs, trainset_record_ids, valset, metric, seed, gateway)
 

@@ -21,7 +21,7 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .corpus import ClinicalRecord, McqRecord
 from .errors import MedcorrError, PipelineStageError, ValidationError
@@ -285,18 +285,87 @@ def uw_correct_program() -> Program:
 # --- pipelines ---------------------------------------------------------------
 
 
-def _stage_trace(stage: str, inputs: Mapping[str, str], program_run) -> StageTrace:
-    return StageTrace(
-        stage=stage,
-        inputs=dict(inputs),
-        raw_completion=program_run.raw_completion,
-        outputs=dict(program_run.outputs),
-        attempts=program_run.attempts,
+def _run_stage(
+    stage: str,
+    program: Program,
+    inputs: dict[str, str],
+    gateway: LmGateway,
+    trace: list[StageTrace],
+) -> dict[str, str]:
+    """Run one LM stage, append its trace entry and return its outputs."""
+    program_run = run(program, inputs, gateway)
+    trace.append(
+        StageTrace(
+            stage=stage,
+            inputs=dict(inputs),
+            raw_completion=program_run.raw_completion,
+            outputs=dict(program_run.outputs),
+            attempts=program_run.attempts,
+        )
     )
+    return program_run.outputs
+
+
+class Pipeline:
+    """What both pipelines share: a declared stage list, each stage a
+    ``Program`` field of the same name, and an optional ROUGE-L gate on the
+    correction (``gate_threshold`` None means no gate)."""
+
+    name: ClassVar[str]
+    stage_names: ClassVar[tuple[str, ...]]
+    optimizable_stages: ClassVar[tuple[str, ...]]
+    localize: Program
+    correct: Program
+    gate_threshold: float | None
+
+    def __post_init__(self) -> None:
+        if self.gate_threshold is not None and not 0.0 <= self.gate_threshold <= 1.0:
+            raise ValidationError(f"gate threshold must be in [0, 1], got {self.gate_threshold}")
+
+    @property
+    def stages(self) -> dict[str, Program]:
+        return {stage: getattr(self, stage) for stage in self.stage_names}
+
+    def replace_stages(self, updates: Mapping[str, Program]) -> "Pipeline":
+        unknown = set(updates) - set(self.stage_names)
+        if unknown:
+            raise ValidationError(f"unknown {self.name} stages {sorted(unknown)}")
+        return replace(self, **dict(updates))
+
+    def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
+        raise NotImplementedError
+
+    def _localize_and_correct(
+        self,
+        record: ClinicalRecord,
+        localize_inputs: dict[str, str],
+        correct_inputs: dict[str, str],
+        gateway: LmGateway,
+        trace: list[StageTrace],
+    ) -> Prediction:
+        """The flag-1 tail: localize the error line, rewrite its sentence
+        (``correct_inputs`` plus the sentence) and gate the rewrite."""
+        located = _run_stage("localize", self.localize, localize_inputs, gateway, trace)
+        error_line = parse_line_value("localize", located["error_line"], record)
+        error_sentence = record.sentence_text(error_line)
+        correct_inputs = {"error_sentence": error_sentence, **correct_inputs}
+        corrected = _run_stage("correct", self.correct, correct_inputs, gateway, trace)["corrected_sentence"]
+        if self.gate_threshold is not None:
+            final, gated = quality_gate(error_sentence, corrected, self.gate_threshold)
+            trace.append(
+                StageTrace(
+                    stage="quality_gate",
+                    inputs={"original": error_sentence, "candidate": corrected},
+                    raw_completion="",
+                    outputs={"gated": str(gated).lower(), "final": final},
+                )
+            )
+            corrected = final
+        return Prediction(record.record_id, 1, error_line, corrected, trace=tuple(trace))
 
 
 @dataclass(frozen=True)
-class MsPipeline:
+class MsPipeline(Pipeline):
     """Retrieval-grounded pipeline; the localize stage is never compiled."""
 
     index: TfidfIndex
@@ -306,101 +375,56 @@ class MsPipeline:
     correct: Program
     gate_threshold: float | None = None
 
+    name = "ms"
+    stage_names = ("extract_choice", "compare_answer", "localize", "correct")
+    optimizable_stages = ("extract_choice", "compare_answer", "correct")
+
     def __post_init__(self) -> None:
         if self.localize.demos:
             raise ValidationError("ms localize stage must carry zero demos")
-        if self.gate_threshold is not None and not 0.0 <= self.gate_threshold <= 1.0:
-            raise ValidationError(f"gate threshold must be in [0, 1], got {self.gate_threshold}")
-
-    @property
-    def stages(self) -> dict[str, Program]:
-        return {
-            "extract_choice": self.extract_choice,
-            "compare_answer": self.compare_answer,
-            "localize": self.localize,
-            "correct": self.correct,
-        }
-
-    @property
-    def optimizable_stages(self) -> tuple[str, ...]:
-        return ("extract_choice", "compare_answer", "correct")
-
-    def replace_stages(self, updates: Mapping[str, Program]) -> "MsPipeline":
-        unknown = set(updates) - set(self.stages)
-        if unknown:
-            raise ValidationError(f"unknown ms stages {sorted(unknown)}")
-        return replace(self, **dict(updates))
+        super().__post_init__()
 
     def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
-        return ms_predict(self, record, gateway)
-
-
-def ms_predict(pipeline: MsPipeline, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
-    """Retrieve -> extract -> compare; on a mismatch, localize and correct."""
-    text = record.full_text()
-    hit = query(pipeline.index, text, k=1)[0]
-    mcq_rendered = render_mcq(hit.record)
-    correct_answer = hit.record.correct_text
-    trace: list[StageTrace] = [
-        StageTrace(
-            stage="retrieve",
-            inputs={"query": text},
-            raw_completion="",
-            outputs={
-                "doc_id": str(hit.doc_id),
-                "score": f"{hit.score:.6f}",
-                "similar_question": mcq_rendered,
-                "correct_answer": correct_answer,
-            },
-        )
-    ]
-
-    numbered = render_numbered_text(record)
-    extract_inputs = {"clinical_text": numbered, "similar_question": mcq_rendered}
-    extract_run = run(pipeline.extract_choice, extract_inputs, gateway)
-    trace.append(_stage_trace("extract_choice", extract_inputs, extract_run))
-    extracted = extract_run.outputs["extracted_choice"]
-
-    compare_inputs = {"extracted_choice": extracted, "correct_answer": correct_answer}
-    compare_run = run(pipeline.compare_answer, compare_inputs, gateway)
-    trace.append(_stage_trace("compare_answer", compare_inputs, compare_run))
-    flag = parse_match_value("compare_answer", compare_run.outputs["verdict"])
-
-    if flag == 0:
-        return no_error_prediction(record.record_id, trace=tuple(trace))
-
-    localize_inputs = {"clinical_text": numbered, "extracted_choice": extracted}
-    localize_run = run(pipeline.localize, localize_inputs, gateway)
-    trace.append(_stage_trace("localize", localize_inputs, localize_run))
-    error_line = parse_line_value("localize", localize_run.outputs["error_line"], record)
-    error_sentence = record.sentence_text(error_line)
-
-    correct_inputs = {
-        "error_sentence": error_sentence,
-        "extracted_choice": extracted,
-        "correct_answer": correct_answer,
-    }
-    correct_run = run(pipeline.correct, correct_inputs, gateway)
-    trace.append(_stage_trace("correct", correct_inputs, correct_run))
-    corrected = correct_run.outputs["corrected_sentence"]
-
-    if pipeline.gate_threshold is not None:
-        final, gated = quality_gate(error_sentence, corrected, pipeline.gate_threshold)
-        trace.append(
+        """Retrieve -> extract -> compare; on a mismatch, localize and correct."""
+        text = record.full_text()
+        hit = query(self.index, text, k=1)[0]
+        mcq_rendered = render_mcq(hit.record)
+        correct_answer = hit.record.correct_text
+        trace: list[StageTrace] = [
             StageTrace(
-                stage="quality_gate",
-                inputs={"original": error_sentence, "candidate": corrected},
+                stage="retrieve",
+                inputs={"query": text},
                 raw_completion="",
-                outputs={"gated": str(gated).lower(), "final": final},
+                outputs={
+                    "doc_id": str(hit.doc_id),
+                    "score": f"{hit.score:.6f}",
+                    "similar_question": mcq_rendered,
+                    "correct_answer": correct_answer,
+                },
             )
+        ]
+        numbered = render_numbered_text(record)
+        extracted = _run_stage(
+            "extract_choice", self.extract_choice,
+            {"clinical_text": numbered, "similar_question": mcq_rendered}, gateway, trace,
+        )["extracted_choice"]
+        verdict = _run_stage(
+            "compare_answer", self.compare_answer,
+            {"extracted_choice": extracted, "correct_answer": correct_answer}, gateway, trace,
+        )["verdict"]
+        if parse_match_value("compare_answer", verdict) == 0:
+            return no_error_prediction(record.record_id, trace=tuple(trace))
+        return self._localize_and_correct(
+            record,
+            {"clinical_text": numbered, "extracted_choice": extracted},
+            {"extracted_choice": extracted, "correct_answer": correct_answer},
+            gateway,
+            trace,
         )
-        corrected = final
-
-    return Prediction(record.record_id, 1, error_line, corrected, trace=tuple(trace))
 
 
 @dataclass(frozen=True)
-class UwPipeline:
+class UwPipeline(Pipeline):
     """Three-stage detect/localize/correct pipeline with a ROUGE-L gate."""
 
     detect: Program
@@ -408,58 +432,18 @@ class UwPipeline:
     correct: Program
     gate_threshold: float = DEFAULT_GATE_THRESHOLD
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gate_threshold <= 1.0:
-            raise ValidationError(f"gate threshold must be in [0, 1], got {self.gate_threshold}")
-
-    @property
-    def stages(self) -> dict[str, Program]:
-        return {"detect": self.detect, "localize": self.localize, "correct": self.correct}
-
-    @property
-    def optimizable_stages(self) -> tuple[str, ...]:
-        return ("detect", "localize", "correct")
-
-    def replace_stages(self, updates: Mapping[str, Program]) -> "UwPipeline":
-        unknown = set(updates) - set(self.stages)
-        if unknown:
-            raise ValidationError(f"unknown uw stages {sorted(unknown)}")
-        return replace(self, **dict(updates))
+    name = "uw"
+    stage_names = ("detect", "localize", "correct")
+    optimizable_stages = stage_names
 
     def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
-        return uw_predict(self, record, gateway)
-
-
-def uw_predict(pipeline: UwPipeline, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
-    numbered = render_numbered_text(record)
-    detect_inputs = {"clinical_text": numbered}
-    detect_run = run(pipeline.detect, detect_inputs, gateway)
-    trace: list[StageTrace] = [_stage_trace("detect", detect_inputs, detect_run)]
-    flag = parse_flag_value("detect", detect_run.outputs["error_flag"])
-    if flag == 0:
-        return no_error_prediction(record.record_id, trace=tuple(trace))
-
-    localize_inputs = {"clinical_text": numbered}
-    localize_run = run(pipeline.localize, localize_inputs, gateway)
-    trace.append(_stage_trace("localize", localize_inputs, localize_run))
-    error_line = parse_line_value("localize", localize_run.outputs["error_line"], record)
-    error_sentence = record.sentence_text(error_line)
-
-    correct_inputs = {"error_sentence": error_sentence}
-    correct_run = run(pipeline.correct, correct_inputs, gateway)
-    trace.append(_stage_trace("correct", correct_inputs, correct_run))
-    candidate = correct_run.outputs["corrected_sentence"]
-
-    final, gated = quality_gate(error_sentence, candidate, pipeline.gate_threshold)
-    trace.append(
-        StageTrace(
-            stage="quality_gate",
-            inputs={"original": error_sentence, "candidate": candidate},
-            raw_completion="",
-            outputs={"gated": str(gated).lower(), "final": final},
-        )
-    )
-    return Prediction(record.record_id, 1, error_line, final, trace=tuple(trace))
+        """Detect; on an error flag, localize and correct."""
+        numbered = render_numbered_text(record)
+        trace: list[StageTrace] = []
+        flag = _run_stage("detect", self.detect, {"clinical_text": numbered}, gateway, trace)["error_flag"]
+        if parse_flag_value("detect", flag) == 0:
+            return no_error_prediction(record.record_id, trace=tuple(trace))
+        return self._localize_and_correct(record, {"clinical_text": numbered}, {}, gateway, trace)
 
 
 def default_ms_pipeline(index: TfidfIndex, gate_threshold: float | None = None) -> MsPipeline:
@@ -506,7 +490,7 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> li
 
 
 def predict_batch(
-    pipeline: MsPipeline | UwPipeline,
+    pipeline: Pipeline,
     records: Sequence[ClinicalRecord],
     gateway: LmGateway,
     concurrency: int = 4,

@@ -286,6 +286,8 @@ def program_to_dict(program: Program) -> dict:
 
 
 def program_from_dict(payload: dict) -> Program:
+    if not isinstance(payload, dict):
+        raise ValidationError("program file is not a JSON object")
     version = payload.get("format_version")
     if version != PROGRAM_FORMAT_VERSION:
         raise ValidationError(f"unsupported program format_version {version!r}")

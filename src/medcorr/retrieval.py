@@ -136,21 +136,26 @@ def load_index(path: str | Path) -> TfidfIndex:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read index file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"index file {path} is not a JSON object")
     version = payload.get("format_version")
     if version != INDEX_FORMAT_VERSION:
         raise ValidationError(f"unsupported index format_version {version!r}")
-    corpus = tuple(
-        McqRecord(
-            question=obj["question"],
-            options=tuple((str(k), str(v)) for k, v in obj["options"].items()),
-            correct_label=obj["answer"],
+    try:
+        corpus = tuple(
+            McqRecord(
+                question=obj["question"],
+                options=tuple((str(k), str(v)) for k, v in obj["options"].items()),
+                correct_label=obj["answer"],
+            )
+            for obj in payload["corpus"]
         )
-        for obj in payload["corpus"]
-    )
-    return TfidfIndex(
-        vocabulary={str(k): int(v) for k, v in payload["vocabulary"].items()},
-        document_frequency={int(k): int(v) for k, v in payload["document_frequency"].items()},
-        doc_vectors=tuple({int(k): float(v) for k, v in vec.items()} for vec in payload["doc_vectors"]),
-        doc_norms=tuple(float(x) for x in payload["doc_norms"]),
-        corpus=corpus,
-    )
+        return TfidfIndex(
+            vocabulary={str(k): int(v) for k, v in payload["vocabulary"].items()},
+            document_frequency={int(k): int(v) for k, v in payload["document_frequency"].items()},
+            doc_vectors=tuple({int(k): float(v) for k, v in vec.items()} for vec in payload["doc_vectors"]),
+            doc_norms=tuple(float(x) for x in payload["doc_norms"]),
+            corpus=corpus,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed index file {path}: {exc}") from exc

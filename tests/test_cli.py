@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -336,6 +339,71 @@ def test_report_rejects_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}", encoding="utf-8")
     assert run_command(["report", "--in", str(bad)]) == 1
+
+
+# --- malformed inputs end in one error line, never a traceback ---------------------------
+
+
+def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, as a user does, so that whatever
+    would escape ``main`` shows on stderr."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "medcorr", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def assert_one_error_line(result: subprocess.CompletedProcess) -> None:
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '"report"', "null"])
+def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
+    assert_one_error_line(run_cli_process(["report", "--in", str(bad)]))
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '{"format_version": 1}', '{"format_version": 1, "corpus": [1]}'])
+def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, payload):
+    index = tmp_path / "index.json"
+    index.write_text(payload, encoding="utf-8")
+    result = run_cli_process(
+        ["predict", "--pipeline", "ms", "--records", str(RECORDS_CSV), "--index", str(index),
+         "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
+    )
+    assert_one_error_line(result)
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_with_a_non_object_compiled_stage_exits_one_without_traceback(tmp_path):
+    compiled = tmp_path / "compiled"
+    compiled.mkdir()
+    (compiled / "detect.json").write_text("[1]", encoding="utf-8")
+    result = run_cli_process(
+        ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--compiled", str(compiled),
+         "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
+    )
+    assert_one_error_line(result)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_predict_with_a_non_string_cached_text_exits_one_without_traceback(tmp_path, strict):
+    lines = CACHE_JSONL.read_text(encoding="utf-8").splitlines()
+    entry = json.loads(lines[0])
+    entry["response"]["text"] = 5
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join([json.dumps(entry), *lines[1:]]) + "\n", encoding="utf-8")
+    result = run_cli_process(
+        ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--out", str(tmp_path / "p.csv"),
+         "--config", str(replay_config(tmp_path, cache)), *(["--strict"] if strict else [])]
+    )
+    assert_one_error_line(result)
+    assert "line 1 is malformed" in result.stderr
 
 
 def test_evaluate_scorer_flag_validation(tmp_path, capsys):

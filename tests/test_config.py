@@ -23,7 +23,6 @@ def test_empty_config_yields_documented_defaults(tmp_path):
     assert config.optimize.demos_per_stage == 20
     assert config.optimize.n_candidates == 16
     assert config.optimize.instruction_proposals == 5
-    assert config.pipeline.selector == "uw"
     assert config.pipeline.ms_gate_enabled is False
 
 
@@ -80,12 +79,6 @@ def test_type_errors_are_reported(tmp_path):
         load_config(path, env={})
     path = write(tmp_path, "optimize:\n  n_candidates: 0\n")
     with pytest.raises(ConfigError, match="n_candidates"):
-        load_config(path, env={})
-
-
-def test_selector_validated(tmp_path):
-    path = write(tmp_path, "pipeline:\n  selector: both\n")
-    with pytest.raises(ConfigError, match="selector"):
         load_config(path, env={})
 
 

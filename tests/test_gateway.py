@@ -215,6 +215,24 @@ def test_cache_rejects_malformed_line_mid_file(tmp_path):
         ReplayCache(path)
 
 
+@pytest.mark.parametrize("text", [5, None, ["one"]])
+def test_cache_rejects_non_string_response_text_mid_file(tmp_path, text):
+    path = tmp_path / "cache.jsonl"
+    bad, good = cache_line(fixture_request(), text), cache_line(fixture_request(max_tokens=16), "two")
+    path.write_text(f"{bad}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 1"):
+        ReplayCache(path)
+
+
+def test_cache_treats_a_final_unterminated_non_string_text_as_torn(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    first, second = fixture_request(), fixture_request(max_tokens=16)
+    path.write_text(f"{cache_line(first, 'one')}\n{cache_line(second, 5)}", encoding="utf-8")
+    cache = ReplayCache(path)
+    assert len(cache) == 1 and cache.get(canonical_key(second)) is None
+    assert "torn line 2" in caplog.text
+
+
 # A crash mid-append leaves an unterminated final line, cut anywhere, even
 # inside a multi-byte character.
 @pytest.mark.parametrize("torn", [b'{"key": "abc", "respo', b'{"key": "caf\xc3'])

@@ -315,6 +315,37 @@ def test_mipro_budget_one_one_degenerates_to_baseline():
     assert compiled.stages["detect"].compiled_instruction is None
 
 
+def test_random_search_is_mipro_with_one_instruction_per_stage():
+    records = synth_uw_records(12)
+    train, val = records[:8], records[8:]
+    pipeline, metric, gateway = default_uw_pipeline(), flag_match_metric(), gold_gateway(records)
+    _, joint = mipro_compile(
+        pipeline, train, val, metric, budget=(1, 5), seed=4, gateway=gateway, demos_per_stage=3,
+        stages=("detect", "localize"),
+    )
+    pools = bootstrap_demos(pipeline, train, metric, 3, gateway, seed=4, stages=("detect", "localize"))
+    _, random_search = random_search_compile(
+        pipeline, pools, val, metric, n_candidates=5, demos_per_stage=3, seed=4, gateway=gateway
+    )
+
+    def drawn(report):
+        return [(c.instructions, c.demo_sources(), c.validation_score) for c in report.candidates]
+
+    assert len(joint.candidates) == 5
+    assert drawn(random_search) == drawn(joint)
+
+
+def test_mipro_with_no_demos_and_one_instruction_scores_only_the_baseline():
+    records = [r for r in synth_uw_records(6) if r.gold_flag == 1]
+    gateway = LmGateway(backend=ScriptedBackend(lambda request: "Rationale: r.\nError Flag: 0"))
+    _, report = mipro_compile(
+        default_uw_pipeline(), records, records, flag_match_metric(), budget=(1, 4), seed=0,
+        gateway=gateway, stages=("detect",),
+    )
+    assert [c.candidate_id for c in report.candidates] == [0]
+    assert report.candidates[0].demos == {"detect": ()}
+
+
 def test_mipro_winning_instruction_is_carried():
     error = record_with_error("e0", ["Patient errcase has a fever.", "Gave coldextra as needed."], 1, "Gave warmextra as needed.")
     clean_sentences = ["Patient cleancase is stable.", "No changes today."]
