@@ -10,9 +10,10 @@ One executable, subcommand per workflow step::
     medcorr report --in report.json --format markdown
     medcorr replay-verify --pipeline uw --records r.csv --pred preds.csv
 
-Exit codes: 0 success, 1 validation/user error, 2 internal or gateway
-failure. All diagnostics go to stderr; files are written only at --out
-paths and the configured cache.
+Exit codes: 0 success, 1 validation/user error (a file that cannot be
+read, decoded or written included), 2 internal or gateway failure. All
+diagnostics go to stderr; files are written only at --out paths and the
+configured cache.
 """
 
 from __future__ import annotations
@@ -117,15 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
 # --- shared helpers -----------------------------------------------------------
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_text(path: str | Path) -> str:
+    # The file's exact bytes: no newline translation, so replay-verify
+    # compares what is on disk and CSV fields keep their \r\n.
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_records(path: str) -> list[corpus.ClinicalRecord]:
-    return corpus.parse_clinical_records(_read_bytes(path), format="delimited-table")
+    return corpus.parse_clinical_records(_read_text(path), format="delimited-table")
 
 
 def build_gateway(config: EngineConfig) -> LmGateway:
@@ -133,14 +136,9 @@ def build_gateway(config: EngineConfig) -> LmGateway:
     if gw.backend == "replay":
         cache = ReplayCache(gw.cache_path)
         backend = ReplayBackend(cache)
-    elif gw.backend == "live":
+    else:
         cache = ReplayCache(gw.cache_path or None)
         backend = LiveBackend(gw.base_url, api_key=gw.api_key)
-    else:
-        raise ConfigError(
-            "the scripted backend needs a programmatic responder; "
-            "use 'replay' or 'live' from the CLI"
-        )
     return LmGateway(
         backend=backend,
         model=gw.model,
@@ -159,7 +157,7 @@ def _load_compiled_stage(compiled_dir: str | None, stage: str) -> Program | None
     path = Path(compiled_dir) / f"{stage}.json"
     if not path.exists():
         return None
-    return program_from_json(path.read_text(encoding="utf-8"))
+    return program_from_json(_read_text(path))
 
 
 def _load_pipeline(
@@ -189,7 +187,7 @@ def _load_pipeline(
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records = corpus.parse_clinical_records(_read_bytes(args.input), format=args.format)
+    records = corpus.parse_clinical_records(_read_text(args.input), format=args.format)
     Path(args.out).write_text(
         corpus.serialize_clinical_records(records, format=args.out_format), encoding="utf-8"
     )
@@ -198,7 +196,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
-    mcqs = corpus.parse_mcq_corpus(_read_bytes(args.corpus))
+    mcqs = corpus.parse_mcq_corpus(_read_text(args.corpus))
     index = retrieval.build_index(mcqs)
     retrieval.save_index(index, args.out)
     _say(f"indexed {index.n_documents} documents, {len(index.vocabulary)} terms -> {args.out}")
@@ -268,7 +266,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predictions = pipelines.parse_predictions(_read_bytes(args.pred).decode("utf-8"))
+    predictions = pipelines.parse_predictions(_read_text(args.pred))
     golds = _read_records(args.gold)
     scorers = []
     for spec in args.scorer:
@@ -318,7 +316,7 @@ def render_report(report: ScoreReport, format: str) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = ScoreReport.from_json(_read_bytes(args.input).decode("utf-8"))
+    report = ScoreReport.from_json(_read_text(args.input))
     rendered = render_report(report, args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
@@ -331,7 +329,7 @@ def cmd_replay_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if config.gateway.backend != "replay":
         raise ValidationError("replay-verify requires gateway.backend = replay")
-    expected = _read_bytes(args.pred).decode("utf-8")
+    expected = _read_text(args.pred)
     actual, _ = _predict_to_text(args, config)
     if actual != expected:
         raise ValidationError(
@@ -367,7 +365,7 @@ def run_command(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         _say(f"error: {exc}")
         return EXIT_USER
-    except (ValidationError, ConfigError) as exc:
+    except (ValidationError, ConfigError, OSError, UnicodeError) as exc:
         _say(f"error: {exc}")
         return EXIT_USER
     except GatewayError as exc:

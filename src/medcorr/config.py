@@ -1,25 +1,34 @@
 """Engine configuration: one YAML file, strict schema, env overrides.
 
 Unknown keys are rejected. ``MEDCORR_API_KEY`` and ``MEDCORR_BASE_URL``
-override the corresponding file values (environment wins). Defaults mirror
-the engine's pinned generation and optimization settings.
+override the corresponding file values (environment wins). Defaults are
+the library's own generation, optimization and gate constants.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Mapping
 
 import yaml
 
 from .errors import ConfigError
+from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_TOP_P, LmGateway
+from .optimize import (
+    BINARY_PASS_THRESHOLD,
+    DEFAULT_DEMOS_PER_STAGE,
+    DEFAULT_N_CANDIDATES,
+    DEFAULT_N_PROPOSALS,
+    ROUGE_PASS_THRESHOLD,
+)
+from .pipelines import DEFAULT_GATE_THRESHOLD
 
 API_KEY_ENV = "MEDCORR_API_KEY"
 BASE_URL_ENV = "MEDCORR_BASE_URL"
 
-BACKENDS = ("live", "replay", "scripted")
+BACKENDS = ("live", "replay")
 
 
 @dataclass(frozen=True)
@@ -27,11 +36,11 @@ class GatewayConfig:
     backend: str = "replay"
     base_url: str = "https://api.openai.com/v1"
     api_key: str = ""
-    model: str = "gpt-4-0125-preview"
-    temperature: float = 1.0
-    top_p: float = 1.0
-    max_tokens: int = 4096
-    concurrency: int = 4
+    model: str = DEFAULT_MODEL
+    temperature: float = DEFAULT_TEMPERATURE
+    top_p: float = DEFAULT_TOP_P
+    max_tokens: int = DEFAULT_MAX_TOKENS
+    concurrency: int = LmGateway.concurrency
     cache_path: str = "cache.jsonl"
     record: bool = False
 
@@ -46,16 +55,16 @@ class PathsConfig:
 @dataclass(frozen=True)
 class OptimizeConfig:
     seed: int = 0
-    n_candidates: int = 16
-    demos_per_stage: int = 20
-    instruction_proposals: int = 5
-    binary_pass_threshold: float = 1.0
-    rouge_pass_threshold: float = 0.8
+    n_candidates: int = DEFAULT_N_CANDIDATES
+    demos_per_stage: int = DEFAULT_DEMOS_PER_STAGE
+    instruction_proposals: int = DEFAULT_N_PROPOSALS
+    binary_pass_threshold: float = BINARY_PASS_THRESHOLD
+    rouge_pass_threshold: float = ROUGE_PASS_THRESHOLD
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    gate_threshold: float = 0.7
+    gate_threshold: float = DEFAULT_GATE_THRESHOLD
     ms_gate_enabled: bool = False
     strict: bool = False
 
@@ -68,12 +77,7 @@ class EngineConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
 
-_SECTIONS = {
-    "gateway": GatewayConfig,
-    "paths": PathsConfig,
-    "optimize": OptimizeConfig,
-    "pipeline": PipelineConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in dataclass_fields(EngineConfig)}
 
 
 def _build_section(name: str, cls: type, raw: object) -> object:
@@ -146,7 +150,7 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             raw = yaml.safe_load(text) or {}
@@ -160,21 +164,8 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
     sections = {
         name: _build_section(name, cls, raw.get(name)) for name, cls in _SECTIONS.items()
     }
+    overrides = {"api_key": env.get(API_KEY_ENV), "base_url": env.get(BASE_URL_ENV)}
+    sections["gateway"] = replace(sections["gateway"], **{k: v for k, v in overrides.items() if v})
     config = EngineConfig(**sections)  # type: ignore[arg-type]
-
-    overrides = {}
-    if env.get(API_KEY_ENV):
-        overrides["api_key"] = env[API_KEY_ENV]
-    if env.get(BASE_URL_ENV):
-        overrides["base_url"] = env[BASE_URL_ENV]
-    if overrides:
-        from dataclasses import replace
-
-        config = EngineConfig(
-            gateway=replace(config.gateway, **overrides),
-            paths=config.paths,
-            optimize=config.optimize,
-            pipeline=config.pipeline,
-        )
     _validate(config)
     return config

@@ -188,21 +188,16 @@ class CompileReport:
     trainset_record_ids: tuple[str, ...]
     valset_record_ids: tuple[str, ...]
     candidates: tuple[Candidate, ...]
-    winner_id: int
     per_example_scores: dict[int, tuple[float, ...]]
-
-    def __post_init__(self) -> None:
-        best = max(self.candidates, key=lambda c: c.validation_score)
-        winners = [c for c in self.candidates if c.validation_score == best.validation_score]
-        expected = min(w.candidate_id for w in winners)
-        if self.winner_id != expected:
-            raise ValidationError(
-                f"winner_id {self.winner_id} is not the max-score candidate {expected}"
-            )
 
     @property
     def winner(self) -> Candidate:
-        return next(c for c in self.candidates if c.candidate_id == self.winner_id)
+        """The highest-scoring candidate; ties go to the lowest id."""
+        return max(self.candidates, key=lambda c: (c.validation_score, -c.candidate_id))
+
+    @property
+    def winner_id(self) -> int:
+        return self.winner.candidate_id
 
     def to_dict(self) -> dict:
         return {
@@ -240,21 +235,8 @@ def _candidate_pipeline(
             continue
         instruction = instructions.get(stage, program.signature.instruction)
         override = instruction if instruction != program.signature.instruction else None
-        stage_demos = demos.get(stage, ())
-        # demos_per_stage is the configured cap at compile time; widen the
-        # render-time cap to match when it exceeds the program default.
-        updates[stage] = replace(
-            program,
-            compiled_instruction=override,
-            demos=stage_demos,
-            max_demos=max(program.max_demos, len(stage_demos)),
-        )
+        updates[stage] = replace(program, compiled_instruction=override, demos=demos.get(stage, ()))
     return pipeline.replace_stages(updates)
-
-
-def _pick_winner(candidates: Sequence[Candidate]) -> int:
-    best = max(candidates, key=lambda c: (c.validation_score, -c.candidate_id))
-    return best.candidate_id
 
 
 Spec = tuple[dict[str, str], dict[str, tuple[Demo, ...]]]
@@ -332,7 +314,6 @@ def _search(
         trainset_record_ids=trainset_record_ids,
         valset_record_ids=tuple(r.record_id for r in valset),
         candidates=tuple(candidates),
-        winner_id=_pick_winner(candidates),
         per_example_scores=per_example,
     )
     winner = report.winner

@@ -32,8 +32,6 @@ STRATEGIES = (PREDICT, CHAIN_OF_THOUGHT)
 RATIONALE_FIELD = "rationale"
 RATIONALE_DESCRIPTION = "step-by-step reasoning that leads to the output fields"
 
-DEFAULT_MAX_DEMOS = 20
-
 PROGRAM_FORMAT_VERSION = 1
 
 _FIELD_NAME = re.compile(r"[a-z][a-z0-9_]*")
@@ -92,15 +90,10 @@ class Program:
     strategy: str = PREDICT
     demos: tuple[Demo, ...] = ()
     compiled_instruction: str | None = None
-    max_demos: int = DEFAULT_MAX_DEMOS
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        if len(self.demos) > self.max_demos:
-            raise ValidationError(
-                f"program {self.signature.name!r}: {len(self.demos)} demos exceed max {self.max_demos}"
-            )
         inputs = set(self.signature.input_names())
         allowed_outputs = set(self.signature.output_names()) | {RATIONALE_FIELD}
         for i, demo in enumerate(self.demos):
@@ -273,7 +266,6 @@ def program_to_dict(program: Program) -> dict:
         },
         "strategy": program.strategy,
         "compiled_instruction": program.compiled_instruction,
-        "max_demos": program.max_demos,
         "demos": [
             {
                 "input_values": demo.input_values,
@@ -311,7 +303,6 @@ def program_from_dict(payload: dict) -> Program:
         strategy=payload["strategy"],
         demos=demos,
         compiled_instruction=payload.get("compiled_instruction"),
-        max_demos=payload.get("max_demos", DEFAULT_MAX_DEMOS),
     )
 
 

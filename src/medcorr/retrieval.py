@@ -134,7 +134,7 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> TfidfIndex:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read index file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"index file {path} is not a JSON object")
@@ -150,7 +150,7 @@ def load_index(path: str | Path) -> TfidfIndex:
             )
             for obj in payload["corpus"]
         )
-        return TfidfIndex(
+        index = TfidfIndex(
             vocabulary={str(k): int(v) for k, v in payload["vocabulary"].items()},
             document_frequency={int(k): int(v) for k, v in payload["document_frequency"].items()},
             doc_vectors=tuple({int(k): float(v) for k, v in vec.items()} for vec in payload["doc_vectors"]),
@@ -159,3 +159,8 @@ def load_index(path: str | Path) -> TfidfIndex:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed index file {path}: {exc}") from exc
+    if not index.document_frequency.keys() >= set(index.vocabulary.values()):
+        raise ValidationError(f"malformed index file {path}: a vocabulary term has no document_frequency")
+    if not len(index.corpus) == len(index.doc_vectors) == len(index.doc_norms):
+        raise ValidationError(f"malformed index file {path}: corpus, doc_vectors, doc_norms differ in length")
+    return index

@@ -1,0 +1,55 @@
+"""The library surface that the benchmark harness (``perfbench/run.py``) binds by name.
+
+The harness counts and traces calls by replacing attributes it looks up by
+name, so a refactor that moves or renames one of them breaks the benchmark
+without breaking any other test.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+from medcorr import cli, corpus, gateway, metrics, optimize, pipelines, program, retrieval
+
+
+def test_each_pipeline_defines_predict_in_its_own_class_body():
+    # the call counter replaces cls.__dict__["predict"] on every run
+    assert "predict" in pipelines.MsPipeline.__dict__
+    assert "predict" in pipelines.UwPipeline.__dict__
+
+
+def test_pipelines_call_the_module_bindings_the_tracer_wraps():
+    assert pipelines.run is program.run
+    assert pipelines.query is retrieval.query
+    assert pipelines.rouge_l_f is optimize.rouge_l_f is metrics.rouge_l_f
+
+
+def test_names_the_harness_looks_up_exist():
+    wrapped = {
+        corpus: ("parse_clinical_records", "parse_mcq_corpus"),
+        gateway: ("canonical_key", "LmGateway", "ScriptedBackend", "ReplayCache"),
+        program: ("run", "render_messages", "parse_completion", "program_to_json"),
+        pipelines: ("predict_batch", "quality_gate", "serialize_predictions", "serialize_traces",
+                    "default_uw_pipeline", "default_ms_pipeline"),
+        retrieval: ("build_index", "save_index", "load_index", "query"),
+        optimize: ("mipro_compile", "random_search_compile", "bootstrap_demos", "propose_instructions",
+                   "compile_uw_pipeline", "compile_ms_pipeline"),
+        metrics: ("evaluate", "rouge_l_f"),
+        cli: ("load_config", "build_gateway", "run_command"),
+    }
+    for module, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for cls, method in ((gateway.LmGateway, "complete"), (gateway.ReplayCache, "get"), (gateway.ReplayCache, "append")):
+        assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+
+
+def test_compile_entry_points_accept_the_benchmark_keywords():
+    positional = (None, None, None, None)  # pipeline, trainset, valset, gateway
+    thresholds = {"rouge_pass_threshold": 0.8, "binary_pass_threshold": 1.0}
+    inspect.signature(optimize.compile_uw_pipeline).bind(
+        *positional, seed=0, budget=(1, 1), demos_per_stage=1, **thresholds
+    )
+    inspect.signature(optimize.compile_ms_pipeline).bind(
+        *positional, seed=0, n_candidates=1, demos_per_stage=1, **thresholds
+    )

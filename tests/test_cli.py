@@ -368,7 +368,32 @@ def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, paylo
     assert_one_error_line(run_cli_process(["report", "--in", str(bad)]))
 
 
-@pytest.mark.parametrize("payload", ["[1, 2]", '{"format_version": 1}', '{"format_version": 1, "corpus": [1]}'])
+_MCQ = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, "answer": "A"}
+
+
+def index_payload(**fields) -> str:
+    base = {
+        "format_version": 1,
+        "vocabulary": {"of": 0, "the": 1, "with": 2},
+        "document_frequency": {"0": 1, "1": 1, "2": 1},
+        "doc_vectors": [{"0": 1.0, "1": 1.0, "2": 1.0}],
+        "doc_norms": [1.7],
+        "corpus": [_MCQ],
+    }
+    return json.dumps({**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[1, 2]",
+        '{"format_version": 1}',
+        '{"format_version": 1, "corpus": [1]}',
+        pytest.param(index_payload(document_frequency={"0": 1}), id="term-without-document-frequency"),
+        pytest.param(index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-vectors"),
+        pytest.param(index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-vectors"),
+    ],
+)
 def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, payload):
     index = tmp_path / "index.json"
     index.write_text(payload, encoding="utf-8")
@@ -404,6 +429,94 @@ def test_predict_with_a_non_string_cached_text_exits_one_without_traceback(tmp_p
     )
     assert_one_error_line(result)
     assert "line 1 is malformed" in result.stderr
+
+
+UNDECODABLE = bytes.fromhex("fffe00626164")
+
+
+def undecodable(tmp_path: Path, name: str) -> Path:
+    path = tmp_path / name
+    path.write_bytes(UNDECODABLE)
+    return path
+
+
+def directory(path: Path) -> Path:
+    path.mkdir()
+    return path
+
+
+def surrogate_records(tmp_path: Path) -> Path:
+    # valid UTF-8 on disk; the JSON escape decodes to a lone surrogate, which
+    # no UTF-8 request, cache line or output file can carry
+    path = tmp_path / "surrogate.csv"
+    path.write_text(
+        "record_id,text,sentences_json,error_flag,error_sentence_id,corrected_sentence\n"
+        'r1,Fine. Bad.,"[""Fine."", ""Bad \\ud800.""]",0,-1,NA\n',
+        encoding="utf-8",
+    )
+    return path
+
+
+def predict_argv(tmp_path: Path, *extra: str, records: Path = RECORDS_CSV, config: Path | None = None) -> list[str]:
+    # a later --out in extra wins
+    config = config or replay_config(tmp_path, CACHE_JSONL)
+    return ["predict", "--records", str(records), "--out", str(tmp_path / "p.csv"), "--config", str(config), *extra]
+
+
+def compiled_with_detect(tmp_path: Path, make) -> str:
+    compiled = directory(tmp_path / "compiled")
+    make(compiled / "detect.json")
+    return str(compiled)
+
+
+# Each case builds (argv, the path the error line must name or None) in tmp_path.
+_FILE_FAILURES = {
+    "report --in undecodable": lambda t: (["report", "--in", str(undecodable(t, "r.json"))], "r.json"),
+    "evaluate --pred undecodable": lambda t: (
+        ["evaluate", "--pred", str(undecodable(t, "p.csv")), "--gold", str(RECORDS_CSV), "--out", str(t / "s.json")],
+        "p.csv",
+    ),
+    "replay-verify --pred undecodable": lambda t: (
+        ["replay-verify", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--pred", str(undecodable(t, "p.csv")),
+         "--config", str(replay_config(t, CACHE_JSONL))],
+        "p.csv",
+    ),
+    "--config undecodable": lambda t: (
+        predict_argv(t, "--pipeline", "uw", config=undecodable(t, "bad.yaml")), "bad.yaml"
+    ),
+    "--index undecodable": lambda t: (
+        predict_argv(t, "--pipeline", "ms", "--index", str(undecodable(t, "index.json"))), "index.json"
+    ),
+    "compiled detect.json undecodable": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--compiled", compiled_with_detect(t, lambda p: p.write_bytes(UNDECODABLE))),
+        "detect.json",
+    ),
+    "compiled detect.json is a directory": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--compiled", compiled_with_detect(t, directory)), "detect.json"
+    ),
+    "cache_path is a directory": lambda t: (
+        predict_argv(t, "--pipeline", "uw", config=replay_config(t, directory(t / "cache"))), "cache"
+    ),
+    "predict --out in a missing directory": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--out", str(t / "missing" / "p.csv")), "missing"
+    ),
+    "ingest --out in a missing directory": lambda t: (
+        ["ingest", "--in", str(RECORDS_CSV), "--out", str(t / "missing" / "c.csv")], "missing"
+    ),
+    "predict a lone surrogate": lambda t: (predict_argv(t, "--pipeline", "uw", records=surrogate_records(t)), None),
+    "ingest a lone surrogate": lambda t: (
+        ["ingest", "--in", str(surrogate_records(t)), "--out", str(t / "c.csv")], None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FILE_FAILURES))
+def test_unreadable_undecodable_or_unwritable_file_exits_one_without_traceback(tmp_path, case):
+    argv, named = _FILE_FAILURES[case](tmp_path)
+    result = run_cli_process(argv)
+    assert_one_error_line(result)
+    if named is not None:
+        assert named in result.stderr
 
 
 def test_evaluate_scorer_flag_validation(tmp_path, capsys):

@@ -68,9 +68,11 @@ def test_file_value_without_env(tmp_path):
 
 
 def test_bad_backend_rejected(tmp_path):
-    path = write(tmp_path, "gateway:\n  backend: telepathy\n")
-    with pytest.raises(ConfigError, match="backend"):
-        load_config(path, env={})
+    # scripted needs a programmatic responder, so no config can select it
+    for backend in ("telepathy", "scripted"):
+        path = write(tmp_path, f"gateway:\n  backend: {backend}\n")
+        with pytest.raises(ConfigError, match="backend"):
+            load_config(path, env={})
 
 
 def test_type_errors_are_reported(tmp_path):

@@ -17,6 +17,7 @@ from medcorr.gateway import (
     ReplayBackend,
     ReplayCache,
     ScriptedBackend,
+    VALID_ROLES,
     canonical_key,
     canonical_request_json,
 )
@@ -102,6 +103,43 @@ def test_keys_collide_only_on_equal_canonical_forms(model, contents, temperature
     same_canonical = canonical_request_json(reference) == canonical_request_json(perturbed)
     same_key = canonical_key(reference) == canonical_key(perturbed)
     assert same_key == same_canonical
+
+
+_FLOATS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@given(
+    model=st.sampled_from(["m1", "m2"]),
+    messages=st.lists(st.tuples(st.sampled_from(VALID_ROLES), _CONTENTS), min_size=1, max_size=3),
+    temperature=_FLOATS,
+    top_p=_FLOATS,
+    max_tokens=st.integers(min_value=1, max_value=8192),
+    data=st.data(),
+)
+def test_canonical_key_is_stable_and_sees_every_field(model, messages, temperature, top_p, max_tokens, data):
+    def key(model=model, messages=messages, temperature=temperature, top_p=top_p, max_tokens=max_tokens, seq=tuple):
+        built = seq(Message(role, content) for role, content in messages)
+        return canonical_key(
+            LmRequest(model=model, messages=built, temperature=temperature, top_p=top_p, max_tokens=max_tokens)
+        )
+
+    reference = key()
+    assert key(seq=list) == reference
+    i = data.draw(st.integers(min_value=0, max_value=len(messages) - 1), label="message")
+    role, content = messages[i]
+    other_role = data.draw(st.sampled_from([r for r in VALID_ROLES if r != role]), label="other role")
+    with_role = [*messages[:i], (other_role, content), *messages[i + 1 :]]
+    with_content = [*messages[:i], (role, content + "x"), *messages[i + 1 :]]
+    other_float = data.draw(_FLOATS.filter(lambda v: v not in (temperature, top_p)), label="other float")
+    changed = [
+        key(model=model + "x"),
+        key(messages=with_role),
+        key(messages=with_content),
+        key(temperature=other_float),
+        key(top_p=other_float),
+        key(max_tokens=max_tokens + 1),
+    ]
+    assert reference not in changed
 
 
 # --- scripted backend ------------------------------------------------------------

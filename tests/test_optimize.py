@@ -402,23 +402,6 @@ def test_mipro_cross_space_includes_baseline_and_winner_is_max():
 # --- compile report invariants --------------------------------------------------------------
 
 
-def test_compile_report_rejects_wrong_winner():
-    candidates = (
-        Candidate(0, {}, {}, validation_score=0.2),
-        Candidate(1, {}, {}, validation_score=0.9),
-    )
-    with pytest.raises(ValidationError, match="winner"):
-        CompileReport(
-            seed=0,
-            stages=("detect",),
-            trainset_record_ids=(),
-            valset_record_ids=("v",),
-            candidates=candidates,
-            winner_id=0,
-            per_example_scores={0: (0.2,), 1: (0.9,)},
-        )
-
-
 def test_compile_report_tie_breaks_to_lowest_id():
     candidates = (
         Candidate(0, {}, {}, validation_score=0.9),
@@ -430,7 +413,6 @@ def test_compile_report_tie_breaks_to_lowest_id():
         trainset_record_ids=(),
         valset_record_ids=("v",),
         candidates=candidates,
-        winner_id=0,
         per_example_scores={0: (0.9,), 1: (0.9,)},
     )
     assert report.winner.candidate_id == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -65,12 +66,6 @@ def test_signature_needs_inputs_and_outputs():
 def test_signature_rejects_uppercase_field_names():
     with pytest.raises(ValidationError, match="lowercase"):
         Signature("s", "i", (Field("Question", "x"),), (Field("answer", "y"),))
-
-
-def test_program_rejects_too_many_demos():
-    demos = tuple(demo(f"q{i}", f"a{i}") for i in range(21))
-    with pytest.raises(ValidationError, match="exceed"):
-        qa_program(demos=demos)
 
 
 def test_program_rejects_demo_missing_input():
@@ -247,6 +242,43 @@ def test_demo_output_round_trip_property(answer, rationale):
     assert parse_completion(program, completion) == outputs
 
 
+def two_output_program(strategy: str) -> Program:
+    signature = Signature(
+        name="fix",
+        instruction="Fix the note.",
+        inputs=(Field("note", "the clinical note"),),
+        outputs=(Field("error_line", "the wrong line"), Field("corrected_sentence", "its fix")),
+    )
+    return Program(signature=signature, strategy=strategy)
+
+
+def starts_with_label(line: str, names: set[str]) -> bool:
+    head, colon, _ = line.partition(":")
+    return bool(colon) and head.strip().lower().replace(" ", "_") in names
+
+
+# Multi-line values built from pieces that look like labels, recognized or not.
+_MULTILINE_VALUE = st.lists(
+    st.one_of(
+        st.text(alphabet="abXY09 _:\n\t.-", max_size=8),
+        st.sampled_from(["Note:", "Error Line", "rationale", "Corrected Sentence:", ": ", "\n", "Step 1:"]),
+    ),
+    max_size=6,
+).map(lambda parts: "".join(parts).strip())
+
+
+@given(strategy=st.sampled_from([PREDICT, CHAIN_OF_THOUGHT]), data=st.data())
+def test_render_parse_round_trip_property(strategy, data):
+    # stripped values, possibly multi-line, in which no line starts with a
+    # label the program recognizes come back exactly
+    program = two_output_program(strategy)
+    names = {"error_line", "corrected_sentence"} | ({"rationale"} if strategy == CHAIN_OF_THOUGHT else set())
+    value = _MULTILINE_VALUE.filter(lambda v: not any(starts_with_label(line, names) for line in v.split("\n")))
+    outputs = {name: data.draw(value, label=name) for name in sorted(names)}
+    completion = render_outputs_as_completion(program, outputs)
+    assert parse_completion(program, completion) == outputs
+
+
 # --- run with retry ------------------------------------------------------------------
 
 
@@ -317,6 +349,17 @@ def test_program_json_round_trip():
     assert program_from_json(text) == program
     # deterministic serialization: a second dump is byte-identical
     assert program_to_json(program_from_json(text)) == text
+
+
+def test_program_file_with_an_old_demo_cap_loads_and_renders_the_same():
+    # files written before the cap moved to the compiler carry "max_demos";
+    # the key is ignored, even when the file holds more demos than it says
+    program = Program(signature=qa_signature(), demos=tuple(demo(f"q{i}", f"a{i}") for i in range(3)))
+    payload = json.loads(program_to_json(program))
+    old = program_from_json(json.dumps({**payload, "max_demos": 2}))
+    inputs = {"question": "What is BP?"}
+    assert render_messages(old, inputs) == render_messages(program_from_json(json.dumps(payload)), inputs)
+    assert old == program
 
 
 def test_program_json_rejects_unknown_version():
