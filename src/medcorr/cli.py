@@ -127,6 +127,20 @@ def _read_text(path: str | Path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
+    """Write each (path, text) as UTF-8, encoding every text before opening
+    any file, so a text that cannot be encoded fails the run with every
+    existing output file as it was."""
+    encoded = []
+    for path, text in outputs:
+        try:
+            encoded.append((Path(path), text.encode("utf-8")))
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
+    for path, data in encoded:
+        path.write_bytes(data)
+
+
 def _read_records(path: str) -> list[corpus.ClinicalRecord]:
     return corpus.parse_clinical_records(_read_text(path), format="delimited-table")
 
@@ -188,9 +202,7 @@ def _load_pipeline(
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     records = corpus.parse_clinical_records(_read_text(args.input), format=args.format)
-    Path(args.out).write_text(
-        corpus.serialize_clinical_records(records, format=args.out_format), encoding="utf-8"
-    )
+    _write_outputs((args.out, corpus.serialize_clinical_records(records, format=args.out_format)))
     _say(f"ingested {len(records)} records -> {args.out}")
     return EXIT_OK
 
@@ -231,10 +243,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stage, program in compiled.stages.items():
-        (out_dir / f"{stage}.json").write_text(program_to_json(program), encoding="utf-8")
-    for name, report in reports.items():
-        (out_dir / f"compile_report_{name}.json").write_text(report.to_json(), encoding="utf-8")
+    _write_outputs(
+        *((out_dir / f"{stage}.json", program_to_json(program)) for stage, program in compiled.stages.items()),
+        *((out_dir / f"compile_report_{name}.json", report.to_json()) for name, report in reports.items()),
+    )
     _say(f"compiled {args.pipeline} pipeline -> {out_dir}")
     return EXIT_OK
 
@@ -257,9 +269,10 @@ def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[st
 def cmd_predict(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     text, predictions = _predict_to_text(args, config)
-    Path(args.out).write_text(text, encoding="utf-8")
+    outputs = [(args.out, text)]
     if args.trace_out:
-        Path(args.trace_out).write_text(pipelines.serialize_traces(predictions), encoding="utf-8")
+        outputs.append((args.trace_out, pipelines.serialize_traces(predictions)))
+    _write_outputs(*outputs)
     failed = sum(1 for p in predictions if p.error)
     _say(f"predicted {len(predictions)} records ({failed} failed) -> {args.out}")
     return EXIT_OK
@@ -275,7 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValidationError(f"--scorer must look like NAME=URL, got {spec!r}")
         scorers.append(ExternalScorer(name=name, url=url))
     report = evaluate(predictions, golds, scorers=scorers, strict_scorers=args.strict_scorers)
-    Path(args.out).write_text(report.to_json(), encoding="utf-8")
+    _write_outputs((args.out, report.to_json()))
     _say(
         f"evaluated {report.n_records} records: flag_accuracy={report.flag_accuracy:.4f} "
         f"sentence_accuracy={report.sentence_accuracy:.4f} -> {args.out}"
@@ -319,7 +332,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = ScoreReport.from_json(_read_text(args.input))
     rendered = render_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        _write_outputs((args.out, rendered))
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -197,11 +197,21 @@ def _gold_fields(
 
 def _record_from_parts(
     record_id: str,
+    note_text: str,
     sentence_texts: list[str],
     flag_text: str,
     error_id_text: str,
     correction_text: str,
 ) -> ClinicalRecord:
+    # Only a lone surrogate (what a JSON escape such as "\ud800" decodes to)
+    # fails to encode; no request, cache line or output file could carry it.
+    # isascii() reads a flag, so an all-ASCII record is never encoded.
+    fields = "".join([record_id, note_text, *sentence_texts, flag_text, error_id_text, correction_text])
+    if not fields.isascii():
+        try:
+            fields.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"record {record_id!r} holds a lone surrogate, which UTF-8 cannot encode") from None
     sentences = tuple(Sentence(i, text) for i, text in enumerate(sentence_texts))
     flag, error_id, correction = _gold_fields(record_id, flag_text, error_id_text, correction_text)
     return ClinicalRecord(
@@ -249,14 +259,16 @@ def _parse_clinical_csv(text: str) -> list[ClinicalRecord]:
             continue
         if len(row) != len(CLINICAL_CSV_COLUMNS):
             raise ValidationError(f"line {lineno}: expected {len(CLINICAL_CSV_COLUMNS)} columns, got {len(row)}")
-        record_id, _text, sentences_json, flag_text, error_id_text, correction_text = row
+        record_id, note_text, sentences_json, flag_text, error_id_text, correction_text = row
         try:
             sentence_texts = json.loads(sentences_json)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"record {record_id!r}: sentences_json is not valid JSON: {exc}") from exc
         if not isinstance(sentence_texts, list) or not all(isinstance(s, str) for s in sentence_texts):
             raise ValidationError(f"record {record_id!r}: sentences_json must be a JSON array of strings")
-        records.append(_record_from_parts(record_id, sentence_texts, flag_text, error_id_text, correction_text))
+        records.append(
+            _record_from_parts(record_id, note_text, sentence_texts, flag_text, error_id_text, correction_text)
+        )
     return records
 
 
@@ -287,7 +299,10 @@ def _parse_clinical_jsonl(text: str) -> list[ClinicalRecord]:
         error_id_text = "" if error_id is None else str(error_id)
         correction = obj.get("corrected_sentence")
         correction_text = "" if correction is None else str(correction)
-        records.append(_record_from_parts(record_id, sentence_texts, flag_text, error_id_text, correction_text))
+        note_text = str(obj.get("text", ""))
+        records.append(
+            _record_from_parts(record_id, note_text, sentence_texts, flag_text, error_id_text, correction_text)
+        )
     return records
 
 

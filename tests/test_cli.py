@@ -519,6 +519,52 @@ def test_unreadable_undecodable_or_unwritable_file_exits_one_without_traceback(t
         assert named in result.stderr
 
 
+def surrogate_in_corrections(tmp_path: Path) -> Path:
+    # The cache file is valid UTF-8; its JSON escape decodes to a lone
+    # surrogate in every corrected sentence, which the predictions carry.
+    lines = []
+    for line in CACHE_JSONL.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        entry["response"]["text"] = entry["response"]["text"].replace(
+            "Corrected Sentence: ", "Corrected Sentence: \ud800"
+        )
+        lines.append(json.dumps(entry))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cache
+
+
+def surrogate_mcq_corpus(tmp_path: Path) -> Path:
+    path = tmp_path / "mcq.jsonl"
+    path.write_text(json.dumps({**_MCQ, "question": "Which drug\ud800?"}) + "\n", encoding="utf-8")
+    return path
+
+
+# Each case builds (argv, the output files it names) in tmp_path.
+_ENCODE_FAILURES = {
+    "predict --out and --trace-out": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--trace-out", str(t / "trace.jsonl"),
+                     config=replay_config(t, surrogate_in_corrections(t))),
+        ["p.csv", "trace.jsonl"],
+    ),
+    "index build --out": lambda t: (
+        ["index", "build", "--corpus", str(surrogate_mcq_corpus(t)), "--out", str(t / "index.json")], ["index.json"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENCODE_FAILURES))
+def test_an_output_that_cannot_be_encoded_leaves_existing_files_unchanged(tmp_path, case):
+    argv, outputs = _ENCODE_FAILURES[case](tmp_path)
+    for name in outputs:
+        (tmp_path / name).write_bytes(b"earlier output\n")
+    result = run_cli_process(argv)
+    assert_one_error_line(result)
+    assert outputs[0] in result.stderr
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == b"earlier output\n"
+
+
 def test_evaluate_scorer_flag_validation(tmp_path, capsys):
     pred_csv = perfect_predictions_csv(tmp_path)
     code = run_command(

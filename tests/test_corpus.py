@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,35 @@ def test_parse_bad_sentences_json_names_record():
 def test_parse_non_utf8():
     with pytest.raises(ValidationError, match="UTF-8"):
         parse_clinical_records(b"\xff\xfe\x00bad")
+
+
+# A lone surrogate has no UTF-8 encoding. From a UTF-8 file it arrives only
+# through a JSON escape; a caller passing ``str`` can put one in any field.
+_LONE = "\ud800"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(csv_of('r1,Fine. Bad.,"[""Fine."", ""Bad \\ud800.""]",0,-1,NA'), id="sentences_json-escape"),
+        pytest.param(f'{CSV_HEADER}\nr1,Bad {_LONE}.,"[""Bad.""]",0,-1,NA\n', id="text"),
+        pytest.param(f'{CSV_HEADER}\nr1,Bad.,"[""Bad.""]",1,0,Fixed {_LONE}.\n', id="corrected_sentence"),
+        pytest.param(f'{CSV_HEADER}\nr1{_LONE},Bad.,"[""Bad.""]",0,-1,NA\n', id="record_id"),
+    ],
+)
+def test_parse_csv_rejects_a_lone_surrogate_naming_the_record(raw):
+    with pytest.raises(ValidationError, match="r1.* lone surrogate"):
+        parse_clinical_records(raw, format="delimited-table")
+
+
+@pytest.mark.parametrize("field", ["sentences", "text", "corrected_sentence", "record_id"])
+def test_parse_jsonl_rejects_a_lone_surrogate_naming_the_record(field):
+    obj = {"record_id": "r1", "text": "One. Two.", "sentences": ["One.", "Two."],
+           "error_flag": 1, "error_sentence_id": 1, "corrected_sentence": "Two fixed."}
+    obj[field] = ["One.", f"Two {_LONE}."] if field == "sentences" else obj[field] + _LONE
+    raw = json.dumps(obj).encode("utf-8")  # the surrogate becomes the escape \ud800
+    with pytest.raises(ValidationError, match="r1.* lone surrogate"):
+        parse_clinical_records(raw, format="json-lines")
 
 
 def test_parse_row_with_wrong_column_count_reports_line():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from medcorr.retrieval import (
 )
 
 from helpers import make_mcq
+from oracles import scan_query
 
 # --- independent oracle: dense tf-idf + cosine ----------------------------------
 
@@ -212,6 +214,58 @@ def test_sparse_equals_dense_oracle_property(docs, query_text):
         assert hit.score == pytest.approx(expected[hit.doc_id], abs=1e-9)
 
 
+def pairs(hits) -> list[tuple[int, float]]:
+    return [(h.doc_id, h.score) for h in hits]
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(_DOC, min_size=1, max_size=12), query_text=_DOC)
+def test_postings_equal_the_linear_scan_exactly_property(docs, query_text):
+    index = build_index(corpus_of(docs))
+    for k in range(1, len(docs) + 3):
+        assert pairs(query(index, query_text, k=k)) == scan_query(index, query_text, k=k)
+
+
+def skewed_corpus(n_docs: int, seed: int) -> list[str]:
+    """Zipf-like word draws, so the common words' postings are long."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(400)]
+    weights = [1.0 / (rank + 1) for rank in range(len(words))]
+    return [" ".join(rng.choices(words, weights, k=rng.randint(3, 30))) for _ in range(n_docs)]
+
+
+def test_postings_equal_the_linear_scan_exactly_on_a_skewed_corpus():
+    docs = skewed_corpus(2000, seed=5)
+    index = build_index(corpus_of(docs))
+    assert max(len(ids) for ids, _ in index.postings.values()) > 1000
+    queries = skewed_corpus(8, seed=6) + [docs[17], docs[1999], "zzz unseen", "alpha"]
+    for query_text in queries:
+        for k in (1, 5, 50, len(docs), len(docs) + 2):
+            assert pairs(query(index, query_text, k=k)) == scan_query(index, query_text, k=k)
+
+
+def test_postings_skip_zero_norm_documents_and_terms_no_document_carries():
+    # Hand-built: doc 1 has no terms, doc 2 carries a term but a zero norm,
+    # doc 4 a negative weight and doc 5 a norm too small for its vector, so
+    # the clamp acts at both ends; "ghost" is in the vocabulary, in no document.
+    vocabulary = {"fever": 0, "cough": 1, "ghost": 2}
+    index = TfidfIndex(
+        vocabulary=vocabulary,
+        document_frequency={0: 4, 1: 1, 2: 1},
+        doc_vectors=({0: 1.5, 1: 2.25}, {}, {0: 1.5}, {0: 3.0}, {0: -2.0}, {0: 3.0}),
+        doc_norms=(math.hypot(1.5, 2.25), 0.0, 0.0, 3.0, 2.0, 1.0),
+        corpus=tuple(corpus_of(["fever cough", "empty", "fever", "fever fever", "anti", "loud"])),
+    )
+    assert 2 not in index.postings
+    queries = ("fever ghost", "ghost cough fever", "fever", "ghost", "cough fever fever ghost", "nothing")
+    for query_text in queries:
+        for k in range(1, 9):
+            assert pairs(query(index, query_text, k=k)) == scan_query(index, query_text, k=k)
+    scores = dict(pairs(query(index, "fever", k=6)))
+    assert scores[1] == scores[2] == scores[4] == 0.0 and scores[5] == 1.0
+    assert 0.0 < scores[0] < 1.0 and scores[3] == 1.0
+
+
 def test_unrelated_document_with_frozen_idf_leaves_scores_unchanged(monkeypatch):
     base = build_index(corpus_of(["chest pain", "aspirin dose"]))
     query_text = "chest pain"
@@ -256,6 +310,19 @@ def test_save_load_round_trip(tmp_path):
     original = query(index, "syncope episode", k=3)
     replayed = query(loaded, "syncope episode", k=3)
     assert [(h.doc_id, h.score) for h in original] == [(h.doc_id, h.score) for h in replayed]
+
+
+def test_postings_stay_out_of_equality_and_the_saved_file(tmp_path):
+    index = build_index(corpus_of(["syncope workup", "orthostatic hypotension", "vasovagal episode"]))
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    save_index(index, before)
+    loaded = load_index(before)
+    query(index, "syncope episode", k=3)
+    query(loaded, "hypotension", k=1)
+    assert "postings" in vars(index) and "postings" in vars(loaded)
+    assert loaded == index
+    save_index(index, after)
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_load_rejects_wrong_version(tmp_path):
