@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import corpus, optimize, pipelines, retrieval
 from .config import EngineConfig, load_config
@@ -141,8 +141,13 @@ def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
         path.write_bytes(data)
 
 
-def _read_records(path: str) -> list[corpus.ClinicalRecord]:
-    return corpus.parse_clinical_records(_read_text(path), format="delimited-table")
+def _parse_file(path: str, parse: Callable[[str], list]) -> list:
+    """``parse`` the text of the file at ``path``; a rejected record names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def build_gateway(config: EngineConfig) -> LmGateway:
@@ -201,14 +206,14 @@ def _load_pipeline(
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records = corpus.parse_clinical_records(_read_text(args.input), format=args.format)
+    records = _parse_file(args.input, lambda text: corpus.parse_clinical_records(text, format=args.format))
     _write_outputs((args.out, corpus.serialize_clinical_records(records, format=args.out_format)))
     _say(f"ingested {len(records)} records -> {args.out}")
     return EXIT_OK
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
-    mcqs = corpus.parse_mcq_corpus(_read_text(args.corpus))
+    mcqs = _parse_file(args.corpus, corpus.parse_mcq_corpus)
     index = retrieval.build_index(mcqs)
     retrieval.save_index(index, args.out)
     _say(f"indexed {index.n_documents} documents, {len(index.vocabulary)} terms -> {args.out}")
@@ -219,8 +224,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.optimize.seed
     gateway = build_gateway(config)
-    trainset = _read_records(args.train)
-    valset = _read_records(args.val)
+    trainset = _parse_file(args.train, corpus.parse_clinical_records)
+    valset = _parse_file(args.val, corpus.parse_clinical_records)
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir=None)
     opt = config.optimize
     if args.pipeline == "ms":
@@ -256,7 +261,7 @@ def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[st
     records_path = args.records or config.paths.records
     if not records_path:
         raise ValidationError("no records file (--records or paths.records)")
-    records = _read_records(records_path)
+    records = _parse_file(records_path, corpus.parse_clinical_records)
     compiled_dir = getattr(args, "compiled", None) or config.paths.compiled_dir or None
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir)
     strict = getattr(args, "strict", False) or config.pipeline.strict
@@ -279,8 +284,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predictions = pipelines.parse_predictions(_read_text(args.pred))
-    golds = _read_records(args.gold)
+    predictions = _parse_file(args.pred, pipelines.parse_predictions)
+    golds = _parse_file(args.gold, corpus.parse_clinical_records)
     scorers = []
     for spec in args.scorer:
         name, sep, url = spec.partition("=")

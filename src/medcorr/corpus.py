@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -139,6 +138,8 @@ class McqRecord:
             raise ValidationError(
                 f"MCQ answer {self.correct_label!r} is not among option labels {labels}"
             )
+        if not _encodable("".join([self.question, self.correct_label, *(text for _, text in self.options), *labels])):
+            raise ValidationError(f"MCQ {self.question[:60]!r} holds a lone surrogate, which UTF-8 cannot encode")
 
     @property
     def correct_text(self) -> str:
@@ -159,6 +160,19 @@ class DatasetSplit:
         ids: list[str] = [r.record_id for part in (self.train, self.validation, self.test) for r in part]
         if len(set(ids)) != len(ids):
             raise ValidationError("split parts must be disjoint by record_id")
+
+
+def _encodable(text: str) -> bool:
+    """False only for a lone surrogate (what a JSON escape such as "\\ud800"
+    decodes to), which no request, cache line or output file could carry.
+    isascii() reads a flag, so all-ASCII text is never encoded."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _decode_utf8(raw: bytes | str) -> str:
@@ -203,15 +217,8 @@ def _record_from_parts(
     error_id_text: str,
     correction_text: str,
 ) -> ClinicalRecord:
-    # Only a lone surrogate (what a JSON escape such as "\ud800" decodes to)
-    # fails to encode; no request, cache line or output file could carry it.
-    # isascii() reads a flag, so an all-ASCII record is never encoded.
-    fields = "".join([record_id, note_text, *sentence_texts, flag_text, error_id_text, correction_text])
-    if not fields.isascii():
-        try:
-            fields.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError(f"record {record_id!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+    if not _encodable("".join([record_id, note_text, *sentence_texts, flag_text, error_id_text, correction_text])):
+        raise ValidationError(f"record {record_id!r} holds a lone surrogate, which UTF-8 cannot encode")
     sentences = tuple(Sentence(i, text) for i, text in enumerate(sentence_texts))
     flag, error_id, correction = _gold_fields(record_id, flag_text, error_id_text, correction_text)
     return ClinicalRecord(
@@ -342,28 +349,6 @@ def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = 
             lines.append(json.dumps(obj, ensure_ascii=False))
         return "\n".join(lines) + ("\n" if lines else "")
     raise ValidationError(f"unknown clinical format {format!r}")
-
-
-_DELIMITER_SPLIT = re.compile(r".*?[.!?]+\s*|.+", re.DOTALL)
-
-
-def number_sentences(text: str, scheme: str = "pre-segmented-lines") -> list[Sentence]:
-    """Assign ids 0..n-1 to the sentence units of ``text``.
-
-    ``pre-segmented-lines`` splits on newlines; rejoining the texts with
-    ``"\\n"`` reconstructs the input exactly. ``delimiter-split`` is a
-    fallback that cuts after sentence-ending punctuation, keeping trailing
-    separators attached so plain concatenation also reconstructs the input.
-    """
-    if not text:
-        raise ValidationError("cannot number sentences of empty text")
-    if scheme == "pre-segmented-lines":
-        parts = text.split("\n")
-    elif scheme == "delimiter-split":
-        parts = _DELIMITER_SPLIT.findall(text)
-    else:
-        raise ValidationError(f"unknown numbering scheme {scheme!r}")
-    return [Sentence(i, part) for i, part in enumerate(parts)]
 
 
 def parse_mcq_corpus(raw: bytes | str) -> list[McqRecord]:

@@ -2,17 +2,17 @@
 
 ``bootstrap_demos`` runs the zero-shot pipeline over the training set as its
 own teacher and keeps each stage's (inputs, outputs-with-rationale) whenever
-the run's metric clears the pass threshold. ``random_search_compile`` then
-scores seeded random demo subsets on the validation set against a zero-demo
-baseline (candidate 0), so the winner can never score below zero-shot.
-``mipro_compile`` extends the search space with LM-proposed instructions,
-sampling uniformly over (instruction x demo subset) per stage; the Bayesian
-surrogate of the full method is intentionally not reproduced. Random search
-is the one-instruction case of that joint search: both draw their candidates
-with one drawer and score them with one search loop.
+the run's metric clears the pass threshold. ``mipro_compile`` then samples
+uniformly over (instruction x demo subset) per stage and scores each draw on
+the validation set against a zero-demo baseline (candidate 0), so the winner
+can never score below zero-shot; the Bayesian surrogate of the full method
+is intentionally not reproduced. Both pipelines compile through it: ``uw``
+adds LM-proposed instructions, ``ms`` keeps each stage's own instruction.
+``random_search_compile`` is the same search over pools the caller holds.
 
 Localization and correction compiles must only ever see error-containing
 records; use :func:`error_records` when assembling their train/val sets.
+Both pipeline compilers check that there are some before their first call.
 """
 
 from __future__ import annotations
@@ -239,57 +239,52 @@ def _candidate_pipeline(
     return pipeline.replace_stages(updates)
 
 
-Spec = tuple[dict[str, str], dict[str, tuple[Demo, ...]]]
-
-
-def _draw_specs(
-    stage_names: tuple[str, ...],
-    proposals: Mapping[str, Sequence[str]],
-    pools: Mapping[str, Sequence[Demo]],
-    n_candidates: int,
-    demos_per_stage: int,
-    seed: int,
-) -> list[Spec]:
-    """Candidate 0 is each stage's original instruction (proposal 0) with no
-    demos; each later one draws, per stage, an instruction (only when there
-    is a choice) and a demo subset. When no stage has a demo or a second
-    instruction, candidate 0 is the only one."""
-    specs: list[Spec] = [
-        ({stage: proposals[stage][0] for stage in stage_names}, {stage: () for stage in stage_names})
-    ]
-    if not any(pools[stage] or len(proposals[stage]) > 1 for stage in stage_names):
-        return specs
-    rng = random.Random(seed)
-    for _ in range(1, n_candidates):
-        instructions = {
-            stage: rng.choice(proposals[stage]) if len(proposals[stage]) > 1 else proposals[stage][0]
-            for stage in stage_names
-        }
-        demos = {
-            stage: tuple(rng.sample(list(pools[stage]), min(demos_per_stage, len(pools[stage]))))
-            for stage in stage_names
-        }
-        specs.append((instructions, demos))
-    return specs
-
-
 def _search(
     pipeline: Pipeline,
     stage_names: tuple[str, ...],
-    specs: Sequence[Spec],
+    space: Callable[[LmGateway], tuple[Mapping[str, Sequence[str]], Mapping[str, Sequence[Demo]]]],
     trainset_record_ids: tuple[str, ...],
     valset: Sequence[ClinicalRecord],
     metric: Metric,
+    n_candidates: int,
+    demos_per_stage: int,
     seed: int,
-    gateway: LmGateway,
+    gateway: LmGateway | None,
 ) -> tuple[Pipeline, CompileReport]:
-    """Score every (instructions, demos) spec on the valset; compile the winner.
+    """The one search behind both compilers. After the checks, ``space``
+    returns each stage's instruction proposals (the original first) and demo
+    pool; it is the only step that may issue calls before scoring.
 
-    All (candidate, record) pairs share one pool of ``gateway.concurrency``
-    workers and scores are collected by index, so the report does not depend
-    on completion order. The first gateway error in (candidate, record)
-    order propagates.
+    Candidate 0 is each stage's original instruction with no demos; each
+    later one draws, per stage, an instruction (only when there is a choice)
+    and a demo subset. With no demo and no second instruction anywhere,
+    candidate 0 is the only one. All (candidate, record) pairs share one
+    pool of ``gateway.concurrency`` workers and scores are collected by
+    index, so the report does not depend on completion order. The first
+    gateway error in (candidate, record) order propagates.
     """
+    if gateway is None:
+        raise ValidationError("compile needs a gateway")
+    if n_candidates < 1:
+        raise ValidationError(f"n_candidates must be >= 1, got {n_candidates}")
+    if not valset:
+        raise ValidationError("compile needs a non-empty valset")
+    proposals, pools = space(gateway)
+    specs: list[tuple[dict[str, str], dict[str, tuple[Demo, ...]]]] = [
+        ({stage: proposals[stage][0] for stage in stage_names}, {stage: () for stage in stage_names})
+    ]
+    rng = random.Random(seed)
+    if any(pools[stage] or len(proposals[stage]) > 1 for stage in stage_names):
+        for _ in range(1, n_candidates):
+            instructions = {
+                stage: rng.choice(proposals[stage]) if len(proposals[stage]) > 1 else proposals[stage][0]
+                for stage in stage_names
+            }
+            demos = {
+                stage: tuple(rng.sample(list(pools[stage]), min(demos_per_stage, len(pools[stage]))))
+                for stage in stage_names
+            }
+            specs.append((instructions, demos))
     candidate_pipelines = [_candidate_pipeline(pipeline, instructions, demos) for instructions, demos in specs]
     pairs = [(candidate, record) for candidate in candidate_pipelines for record in valset]
     flat = map_ordered(
@@ -330,21 +325,17 @@ def random_search_compile(
     seed: int = 0,
     gateway: LmGateway | None = None,
 ) -> tuple[Pipeline, CompileReport]:
-    """Seeded random search over demo subsets, each stage keeping its own
-    instruction; candidate 0 is the zero-demo baseline."""
-    if gateway is None:
-        raise ValidationError("random_search_compile needs a gateway")
-    if n_candidates < 1:
-        raise ValidationError(f"n_candidates must be >= 1, got {n_candidates}")
-    if not valset:
-        raise ValidationError("random_search_compile needs a non-empty valset")
+    """Seeded random search over demo subsets of ``pools``, each stage keeping
+    its own instruction; the report lists the pooled demos' sorted sources."""
     stage_names = tuple(sorted(pools))
     proposals = {stage: [pipeline.stages[stage].signature.instruction] for stage in stage_names}
-    specs = _draw_specs(stage_names, proposals, pools, n_candidates, demos_per_stage, seed)
     trainset_record_ids = tuple(
         sorted({d.source_record_id for pool in pools.values() for d in pool if d.source_record_id})
     )
-    return _search(pipeline, stage_names, specs, trainset_record_ids, valset, metric, seed, gateway)
+    return _search(
+        pipeline, stage_names, lambda _: (proposals, pools), trainset_record_ids, valset, metric,
+        n_candidates, demos_per_stage, seed, gateway,
+    )
 
 
 def _render_demo_lines(signature: Signature, demos: Sequence[Demo]) -> str:
@@ -408,35 +399,36 @@ def mipro_compile(
 
     Candidate 0 is always (original instruction, zero demos). A budget of
     (1, 1) degenerates to that baseline without issuing bootstrap or
-    proposal calls.
+    proposal calls; (1, n) searches demo subsets only. The report lists
+    ``trainset``'s ids in order.
     """
-    if gateway is None:
-        raise ValidationError("mipro_compile needs a gateway")
     n_proposals, n_candidates = budget
     if n_proposals < 1 or n_candidates < 1:
         raise ValidationError(f"budget components must be >= 1, got {budget}")
-    if not valset:
-        raise ValidationError("mipro_compile needs a non-empty valset")
     stage_names = tuple(sorted(stages if stages is not None else pipeline.optimizable_stages))
     unknown = set(stage_names) - set(pipeline.stages)
     if unknown:
         raise ValidationError(f"unknown stages {sorted(unknown)}")
 
-    pools: dict[str, list[Demo]] = {stage: [] for stage in stage_names}
-    proposals = {stage: [pipeline.stages[stage].signature.instruction] for stage in stage_names}
-    if n_candidates > 1:
-        pools = bootstrap_demos(pipeline, trainset, metric, demos_per_stage, gateway, seed, stages=stage_names)
-        if n_proposals > 1:
-            for stage in stage_names:
-                proposals[stage] = propose_instructions(
-                    pipeline.stages[stage].signature,
-                    pools[stage][:3],
-                    gateway,
-                    n_proposals - 1,
-                )
-    specs = _draw_specs(stage_names, proposals, pools, n_candidates, demos_per_stage, seed)
-    trainset_record_ids = tuple(r.record_id for r in trainset)
-    return _search(pipeline, stage_names, specs, trainset_record_ids, valset, metric, seed, gateway)
+    def space(gateway: LmGateway) -> tuple[dict[str, list[str]], dict[str, list[Demo]]]:
+        pools: dict[str, list[Demo]] = {stage: [] for stage in stage_names}
+        proposals = {stage: [pipeline.stages[stage].signature.instruction] for stage in stage_names}
+        if n_candidates > 1:
+            pools = bootstrap_demos(pipeline, trainset, metric, demos_per_stage, gateway, seed, stages=stage_names)
+            if n_proposals > 1:
+                for stage in stage_names:
+                    proposals[stage] = propose_instructions(
+                        pipeline.stages[stage].signature,
+                        pools[stage][:3],
+                        gateway,
+                        n_proposals - 1,
+                    )
+        return proposals, pools
+
+    return _search(
+        pipeline, stage_names, space, tuple(r.record_id for r in trainset), valset, metric,
+        n_candidates, demos_per_stage, seed, gateway,
+    )
 
 
 def compile_ms_pipeline(
@@ -451,31 +443,22 @@ def compile_ms_pipeline(
     binary_pass_threshold: float = BINARY_PASS_THRESHOLD,
 ) -> tuple[MsPipeline, dict[str, CompileReport]]:
     """Two-phase compile: extract+compare jointly on the error flag, then
-    the corrector on ROUGE-L over error-containing records only.
+    the corrector on ROUGE-L over error-containing records only. Each phase
+    is a demo-subset search that keeps every stage's own instruction.
 
     The localize stage is deliberately left uncompiled.
     """
-    flag_metric = flag_match_metric(binary_pass_threshold)
-    pools = bootstrap_demos(
-        pipeline, trainset, flag_metric, demos_per_stage, gateway, seed,
-        stages=("extract_choice", "compare_answer"),
-    )
-    flag_compiled, flag_report = random_search_compile(
-        pipeline, pools, valset, flag_metric, n_candidates, demos_per_stage, seed, gateway
-    )
-
-    train_errors = error_records(trainset)
-    val_errors = error_records(valset)
+    train_errors, val_errors = error_records(trainset), error_records(valset)
     if not train_errors or not val_errors:
         raise ValidationError("ms correction compile needs error-containing records in train and val")
-    correction_metric = correction_rouge_l_metric(rouge_pass_threshold)
-    correct_pools = bootstrap_demos(
-        flag_compiled, train_errors, correction_metric, demos_per_stage, gateway, seed,
-        stages=("correct",),
+    budget = (1, n_candidates)
+    flag_compiled, flag_report = mipro_compile(
+        pipeline, trainset, valset, flag_match_metric(binary_pass_threshold), budget, seed, gateway,
+        demos_per_stage, stages=("extract_choice", "compare_answer"),
     )
-    compiled, correct_report = random_search_compile(
-        flag_compiled, correct_pools, val_errors, correction_metric,
-        n_candidates, demos_per_stage, seed, gateway,
+    compiled, correct_report = mipro_compile(
+        flag_compiled, train_errors, val_errors, correction_rouge_l_metric(rouge_pass_threshold),
+        budget, seed, gateway, demos_per_stage, stages=("correct",),
     )
     return compiled, {"flag": flag_report, "correction": correct_report}  # type: ignore[return-value]
 
@@ -493,15 +476,14 @@ def compile_uw_pipeline(
 ) -> tuple[UwPipeline, dict[str, CompileReport]]:
     """Per-stage joint instruction+demo search: detection on the full split,
     localization and correction on the error-containing subset only."""
+    train_errors, val_errors = error_records(trainset), error_records(valset)
+    if not train_errors or not val_errors:
+        raise ValidationError("uw localize/correct compile needs error-containing records in train and val")
     reports: dict[str, CompileReport] = {}
     compiled, reports["detect"] = mipro_compile(
         pipeline, trainset, valset, flag_match_metric(binary_pass_threshold), budget, seed, gateway,
         demos_per_stage, stages=("detect",),
     )
-    train_errors = error_records(trainset)
-    val_errors = error_records(valset)
-    if not train_errors or not val_errors:
-        raise ValidationError("uw localize/correct compile needs error-containing records in train and val")
     compiled, reports["localize"] = mipro_compile(
         compiled, train_errors, val_errors, sentence_match_metric(binary_pass_threshold),
         budget, seed, gateway, demos_per_stage, stages=("localize",),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .errors import CompletionParseError, ValidationError
@@ -117,12 +117,6 @@ class Program:
     def instruction(self) -> str:
         return self.compiled_instruction if self.compiled_instruction is not None else self.signature.instruction
 
-    def with_demos(self, demos: tuple[Demo, ...]) -> "Program":
-        return replace(self, demos=demos)
-
-    def with_instruction(self, instruction: str | None) -> "Program":
-        return replace(self, compiled_instruction=instruction)
-
 
 def field_label(name: str) -> str:
     """``error_line`` renders as ``Error Line``."""
@@ -174,15 +168,6 @@ def render_messages(program: Program, inputs: Mapping[str, str]) -> list[Message
     blocks = [_demo_block(program, demo) for demo in program.demos]
     blocks.append(_live_block(program, inputs))
     return [Message("system", system), Message("user", _BLOCK_SEPARATOR.join(blocks))]
-
-
-def render_outputs_as_completion(program: Program, output_values: Mapping[str, str]) -> str:
-    """Render output values the way a well-formed completion would look."""
-    lines = []
-    for out in _output_fields(program):
-        if out.name in output_values:
-            lines.append(f"{field_label(out.name)}: {output_values[out.name]}")
-    return "\n".join(lines)
 
 
 _LABEL_LINE = re.compile(r"^[ \t]*([A-Za-z][A-Za-z0-9_ ]*?)[ \t]*:", re.MULTILINE)

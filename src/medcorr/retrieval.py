@@ -198,7 +198,7 @@ def load_index(path: str | Path) -> TfidfIndex:
             doc_norms=tuple(float(x) for x in payload["doc_norms"]),
             corpus=corpus,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed index file {path}: {exc}") from exc
     if not index.document_frequency.keys() >= set(index.vocabulary.values()):
         raise ValidationError(f"malformed index file {path}: a vocabulary term has no document_frequency")

@@ -361,7 +361,7 @@ def scripted_http_server(script: Callable[[str, bytes], tuple[int, dict]]):
     """Serve POSTs on a loopback port; ``script(path, body) -> (status, payload)``."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script = script  # type: ignore[attr-defined]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}"

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import inspect
 
+import pytest
+
 from medcorr import cli, corpus, gateway, metrics, optimize, pipelines, program, retrieval
+
+from helpers import ms_gold_responder, synth_ms_dataset, synth_uw_records, uw_gold_responder
 
 
 def test_each_pipeline_defines_predict_in_its_own_class_body():
@@ -53,3 +57,34 @@ def test_compile_entry_points_accept_the_benchmark_keywords():
     inspect.signature(optimize.compile_ms_pipeline).bind(
         *positional, seed=0, n_candidates=1, demos_per_stage=1, **thresholds
     )
+
+
+@pytest.mark.parametrize("name", ["ms", "uw"])
+def test_compile_steps_carry_the_pipeline_and_metric_where_the_tracer_reads_them(monkeypatch, name):
+    # perfbench's tracer notes (type(args[0]), args[i].name) positionally:
+    # i is 3 for the searches and 2 for bootstrap_demos
+    metric_index = {"mipro_compile": 3, "random_search_compile": 3, "bootstrap_demos": 2}
+    seen = []
+    for attr, index in metric_index.items():
+        def traced(*args, _original=getattr(optimize, attr), _attr=attr, _index=index, **kwargs):
+            assert isinstance(args[0], pipelines.Pipeline), _attr
+            assert isinstance(args[_index], optimize.Metric), _attr
+            seen.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, attr, traced)
+    if name == "ms":
+        records, mcqs, asserted = synth_ms_dataset(8)
+        backend = gateway.ScriptedBackend(ms_gold_responder(records, asserted))
+        optimize.compile_ms_pipeline(
+            pipelines.default_ms_pipeline(retrieval.build_index(mcqs)), records[:5], records[5:],
+            gateway.LmGateway(backend=backend), n_candidates=2, demos_per_stage=1,
+        )
+    else:
+        records = synth_uw_records(8)
+        optimize.compile_uw_pipeline(
+            pipelines.default_uw_pipeline(), records[:5], records[5:],
+            gateway.LmGateway(backend=gateway.ScriptedBackend(uw_gold_responder(records))),
+            budget=(1, 2), demos_per_stage=1,
+        )
+    assert seen.count("mipro_compile") == seen.count("bootstrap_demos") == (2 if name == "ms" else 3)

@@ -457,6 +457,18 @@ def surrogate_records(tmp_path: Path) -> Path:
     return path
 
 
+def surrogate_mcq_corpus(tmp_path: Path) -> Path:
+    path = tmp_path / "mcq.jsonl"
+    path.write_text(json.dumps({**_MCQ, "question": "Which drug\ud800?"}) + "\n", encoding="utf-8")
+    return path
+
+
+def surrogate_index(tmp_path: Path) -> Path:
+    path = tmp_path / "index.json"
+    path.write_text(index_payload(corpus=[{**_MCQ, "question": "Which drug\ud800?"}]), encoding="utf-8")
+    return path
+
+
 def predict_argv(tmp_path: Path, *extra: str, records: Path = RECORDS_CSV, config: Path | None = None) -> list[str]:
     # a later --out in extra wins
     config = config or replay_config(tmp_path, CACHE_JSONL)
@@ -505,7 +517,18 @@ _FILE_FAILURES = {
     ),
     "predict a lone surrogate": lambda t: (predict_argv(t, "--pipeline", "uw", records=surrogate_records(t)), None),
     "ingest a lone surrogate": lambda t: (
-        ["ingest", "--in", str(surrogate_records(t)), "--out", str(t / "c.csv")], None
+        ["ingest", "--in", str(surrogate_records(t)), "--out", str(t / "c.csv")], "surrogate.csv"
+    ),
+    "compile --val with a lone surrogate": lambda t: (
+        ["compile", "--pipeline", "uw", "--train", str(RECORDS_CSV), "--val", str(surrogate_records(t)),
+         "--out-dir", str(t / "compiled"), "--config", str(replay_config(t, CACHE_JSONL))],
+        "surrogate.csv",
+    ),
+    "index build a lone surrogate": lambda t: (
+        ["index", "build", "--corpus", str(surrogate_mcq_corpus(t)), "--out", str(t / "index.json")], "mcq.jsonl"
+    ),
+    "--index with a lone surrogate": lambda t: (
+        predict_argv(t, "--pipeline", "ms", "--index", str(surrogate_index(t))), "index.json"
     ),
 }
 
@@ -534,33 +557,32 @@ def surrogate_in_corrections(tmp_path: Path) -> Path:
     return cache
 
 
-def surrogate_mcq_corpus(tmp_path: Path) -> Path:
-    path = tmp_path / "mcq.jsonl"
-    path.write_text(json.dumps({**_MCQ, "question": "Which drug\ud800?"}) + "\n", encoding="utf-8")
-    return path
-
-
-# Each case builds (argv, the output files it names) in tmp_path.
+# Each case builds (argv, the file the error line names, the output files) in
+# tmp_path. A corpus holding a lone surrogate is now rejected when it is read,
+# so the index build case names its input and never reaches the encoder.
 _ENCODE_FAILURES = {
     "predict --out and --trace-out": lambda t: (
         predict_argv(t, "--pipeline", "uw", "--trace-out", str(t / "trace.jsonl"),
                      config=replay_config(t, surrogate_in_corrections(t))),
+        "p.csv",
         ["p.csv", "trace.jsonl"],
     ),
     "index build --out": lambda t: (
-        ["index", "build", "--corpus", str(surrogate_mcq_corpus(t)), "--out", str(t / "index.json")], ["index.json"]
+        ["index", "build", "--corpus", str(surrogate_mcq_corpus(t)), "--out", str(t / "index.json")],
+        "mcq.jsonl",
+        ["index.json"],
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_ENCODE_FAILURES))
 def test_an_output_that_cannot_be_encoded_leaves_existing_files_unchanged(tmp_path, case):
-    argv, outputs = _ENCODE_FAILURES[case](tmp_path)
+    argv, named, outputs = _ENCODE_FAILURES[case](tmp_path)
     for name in outputs:
         (tmp_path / name).write_bytes(b"earlier output\n")
     result = run_cli_process(argv)
     assert_one_error_line(result)
-    assert outputs[0] in result.stderr
+    assert named in result.stderr
     for name in outputs:
         assert (tmp_path / name).read_bytes() == b"earlier output\n"
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from medcorr.corpus import (
     ClinicalRecord,
     Sentence,
-    number_sentences,
     parse_clinical_records,
     parse_mcq_corpus,
     serialize_clinical_records,
@@ -168,45 +167,6 @@ def test_gold_consistency_invariant_on_parsed_records():
         assert (r.gold_flag == 0) == (r.gold_error_sentence_id == -1) == is_na(r.gold_correction)
 
 
-# --- number_sentences -------------------------------------------------------------
-
-
-def test_number_sentences_pre_segmented():
-    assert number_sentences("A.\nB.") == [Sentence(0, "A."), Sentence(1, "B.")]
-
-
-def test_number_sentences_single_identity():
-    text = "Just one sentence without breaks."
-    assert number_sentences(text) == [Sentence(0, text)]
-
-
-def test_number_sentences_three_line_round_trip():
-    text = "First line.\nSecond lineها.\nThird line!"
-    numbered = number_sentences(text, scheme="pre-segmented-lines")
-    assert [s.sentence_id for s in numbered] == [0, 1, 2]
-    # round-trip oracle: rejoining with the original separator reproduces the input
-    assert "\n".join(s.text for s in numbered) == text
-
-
-def test_number_sentences_empty_is_error():
-    with pytest.raises(ValidationError):
-        number_sentences("")
-
-
-def test_number_sentences_delimiter_split_reconstructs():
-    text = "He fell. She called 911!  Was it serious? Yes"
-    numbered = number_sentences(text, scheme="delimiter-split")
-    assert "".join(s.text for s in numbered) == text
-    assert len(numbered) == 4
-
-
-@given(st.text(min_size=1, max_size=200))
-def test_number_sentences_delimiter_split_round_trip_property(text):
-    numbered = number_sentences(text, scheme="delimiter-split")
-    assert "".join(s.text for s in numbered) == text
-    assert [s.sentence_id for s in numbered] == list(range(len(numbered)))
-
-
 # --- parse_mcq_corpus ----------------------------------------------------------------
 
 
@@ -234,6 +194,20 @@ def test_parse_mcq_answer_not_among_labels_reports_line():
         b'{"question": "q2", "options": {"A": "x", "B": "y"}, "answer": "Z"}\n'
     )
     with pytest.raises(ValidationError, match="line 2"):
+        parse_mcq_corpus(raw)
+
+
+@pytest.mark.parametrize(
+    "mcq",
+    [
+        pytest.param({"question": f"Which {_LONE}?", "options": {"A": "x", "B": "y"}, "answer": "A"}, id="question"),
+        pytest.param({"question": "Which?", "options": {"A": "x", "B": f"y{_LONE}"}, "answer": "A"}, id="option"),
+        pytest.param({"question": "Which?", "options": {"A": "x", _LONE: "y"}, "answer": _LONE}, id="label"),
+    ],
+)
+def test_parse_mcq_rejects_a_lone_surrogate_naming_the_line(mcq):
+    raw = b'{"question": "q", "options": {"A": "x", "B": "y"}, "answer": "A"}\n' + json.dumps(mcq).encode("utf-8")
+    with pytest.raises(ValidationError, match="line 2: MCQ .* lone surrogate"):
         parse_mcq_corpus(raw)
 
 

@@ -461,9 +461,35 @@ def test_compile_ms_pipeline_keeps_localize_uncompiled():
     assert set(correction.valset_record_ids).isdisjoint(flag0_ids)
     # bootstrapped demos exist for the jointly-compiled stages
     assert reports["flag"].stages == ("compare_answer", "extract_choice")
+    # each phase reports the records it was given, in input order
+    assert reports["flag"].trainset_record_ids == tuple(r.record_id for r in train)
+    assert correction.trainset_record_ids == tuple(r.record_id for r in train if r.gold_flag == 1)
     prediction = compiled.predict(records[0], gateway)
     assert prediction.flag == records[0].gold_flag
     assert prediction.error_sentence_id == records[0].gold_error_sentence_id
+
+
+@pytest.mark.parametrize("pipeline", ["ms", "uw"])
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_compile_without_error_records_fails_before_any_call(pipeline, split):
+    records, corpus, asserted = synth_ms_dataset(8)
+    if pipeline == "uw":
+        records = synth_uw_records(8)
+    clean = [r for r in records if r.gold_flag == 0]
+    train, val = (clean, records[4:]) if split == "train" else (records[:4], clean)
+    calls = []
+
+    def respond(request):
+        calls.append(request)
+        raise AssertionError("no call is expected")
+
+    gateway = LmGateway(backend=ScriptedBackend(respond))
+    with pytest.raises(ValidationError, match="error-containing records"):
+        if pipeline == "ms":
+            compile_ms_pipeline(default_ms_pipeline(build_index(corpus)), train, val, gateway, n_candidates=3)
+        else:
+            compile_uw_pipeline(default_uw_pipeline(), train, val, gateway, budget=(2, 3))
+    assert calls == []
 
 
 def test_compile_is_deterministic_for_fixed_seed():

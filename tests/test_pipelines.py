@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -171,13 +173,14 @@ def test_ms_predict_out_of_range_line_is_stage_error():
 def test_ms_localize_must_stay_demo_free():
     record, pipeline = pathogen_fixture()
     localize = ms_localize_program()
-    seeded = localize.with_demos(
-        (
+    seeded = replace(
+        localize,
+        demos=(
             Demo(
                 input_values={"clinical_text": "0: x", "extracted_choice": "y"},
                 output_values={"error_line": "0"},
             ),
-        )
+        ),
     )
     with pytest.raises(ValidationError, match="zero demos"):
         MsPipeline(

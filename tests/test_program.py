@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,6 @@ from medcorr.program import (
     program_from_json,
     program_to_json,
     render_messages,
-    render_outputs_as_completion,
     run,
 )
 
@@ -149,7 +149,7 @@ def test_prompt_length_monotone_in_demo_count():
 
 
 def test_compiled_instruction_overrides_signature():
-    program = qa_program().with_instruction("Be terse.")
+    program = replace(qa_program(), compiled_instruction="Be terse.")
     system = render_messages(program, {"question": "Q"})[0].content
     assert system.startswith("Be terse.\n\n")
     assert "Answer the question." not in system
@@ -233,12 +233,18 @@ _VALUE = st.text(
 ).filter(lambda s: s.strip() == s and s)
 
 
+def completion_of(program: Program, outputs: dict[str, str]) -> str:
+    """A well-formed completion: one labeled line per output, the rationale first."""
+    order = ["rationale", *program.signature.output_names()]
+    return "\n".join(f"{field_label(name)}: {outputs[name]}" for name in order if name in outputs)
+
+
 @given(answer=_VALUE, rationale=_VALUE)
 def test_demo_output_round_trip_property(answer, rationale):
     # single-line values: rendering then parsing recovers them exactly
     program = qa_program(strategy=CHAIN_OF_THOUGHT)
     outputs = {"rationale": rationale, "answer": answer}
-    completion = render_outputs_as_completion(program, outputs)
+    completion = completion_of(program, outputs)
     assert parse_completion(program, completion) == outputs
 
 
@@ -275,7 +281,7 @@ def test_render_parse_round_trip_property(strategy, data):
     names = {"error_line", "corrected_sentence"} | ({"rationale"} if strategy == CHAIN_OF_THOUGHT else set())
     value = _MULTILINE_VALUE.filter(lambda v: not any(starts_with_label(line, names) for line in v.split("\n")))
     outputs = {name: data.draw(value, label=name) for name in sorted(names)}
-    completion = render_outputs_as_completion(program, outputs)
+    completion = completion_of(program, outputs)
     assert parse_completion(program, completion) == outputs
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,4 +330,13 @@ def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 99}', encoding="utf-8")
     with pytest.raises(ValidationError, match="format_version"):
+        load_index(path)
+
+
+def test_load_rejects_a_lone_surrogate_naming_the_file(tmp_path):
+    path = tmp_path / "index.json"
+    save_index(build_index(corpus_of(["syncope workup", "orthostatic hypotension"])), path)
+    # the JSON escape decodes to a lone surrogate, which no request can carry
+    path.write_text(path.read_text(encoding="utf-8").replace("syncope workup", "syncope \\ud800"), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.* lone surrogate"):
         load_index(path)
