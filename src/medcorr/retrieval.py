@@ -13,16 +13,17 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 from .corpus import McqRecord
 from .errors import ValidationError
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -41,9 +42,12 @@ class RetrievalHit:
 
 @dataclass(frozen=True)
 class TfidfIndex:
+    """A TF-IDF index held as postings: term id -> (ascending doc ids, their
+    weights), one posting per vocabulary term. A term's document frequency
+    is its posting length."""
+
     vocabulary: dict[str, int]
-    document_frequency: dict[int, int]
-    doc_vectors: tuple[dict[int, float], ...]
+    postings: dict[int, tuple[array, array]]
     doc_norms: tuple[float, ...]
     corpus: tuple[McqRecord, ...]
 
@@ -52,24 +56,11 @@ class TfidfIndex:
         return len(self.corpus)
 
     def idf(self, term_id: int) -> float:
-        return math.log(self.n_documents / self.document_frequency[term_id]) + 1.0
+        return _idf(self.n_documents, len(self.postings[term_id][0]))
 
-    @cached_property
-    def postings(self) -> dict[int, tuple[array, array]]:
-        """Term id -> (ascending doc ids, their weights), from ``doc_vectors``.
 
-        Derived on first use and held in memory only: it is not a field, so
-        it takes no part in equality and ``save_index`` never writes it.
-        """
-        postings: dict[int, tuple[array, array]] = {}
-        for doc_id, vector in enumerate(self.doc_vectors):
-            for term_id, weight in vector.items():
-                entry = postings.get(term_id)
-                if entry is None:
-                    entry = postings[term_id] = (array("i"), array("d"))
-                entry[0].append(doc_id)
-                entry[1].append(weight)
-        return postings
+def _idf(n_documents: int, document_frequency: int) -> float:
+    return math.log(n_documents / document_frequency) + 1.0
 
 
 def document_text(record: McqRecord) -> str:
@@ -92,22 +83,17 @@ def build_index(corpus: list[McqRecord]) -> TfidfIndex:
         for term_id in counts:
             document_frequency[term_id] = document_frequency.get(term_id, 0) + 1
     n = len(corpus)
-    doc_vectors = []
+    idf = {term_id: _idf(n, df) for term_id, df in document_frequency.items()}
+    postings = {term_id: (array("i"), array("d")) for term_id in idf}
     doc_norms = []
-    for counts in term_counts:
-        vector = {
-            term_id: tf * (math.log(n / document_frequency[term_id]) + 1.0)
-            for term_id, tf in counts.items()
-        }
-        doc_vectors.append(vector)
-        doc_norms.append(math.sqrt(sum(w * w for w in vector.values())))
-    return TfidfIndex(
-        vocabulary=vocabulary,
-        document_frequency=document_frequency,
-        doc_vectors=tuple(doc_vectors),
-        doc_norms=tuple(doc_norms),
-        corpus=tuple(corpus),
-    )
+    for doc_id, counts in enumerate(term_counts):
+        weights = [tf * idf[term_id] for term_id, tf in counts.items()]
+        for term_id, weight in zip(counts, weights):
+            ids, term_weights = postings[term_id]
+            ids.append(doc_id)
+            term_weights.append(weight)
+        doc_norms.append(math.sqrt(sum(w * w for w in weights)))
+    return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=tuple(doc_norms), corpus=tuple(corpus))
 
 
 def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
@@ -125,7 +111,7 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
             counts[term_id] = counts.get(term_id, 0) + 1
     q_vector = {term_id: tf * index.idf(term_id) for term_id, tf in counts.items()}
     q_norm = math.sqrt(sum(w * w for w in q_vector.values()))
-    scores = [0.0] * len(index.doc_vectors)
+    scores = [0.0] * len(index.doc_norms)
     if q_norm > 0.0:
         # Term by term in q_vector order, each document's products are added
         # in the order of a per-document sum over the query terms, and a term
@@ -152,11 +138,20 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
 
 
 def save_index(index: TfidfIndex, path: str | Path) -> None:
+    """Write ``index`` in format 2: per vocabulary term, in term-id order, its
+    ascending doc ids and raw term counts, from which ``load_index`` derives
+    the weights."""
+    postings = []
+    for term_id in range(len(index.vocabulary)):
+        ids, weights = index.postings[term_id]
+        try:
+            postings.append([ids.tolist(), _counts(term_id, weights, index.idf(term_id))])
+        except ValueError as exc:
+            raise ValidationError(f"cannot write index file {path}: {exc}") from exc
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "vocabulary": index.vocabulary,
-        "document_frequency": {str(k): v for k, v in index.document_frequency.items()},
-        "doc_vectors": [{str(k): v for k, v in vec.items()} for vec in index.doc_vectors],
+        "postings": postings,
         "doc_norms": list(index.doc_norms),
         "corpus": [
             {"question": r.question, "options": dict(r.options), "answer": r.correct_label}
@@ -166,13 +161,15 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
     # Encoded before the file is opened: a text UTF-8 cannot carry fails
     # here and leaves an existing file as it was.
     try:
-        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        data = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write index file {path}: {exc}") from exc
     Path(path).write_bytes(data)
 
 
 def load_index(path: str | Path) -> TfidfIndex:
+    """Read an index file of format 2, or of format 1, which stored each
+    document's weights instead of postings of counts."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -180,8 +177,8 @@ def load_index(path: str | Path) -> TfidfIndex:
     if not isinstance(payload, dict):
         raise ValidationError(f"index file {path} is not a JSON object")
     version = payload.get("format_version")
-    if version != INDEX_FORMAT_VERSION:
-        raise ValidationError(f"unsupported index format_version {version!r}")
+    if version not in (1, INDEX_FORMAT_VERSION):
+        raise ValidationError(f"index file {path} has unsupported format_version {version!r}")
     try:
         corpus = tuple(
             McqRecord(
@@ -191,17 +188,80 @@ def load_index(path: str | Path) -> TfidfIndex:
             )
             for obj in payload["corpus"]
         )
-        index = TfidfIndex(
-            vocabulary={str(k): int(v) for k, v in payload["vocabulary"].items()},
-            document_frequency={int(k): int(v) for k, v in payload["document_frequency"].items()},
-            doc_vectors=tuple({int(k): float(v) for k, v in vec.items()} for vec in payload["doc_vectors"]),
-            doc_norms=tuple(float(x) for x in payload["doc_norms"]),
-            corpus=corpus,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+        vocabulary = {str(k): int(v) for k, v in payload["vocabulary"].items()}
+        if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+            raise ValueError("the vocabulary's term ids are not 0 to its size - 1")
+        if version == INDEX_FORMAT_VERSION:
+            counted = payload["postings"]
+        else:
+            counted = _counts_of_v1(payload, len(vocabulary), len(corpus))
+        postings = _weighted_postings(counted, len(vocabulary), len(corpus))
+        doc_norms = tuple(float(x) for x in payload["doc_norms"])
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"malformed index file {path}: {exc}") from exc
-    if not index.document_frequency.keys() >= set(index.vocabulary.values()):
-        raise ValidationError(f"malformed index file {path}: a vocabulary term has no document_frequency")
-    if not len(index.corpus) == len(index.doc_vectors) == len(index.doc_norms):
-        raise ValidationError(f"malformed index file {path}: corpus, doc_vectors, doc_norms differ in length")
-    return index
+    if len(doc_norms) != len(corpus):
+        raise ValidationError(f"malformed index file {path}: corpus and doc_norms differ in length")
+    return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=doc_norms, corpus=corpus)
+
+
+def _weighted_postings(counted: list, n_terms: int, n_documents: int) -> dict[int, tuple[array, array]]:
+    """Check each term's ``[doc ids, raw counts]`` and weigh the counts as
+    ``build_index`` does."""
+    if len(counted) != n_terms:
+        raise ValueError(f"{len(counted)} postings for {n_terms} vocabulary terms")
+    postings = {}
+    for term_id, (ids, counts) in enumerate(counted):
+        if len(ids) != len(counts):
+            raise ValueError(f"term {term_id} has {len(ids)} doc ids but {len(counts)} counts")
+        if not ids:
+            raise ValueError(f"term {term_id} has an empty posting")
+        if set(map(type, ids)) | set(map(type, counts)) != {int}:
+            raise ValueError(f"term {term_id} has a doc id or count that is not an integer")
+        if not all(map(operator.lt, ids, islice(ids, 1, None))):
+            raise ValueError(f"term {term_id}'s doc ids are not strictly ascending")
+        if ids[0] < 0 or ids[-1] >= n_documents:
+            raise ValueError(f"term {term_id} has a doc id outside [0, {n_documents})")
+        if min(counts) < 1:
+            raise ValueError(f"term {term_id} has a count below 1")
+        idf = _idf(n_documents, len(ids))
+        postings[term_id] = (array("i", ids), array("d", [tf * idf for tf in counts]))
+    return postings
+
+
+def _counts_of_v1(payload: dict, n_terms: int, n_documents: int) -> list[list[list[int]]]:
+    """Format 1's per-document weights as per-term ``[doc ids, raw counts]``.
+
+    A weight must be exactly its recovered count times the idf, and a stored
+    document frequency exactly its term's posting length, so a file loads
+    only to the index that ``build_index`` made of its corpus."""
+    doc_vectors = payload["doc_vectors"]
+    if len(doc_vectors) != n_documents:
+        raise ValueError("corpus and doc_vectors differ in length")
+    by_term: list[tuple[list[int], list[float]]] = [([], []) for _ in range(n_terms)]
+    for doc_id, vector in enumerate(doc_vectors):
+        for key, weight in vector.items():
+            term_id = int(key)
+            if not 0 <= term_id < n_terms:
+                raise ValueError(f"document {doc_id} carries term id {term_id}, which is not in the vocabulary")
+            by_term[term_id][0].append(doc_id)
+            by_term[term_id][1].append(float(weight))
+    document_frequency = {int(k): int(v) for k, v in payload["document_frequency"].items()}
+    counted = []
+    for term_id, (ids, weights) in enumerate(by_term):
+        if document_frequency.get(term_id) != len(ids):
+            raise ValueError(
+                f"term {term_id} has document_frequency {document_frequency.get(term_id)} but {len(ids)} postings"
+            )
+        if not ids:
+            raise ValueError(f"term {term_id} is in no document")
+        counted.append([ids, _counts(term_id, weights, _idf(n_documents, len(ids)))])
+    return counted
+
+
+def _counts(term_id: int, weights, idf: float) -> list[int]:
+    """The raw counts whose ``tf * idf`` are exactly ``weights``, the term's
+    weights in an index that ``build_index`` or ``load_index`` made."""
+    counts = [round(w / idf) for w in weights]
+    if any(tf * idf != w for tf, w in zip(counts, weights)):
+        raise ValueError(f"term {term_id}'s weights are not whole counts times its idf")
+    return counts

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from medcorr.errors import ValidationError
-from medcorr.retrieval import tokenize
+from medcorr.retrieval import document_text, tokenize
 
 
 def lcs_table_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -52,8 +55,9 @@ def rouge1_oracle(cand: Sequence[str], ref: Sequence[str]) -> float:
 
 def scan_query(index, text: str, k: int = 1) -> list[tuple[int, float]]:
     """The linear-scan ``retrieval.query`` the postings walk replaced, kept
-    verbatim but for returning ``(doc_id, score)`` pairs: every document's
-    dot product is one ``sum`` over the query terms, absent terms adding 0.0.
+    verbatim but for returning ``(doc_id, score)`` pairs and rebuilding the
+    per-document vectors it scans from the postings: every document's dot
+    product is one ``sum`` over the query terms, absent terms adding 0.0.
 
     On CPython 3.12 and later ``sum`` of floats is compensated, so there this
     scan may differ from left-to-right addition in the last bit.
@@ -67,12 +71,59 @@ def scan_query(index, text: str, k: int = 1) -> list[tuple[int, float]]:
             counts[term_id] = counts.get(term_id, 0) + 1
     q_vector = {term_id: tf * index.idf(term_id) for term_id, tf in counts.items()}
     q_norm = math.sqrt(sum(w * w for w in q_vector.values()))
-    scores = [0.0] * len(index.doc_vectors)
+    doc_vectors = document_vectors(index)
+    scores = [0.0] * len(doc_vectors)
     if q_norm > 0.0:
-        for doc_id, (vector, norm) in enumerate(zip(index.doc_vectors, index.doc_norms)):
+        for doc_id, (vector, norm) in enumerate(zip(doc_vectors, index.doc_norms)):
             if norm == 0.0:
                 continue
             dot = sum(weight * vector.get(term_id, 0.0) for term_id, weight in q_vector.items())
             scores[doc_id] = min(1.0, max(0.0, dot / (q_norm * norm)))
     order = sorted(range(len(scores)), key=lambda d: (-scores[d], d))
     return [(d, scores[d]) for d in order[:k]]
+
+
+def document_vectors(index) -> list[dict[int, float]]:
+    """Each document's ``{term id: weight}``, rebuilt from ``index.postings``."""
+    vectors: list[dict[int, float]] = [{} for _ in index.doc_norms]
+    for term_id, (ids, weights) in index.postings.items():
+        for doc_id, weight in zip(ids, weights):
+            vectors[doc_id][term_id] = weight
+    return vectors
+
+
+def save_index_v1(index, path: str | Path) -> None:
+    """Write ``index`` in index format 1, as ``retrieval.save_index`` did
+    before format 2: its body verbatim, run on the fields format 1 stored,
+    which are rebuilt from the postings. A document's terms come in the order
+    the document first mentions them, as ``build_index`` once stored them, so
+    this writes the bytes the format-1 writer wrote for a built index."""
+    vectors = document_vectors(index)
+    index = SimpleNamespace(
+        vocabulary=index.vocabulary,
+        document_frequency={term_id: len(ids) for term_id, (ids, _) in index.postings.items()},
+        doc_vectors=[
+            {term_id: vector[term_id] for term_id in dict.fromkeys(index.vocabulary[t] for t in tokenize(document_text(r)))}
+            for vector, r in zip(vectors, index.corpus)
+        ],
+        doc_norms=index.doc_norms,
+        corpus=index.corpus,
+    )
+    payload = {
+        "format_version": 1,
+        "vocabulary": index.vocabulary,
+        "document_frequency": {str(k): v for k, v in index.document_frequency.items()},
+        "doc_vectors": [{str(k): v for k, v in vec.items()} for vec in index.doc_vectors],
+        "doc_norms": list(index.doc_norms),
+        "corpus": [
+            {"question": r.question, "options": dict(r.options), "answer": r.correct_label}
+            for r in index.corpus
+        ],
+    }
+    # Encoded before the file is opened: a text UTF-8 cannot carry fails
+    # here and leaves an existing file as it was.
+    try:
+        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"cannot write index file {path}: {exc}") from exc
+    Path(path).write_bytes(data)

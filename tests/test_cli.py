@@ -371,7 +371,7 @@ def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, paylo
 _MCQ = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, "answer": "A"}
 
 
-def index_payload(**fields) -> str:
+def v1_index_payload(**fields) -> str:
     base = {
         "format_version": 1,
         "vocabulary": {"of": 0, "the": 1, "with": 2},
@@ -383,15 +383,39 @@ def index_payload(**fields) -> str:
     return json.dumps({**base, **fields})
 
 
+def index_payload(**fields) -> str:
+    base = {
+        "format_version": 2,
+        "vocabulary": {"of": 0, "the": 1, "with": 2},
+        "postings": [[[0], [1]], [[0], [1]], [[0], [1]]],
+        "doc_norms": [1.7],
+        "corpus": [_MCQ],
+    }
+    return json.dumps({**base, **fields})
+
+
+def two_document_index_payload(first_posting: list) -> str:
+    return index_payload(postings=[first_posting, [[0], [1]], [[1], [1]]], doc_norms=[1.7, 1.7], corpus=[_MCQ, _MCQ])
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         "[1, 2]",
         '{"format_version": 1}',
         '{"format_version": 1, "corpus": [1]}',
-        pytest.param(index_payload(document_frequency={"0": 1}), id="term-without-document-frequency"),
-        pytest.param(index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-vectors"),
-        pytest.param(index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-vectors"),
+        pytest.param(v1_index_payload(document_frequency={"0": 1}), id="term-without-document-frequency"),
+        pytest.param(v1_index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-vectors"),
+        pytest.param(v1_index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-vectors"),
+        pytest.param(v1_index_payload(document_frequency={"0": 0, "1": 1, "2": 1}), id="df-zero"),
+        pytest.param(index_payload(postings=[[[1], [1]], [[0], [1]], [[0], [1]]]), id="doc-id-out-of-range"),
+        pytest.param(two_document_index_payload([[1, 0], [1, 1]]), id="doc-ids-not-ascending"),
+        pytest.param(index_payload(postings=[[[0], [1.5]], [[0], [1]], [[0], [1]]]), id="count-not-an-integer"),
+        pytest.param(index_payload(postings=[[[0], [0]], [[0], [1]], [[0], [1]]]), id="count-below-one"),
+        pytest.param(two_document_index_payload([[0, 1], [1]]), id="ids-and-counts-differ-in-length"),
+        pytest.param(index_payload(postings=[[[], []], [[0], [1]], [[0], [1]]]), id="empty-posting"),
+        pytest.param(index_payload(postings=[[[0], [1]], [[0], [1]]]), id="postings-fewer-than-terms"),
+        pytest.param(index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-corpus"),
     ],
 )
 def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, payload):
@@ -402,6 +426,7 @@ def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, pa
          "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
     )
     assert_one_error_line(result)
+    assert f"index file {index}" in result.stderr
     assert not (tmp_path / "p.csv").exists()
 
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+import tempfile
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from medcorr.corpus import parse_mcq_corpus
 from medcorr.errors import ValidationError
 from medcorr.retrieval import (
     TfidfIndex,
@@ -19,7 +24,9 @@ from medcorr.retrieval import (
 )
 
 from helpers import make_mcq
-from oracles import scan_query
+from oracles import document_vectors, save_index_v1, scan_query
+
+MCQ_CORPUS = Path(__file__).parent / "fixtures" / "mcq_corpus.jsonl"
 
 # --- independent oracle: dense tf-idf + cosine ----------------------------------
 
@@ -82,12 +89,12 @@ def test_tokenize_unicode():
 
 def test_single_document_weights_are_raw_counts():
     index = build_index(corpus_of(["apple banana apple"]))
-    assert all(df == 1 for df in index.document_frequency.values())
+    assert all(list(ids) == [0] for ids, _ in index.postings.values())
     # idf = ln(1/1) + 1 = 1, so weights equal raw term counts
     apple = index.vocabulary["apple"]
     banana = index.vocabulary["banana"]
-    assert index.doc_vectors[0][apple] == pytest.approx(2.0)
-    assert index.doc_vectors[0][banana] == pytest.approx(1.0)
+    assert index.postings[apple][1][0] == pytest.approx(2.0)
+    assert index.postings[banana][1][0] == pytest.approx(1.0)
 
 
 def test_two_document_idf_hand_computed():
@@ -95,9 +102,9 @@ def test_two_document_idf_hand_computed():
         [make_mcq("a b", {"X": "opt1", "Y": "opt2"}, "X"), make_mcq("a c", {"X": "opt1", "Y": "opt2"}, "X")]
     )
     a, b, c = (index.vocabulary[t] for t in ("a", "b", "c"))
-    assert index.document_frequency[a] == 2
-    assert index.document_frequency[b] == 1
-    assert index.document_frequency[c] == 1
+    assert list(index.postings[a][0]) == [0, 1]
+    assert list(index.postings[b][0]) == [0]
+    assert list(index.postings[c][0]) == [1]
     assert index.idf(a) == pytest.approx(1.0)
     assert index.idf(b) == pytest.approx(math.log(2.0) + 1.0)  # ~1.6931
     assert index.idf(c) == pytest.approx(math.log(2.0) + 1.0)
@@ -108,7 +115,7 @@ def test_build_is_deterministic():
     first = build_index(corpus)
     second = build_index(corpus)
     assert first.vocabulary == second.vocabulary
-    assert first.doc_vectors == second.doc_vectors
+    assert first.postings == second.postings
     assert first.doc_norms == second.doc_norms
 
 
@@ -127,18 +134,16 @@ def test_option_text_is_indexed_with_question():
 
 def test_doc_norms_match_vectors():
     index = build_index(corpus_of(["one two two", "three one"]))
-    for vec, norm in zip(index.doc_vectors, index.doc_norms):
+    for vec, norm in zip(document_vectors(index), index.doc_norms):
         assert norm == pytest.approx(math.sqrt(sum(w * w for w in vec.values())), abs=1e-9)
 
 
 def test_index_internal_invariants():
     index = build_index(corpus_of(["alpha beta beta", "beta gamma", "delta"]))
-    known_ids = set(index.vocabulary.values())
-    for vec in index.doc_vectors:
-        assert set(vec) <= known_ids
-    for term_id, df in index.document_frequency.items():
-        assert term_id in known_ids
-        assert 1 <= df <= index.n_documents
+    assert set(index.postings) == set(index.vocabulary.values())
+    for ids, weights in index.postings.values():
+        assert list(ids) == sorted(set(ids)) and 0 <= ids[0] and ids[-1] < index.n_documents
+        assert 1 <= len(ids) == len(weights) <= index.n_documents
 
 
 # --- query ----------------------------------------------------------------------------
@@ -245,19 +250,22 @@ def test_postings_equal_the_linear_scan_exactly_on_a_skewed_corpus():
             assert pairs(query(index, query_text, k=k)) == scan_query(index, query_text, k=k)
 
 
-def test_postings_skip_zero_norm_documents_and_terms_no_document_carries():
-    # Hand-built: doc 1 has no terms, doc 2 carries a term but a zero norm,
+def test_postings_skip_zero_norm_documents_and_terms_only_they_carry():
+    # Hand-built: doc 1 has no terms, doc 2 carries terms but a zero norm,
     # doc 4 a negative weight and doc 5 a norm too small for its vector, so
-    # the clamp acts at both ends; "ghost" is in the vocabulary, in no document.
+    # the clamp acts at both ends; "ghost" is in the query norm but adds to no
+    # score, as only the zero-norm doc 2 carries it.
     vocabulary = {"fever": 0, "cough": 1, "ghost": 2}
     index = TfidfIndex(
         vocabulary=vocabulary,
-        document_frequency={0: 4, 1: 1, 2: 1},
-        doc_vectors=({0: 1.5, 1: 2.25}, {}, {0: 1.5}, {0: 3.0}, {0: -2.0}, {0: 3.0}),
+        postings={
+            0: (array("i", [0, 2, 3, 4, 5]), array("d", [1.5, 1.5, 3.0, -2.0, 3.0])),
+            1: (array("i", [0]), array("d", [2.25])),
+            2: (array("i", [2]), array("d", [1.0])),
+        },
         doc_norms=(math.hypot(1.5, 2.25), 0.0, 0.0, 3.0, 2.0, 1.0),
-        corpus=tuple(corpus_of(["fever cough", "empty", "fever", "fever fever", "anti", "loud"])),
+        corpus=tuple(corpus_of(["fever cough", "empty", "fever ghost", "fever fever", "anti", "loud"])),
     )
-    assert 2 not in index.postings
     queries = ("fever ghost", "ghost cough fever", "fever", "ghost", "cough fever fever ghost", "nothing")
     for query_text in queries:
         for k in range(1, 9):
@@ -277,18 +285,17 @@ def test_unrelated_document_with_frozen_idf_leaves_scores_unchanged(monkeypatch)
     new_terms = ["unrelatedterm1", "unrelatedterm2"]
     frozen_n = base.n_documents
     vocabulary = dict(base.vocabulary)
-    document_frequency = dict(base.document_frequency)
-    vector = {}
+    postings = dict(base.postings)
+    weights = []
     for term in new_terms:
         term_id = len(vocabulary)
         vocabulary[term] = term_id
-        document_frequency[term_id] = 1
-        vector[term_id] = math.log(frozen_n) + 1.0
+        weights.append(math.log(frozen_n) + 1.0)
+        postings[term_id] = (array("i", [frozen_n]), array("d", weights[-1:]))
     extended = TfidfIndex(
         vocabulary=vocabulary,
-        document_frequency=document_frequency,
-        doc_vectors=base.doc_vectors + (vector,),
-        doc_norms=base.doc_norms + (math.sqrt(sum(w * w for w in vector.values())),),
+        postings=postings,
+        doc_norms=base.doc_norms + (math.sqrt(sum(w * w for w in weights)),),
         corpus=base.corpus + (make_mcq(" ".join(new_terms), {"A": "x", "B": "y"}, "A"),),
     )
     monkeypatch.setattr(TfidfIndex, "n_documents", property(lambda self: frozen_n))
@@ -313,17 +320,63 @@ def test_save_load_round_trip(tmp_path):
     assert [(h.doc_id, h.score) for h in original] == [(h.doc_id, h.score) for h in replayed]
 
 
-def test_postings_stay_out_of_equality_and_the_saved_file(tmp_path):
-    index = build_index(corpus_of(["syncope workup", "orthostatic hypotension", "vasovagal episode"]))
-    before, after = tmp_path / "before.json", tmp_path / "after.json"
-    save_index(index, before)
-    loaded = load_index(before)
-    query(index, "syncope episode", k=3)
-    query(loaded, "hypotension", k=1)
-    assert "postings" in vars(index) and "postings" in vars(loaded)
-    assert loaded == index
-    save_index(index, after)
-    assert after.read_bytes() == before.read_bytes()
+def assert_format_1_and_2_files_agree(corpus, directory: Path) -> None:
+    """Both formats load to the built index, and format 2 round-trips byte
+    for byte from either, queries in between changing nothing."""
+    built = build_index(corpus)
+    v1, v2, again = directory / "v1.json", directory / "v2.json", directory / "again.json"
+    save_index_v1(built, v1)
+    save_index(built, v2)
+    from_v1, from_v2 = load_index(v1), load_index(v2)
+    assert json.loads(v1.read_bytes())["format_version"] == 1
+    assert json.loads(v2.read_bytes())["format_version"] == 2
+    assert from_v1 == from_v2 == built
+    save_index(from_v1, again)
+    assert again.read_bytes() == v2.read_bytes()
+    text = document_text(built.corpus[-1])
+    assert pairs(query(from_v1, text, k=3)) == pairs(query(from_v2, text, k=3)) == pairs(query(built, text, k=3))
+    save_index(from_v2, again)
+    assert again.read_bytes() == v2.read_bytes()
+
+
+def test_format_1_and_2_files_of_the_fixture_corpus_load_to_the_built_index(tmp_path):
+    corpus = parse_mcq_corpus(MCQ_CORPUS.read_text(encoding="utf-8"))
+    assert_format_1_and_2_files_agree(corpus, tmp_path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=st.lists(_DOC, min_size=1, max_size=12))
+def test_format_1_and_2_files_load_to_the_built_index_property(docs):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_format_1_and_2_files_agree(corpus_of(docs), Path(directory))
+
+
+def test_save_rejects_weights_that_are_not_counts_times_idf(tmp_path):
+    index = build_index(corpus_of(["syncope workup", "orthostatic hypotension"]))
+    ids, weights = index.postings[0]
+    index.postings[0] = (ids, array("d", [weights[0] * 1.5]))
+    path = tmp_path / "index.json"
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*term 0"):
+        save_index(index, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda p: p["doc_vectors"][0].update({"0": p["doc_vectors"][0]["0"] * 1.5}), "not whole counts"),
+        (lambda p: p["doc_vectors"][0].update({"9": 1.0}), "not in the vocabulary"),
+    ],
+    ids=["weight-not-a-count", "unknown-term"],
+)
+def test_load_rejects_a_format_1_file_unlike_any_built_index(tmp_path, edit, reason):
+    path = tmp_path / "index.json"
+    save_index_v1(build_index(corpus_of(["syncope workup", "orthostatic hypotension"])), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{reason}"):
+        load_index(path)
 
 
 def test_load_rejects_wrong_version(tmp_path):
