@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import corpus, optimize, pipelines, retrieval
 from .config import EngineConfig, load_config
@@ -30,6 +30,8 @@ from .errors import ConfigError, GatewayError, MedcorrError, ValidationError
 from .gateway import LiveBackend, LmGateway, ReplayBackend, ReplayCache
 from .metrics import ExternalScorer, ScoreReport, evaluate
 from .program import Program, program_from_json, program_to_json
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -141,8 +143,8 @@ def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
         path.write_bytes(data)
 
 
-def _parse_file(path: str, parse: Callable[[str], list]) -> list:
-    """``parse`` the text of the file at ``path``; a rejected record names the file."""
+def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` the text of the file at ``path``; a rejection names the file."""
     text = _read_text(path)
     try:
         return parse(text)
@@ -176,7 +178,7 @@ def _load_compiled_stage(compiled_dir: str | None, stage: str) -> Program | None
     path = Path(compiled_dir) / f"{stage}.json"
     if not path.exists():
         return None
-    return program_from_json(_read_text(path))
+    return _parse_file(path, program_from_json)
 
 
 def _load_pipeline(
@@ -334,7 +336,7 @@ def render_report(report: ScoreReport, format: str) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = ScoreReport.from_json(_read_text(args.input))
+    report = _parse_file(args.input, ScoreReport.from_json)
     rendered = render_report(report, args.format)
     if args.out:
         _write_outputs((args.out, rendered))

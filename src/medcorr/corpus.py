@@ -12,6 +12,8 @@ Canonical on-disk formats (see README for the full schemas):
   "answer": "A"}``.
 
 Gold sentence segmentation is authoritative: records are never re-segmented.
+Every file medcorr reads is a CSV table, JSON lines or a versioned JSON
+document, and each of the three shapes has its one reader here.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ValidationError
 from .na import NA, NAType, is_na, na_to_text, text_to_na
+
+_T = TypeVar("_T")
 
 CLINICAL_CSV_COLUMNS = (
     "record_id",
@@ -251,21 +255,8 @@ def parse_clinical_records(raw: bytes | str, format: str = "delimited-table") ->
 
 
 def _parse_clinical_csv(text: str) -> list[ClinicalRecord]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("clinical CSV is empty (missing header)") from None
-    if tuple(header) != CLINICAL_CSV_COLUMNS:
-        raise ValidationError(
-            f"clinical CSV header {header} does not match expected columns {list(CLINICAL_CSV_COLUMNS)}"
-        )
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CLINICAL_CSV_COLUMNS):
-            raise ValidationError(f"line {lineno}: expected {len(CLINICAL_CSV_COLUMNS)} columns, got {len(row)}")
+    for _, row in csv_rows(text, CLINICAL_CSV_COLUMNS, "clinical CSV"):
         record_id, note_text, sentences_json, flag_text, error_id_text, correction_text = row
         try:
             sentence_texts = json.loads(sentences_json)
@@ -281,15 +272,7 @@ def _parse_clinical_csv(text: str) -> list[ClinicalRecord]:
 
 def _parse_clinical_jsonl(text: str) -> list[ClinicalRecord]:
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValidationError(f"line {lineno}: expected a JSON object")
+    for lineno, obj in json_lines(text):
         known = {"record_id", "text", "sentences", "error_flag", "error_sentence_id", "corrected_sentence"}
         unknown = set(obj) - known
         if unknown:
@@ -316,24 +299,20 @@ def _parse_clinical_jsonl(text: str) -> list[ClinicalRecord]:
 def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = "delimited-table") -> str:
     """Inverse of :func:`parse_clinical_records` for the canonical schemas."""
     if format == "delimited-table":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CLINICAL_CSV_COLUMNS)
-        for r in records:
-            flag = "" if r.gold_flag is None else str(r.gold_flag)
-            error_id = "" if r.gold_error_sentence_id is None else str(r.gold_error_sentence_id)
-            correction = "" if r.gold_correction is None else na_to_text(r.gold_correction)
-            writer.writerow(
+        return csv_text(
+            CLINICAL_CSV_COLUMNS,
+            (
                 [
                     r.record_id,
                     r.full_text(),
                     json.dumps([s.text for s in r.sentences], ensure_ascii=False),
-                    flag,
-                    error_id,
-                    correction,
+                    "" if r.gold_flag is None else str(r.gold_flag),
+                    "" if r.gold_error_sentence_id is None else str(r.gold_error_sentence_id),
+                    "" if r.gold_correction is None else na_to_text(r.gold_correction),
                 ]
-            )
-        return out.getvalue()
+                for r in records
+            ),
+        )
     if format == "json-lines":
         lines = []
         for r in records:
@@ -353,8 +332,69 @@ def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = 
 
 def parse_mcq_corpus(raw: bytes | str) -> list[McqRecord]:
     """Parse an MCQ json-lines corpus, validating every record."""
-    text = _decode_utf8(raw)
     records = []
+    for lineno, obj in json_lines(_decode_utf8(raw)):
+        try:
+            records.append(mcq_from_object(obj))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+    return records
+
+
+def serialize_mcq_corpus(records: Iterable[McqRecord]) -> str:
+    lines = [json.dumps(mcq_to_object(r), ensure_ascii=False) for r in records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def mcq_from_object(obj: dict) -> McqRecord:
+    """The MCQ that one ``{"question", "options", "answer"}`` object holds."""
+    missing = {"question", "options", "answer"} - set(obj)
+    if missing:
+        raise ValidationError(f"missing keys {sorted(missing)}")
+    question, options, answer = obj["question"], obj["options"], obj["answer"]
+    if not isinstance(question, str) or not isinstance(answer, str) or not isinstance(options, dict):
+        raise ValidationError("malformed MCQ fields")
+    return McqRecord(question=question, options=tuple((k, str(v)) for k, v in options.items()), correct_label=answer)
+
+
+def mcq_to_object(record: McqRecord) -> dict:
+    """The object :func:`mcq_from_object` reads back."""
+    return {"question": record.question, "options": dict(record.options), "answer": record.correct_label}
+
+
+# --- the three file shapes: CSV tables, JSON lines, versioned JSON documents ---
+
+
+def csv_rows(text: str, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-empty rows of a CSV table whose header is exactly ``columns``,
+    each with its line number, counting the header as line 1."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{what} is empty (missing header)") from None
+    if tuple(header) != columns:
+        raise ValidationError(f"{what} header {header} does not match expected columns {list(columns)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise ValidationError(f"line {lineno}: expected {len(columns)} columns, got {len(row)}")
+        yield lineno, row
+
+
+def csv_text(columns: tuple[str, ...], rows: Iterable[list[str]]) -> str:
+    """A CSV table of ``columns`` and ``rows`` that :func:`csv_rows` reads back."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def json_lines(text: str) -> Iterator[tuple[int, dict]]:
+    """The JSON object on each non-blank line, with its line number. A line
+    that is not one JSON object, or that repeats a key, is rejected."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -362,54 +402,42 @@ def parse_mcq_corpus(raw: bytes | str) -> list[McqRecord]:
             obj = json.loads(line, object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-        except _DuplicateKey as exc:
-            raise ValidationError(f"line {lineno}: duplicate option label {exc.key!r}") from None
-        if not isinstance(obj, dict):
-            raise ValidationError(f"line {lineno}: expected a JSON object")
-        missing = {"question", "options", "answer"} - set(obj)
-        if missing:
-            raise ValidationError(f"line {lineno}: missing keys {sorted(missing)}")
-        question = obj["question"]
-        options = obj["options"]
-        answer = obj["answer"]
-        if not isinstance(question, str) or not isinstance(answer, str) or not isinstance(options, dict):
-            raise ValidationError(f"line {lineno}: malformed MCQ fields")
-        try:
-            records.append(
-                McqRecord(
-                    question=question,
-                    options=tuple((str(k), str(v)) for k, v in options.items()),
-                    correct_label=answer,
-                )
-            )
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-    return records
-
-
-class _DuplicateKey(Exception):
-    def __init__(self, key: str):
-        self.key = key
+        if not isinstance(obj, dict):
+            raise ValidationError(f"line {lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     out: dict[str, object] = {}
     for key, value in pairs:
         if key in out:
-            raise _DuplicateKey(key)
+            raise ValidationError(f"duplicate key {key!r}")
         out[key] = value
     return out
 
 
-def serialize_mcq_corpus(records: Iterable[McqRecord]) -> str:
-    lines = [
-        json.dumps(
-            {"question": r.question, "options": dict(r.options), "answer": r.correct_label},
-            ensure_ascii=False,
-        )
-        for r in records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def read_document(text: str, what: str, versions: tuple[int, ...], build: Callable[[int, dict], _T]) -> _T:
+    """``build(format_version, payload)`` of a JSON object whose integer
+    ``format_version`` is one of ``versions``; every error, ``build``'s
+    included, is a ``ValidationError`` naming ``what``."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    # A caller that passes a temporary, as load_index does, hands over the
+    # text's last reference, so a multi-megabyte index text is freed here.
+    del text
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{what} is not a JSON object")
+    version = payload.get("format_version")
+    if type(version) is not int or version not in versions:
+        raise ValidationError(f"{what} has unsupported format_version {version!r}")
+    try:
+        return build(version, payload)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
 def split_dataset(

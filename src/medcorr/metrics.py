@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
-from .corpus import ClinicalRecord
+from .corpus import ClinicalRecord, read_document
 from .errors import ValidationError
 from .na import NAType, is_na
 from .retrieval import tokenize
@@ -212,77 +212,54 @@ class ScoreReport:
     unavailable: tuple[str, ...]
     per_record: tuple[RecordScores, ...] = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "n_records": self.n_records,
-            "flag_accuracy": self.flag_accuracy,
-            "sentence_accuracy": self.sentence_accuracy,
-            "mean_rouge1_f": self.mean_rouge1_f,
-            "mean_rouge_l_f": self.mean_rouge_l_f,
-            "composite_means": dict(self.composite_means),
-            "unavailable": list(self.unavailable),
-            "per_record": [
-                {
-                    "record_id": row.record_id,
-                    "pred_flag": row.pred_flag,
-                    "gold_flag": row.gold_flag,
-                    "flag_correct": row.flag_correct,
-                    "pred_sentence_id": row.pred_sentence_id,
-                    "gold_sentence_id": row.gold_sentence_id,
-                    "sentence_correct": row.sentence_correct,
-                    "base_scores": dict(row.base_scores),
-                    "composites": dict(row.composites),
-                }
-                for row in self.per_record
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScoreReport":
-        if not isinstance(payload, dict):
-            raise ValidationError("malformed score report: not a JSON object")
-        version = payload.get("format_version")
-        if version != REPORT_FORMAT_VERSION:
-            raise ValidationError(f"unsupported report format_version {version!r}")
-        try:
-            rows = tuple(
-                RecordScores(
-                    record_id=row["record_id"],
-                    pred_flag=int(row["pred_flag"]),
-                    gold_flag=int(row["gold_flag"]),
-                    flag_correct=bool(row["flag_correct"]),
-                    pred_sentence_id=int(row["pred_sentence_id"]),
-                    gold_sentence_id=int(row["gold_sentence_id"]),
-                    sentence_correct=bool(row["sentence_correct"]),
-                    base_scores=dict(row["base_scores"]),
-                    composites=dict(row["composites"]),
-                )
-                for row in payload["per_record"]
-            )
-            return cls(
-                n_records=int(payload["n_records"]),
-                flag_accuracy=float(payload["flag_accuracy"]),
-                sentence_accuracy=float(payload["sentence_accuracy"]),
-                mean_rouge1_f=None if payload["mean_rouge1_f"] is None else float(payload["mean_rouge1_f"]),
-                mean_rouge_l_f=None if payload["mean_rouge_l_f"] is None else float(payload["mean_rouge_l_f"]),
-                composite_means=dict(payload["composite_means"]),
-                unavailable=tuple(payload["unavailable"]),
-                per_record=rows,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed score report: {exc}") from exc
+        payload = {"format_version": REPORT_FORMAT_VERSION, **asdict(self)}
+        return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ScoreReport":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"score report is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return read_document(text, "score report", (REPORT_FORMAT_VERSION,), cls._of_payload)
+
+    @classmethod
+    def _of_payload(cls, version: int, payload: dict) -> "ScoreReport":
+        fields = _typed(payload, _REPORT_TYPES)
+        if any(type(mean) not in _NUMBER for mean in fields["composite_means"].values()):
+            raise ValueError("a composite mean is not a number")
+        rows = tuple(RecordScores(**_typed(row, _ROW_TYPES)) for row in fields["per_record"])
+        return cls(**{**fields, "unavailable": tuple(fields["unavailable"]), "per_record": rows})
+
+
+_NUMBER = (int, float)
+_REPORT_TYPES = {
+    "n_records": (int,),
+    "flag_accuracy": _NUMBER,
+    "sentence_accuracy": _NUMBER,
+    "mean_rouge1_f": (*_NUMBER, type(None)),
+    "mean_rouge_l_f": (*_NUMBER, type(None)),
+    "composite_means": (dict,),
+    "unavailable": (list,),
+    "per_record": (list,),
+}
+_ROW_TYPES = {
+    "record_id": (str,),
+    "pred_flag": (int,),
+    "gold_flag": (int,),
+    "flag_correct": (bool,),
+    "pred_sentence_id": (int,),
+    "gold_sentence_id": (int,),
+    "sentence_correct": (bool,),
+    "base_scores": (dict,),
+    "composites": (dict,),
+}
+
+
+def _typed(obj: dict, types: dict[str, tuple[type, ...]]) -> dict:
+    """The fields that ``types`` names, each of an allowed type as parsed,
+    with no coercion: ``true`` is not an ``int`` and ``"false"`` no ``bool``."""
+    for name, allowed in types.items():
+        if type(obj[name]) not in allowed:
+            raise ValueError(f"{name} {obj[name]!r} is not of type {' or '.join(t.__name__ for t in allowed)}")
+    return {name: obj[name] for name in types}
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -15,15 +15,13 @@ stage-by-stage trace.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
-from .corpus import ClinicalRecord, McqRecord
+from .corpus import ClinicalRecord, McqRecord, csv_rows, csv_text
 from .errors import MedcorrError, PipelineStageError, ValidationError
 from .gateway import LmGateway
 from .metrics import rouge_l_f
@@ -519,32 +517,15 @@ def predict_batch(
 
 
 def serialize_predictions(predictions: Iterable[Prediction]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PREDICTIONS_CSV_COLUMNS)
-    for p in predictions:
-        writer.writerow(
-            [p.record_id, str(p.flag), str(p.error_sentence_id), na_to_text(p.corrected_sentence)]
-        )
-    return out.getvalue()
+    return csv_text(
+        PREDICTIONS_CSV_COLUMNS,
+        ([p.record_id, str(p.flag), str(p.error_sentence_id), na_to_text(p.corrected_sentence)] for p in predictions),
+    )
 
 
 def parse_predictions(text: str) -> list[Prediction]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("predictions file is empty (missing header)") from None
-    if tuple(header) != PREDICTIONS_CSV_COLUMNS:
-        raise ValidationError(
-            f"predictions header {header} does not match {list(PREDICTIONS_CSV_COLUMNS)}"
-        )
     predictions = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"line {lineno}: expected 4 columns, got {len(row)}")
+    for lineno, row in csv_rows(text, PREDICTIONS_CSV_COLUMNS, "predictions file"):
         record_id, flag_text, error_id_text, correction_text = row
         try:
             flag = int(flag_text)

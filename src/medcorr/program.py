@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
+from .corpus import read_document
 from .errors import CompletionParseError, ValidationError
 from .gateway import LmGateway, Message
 
@@ -240,8 +241,8 @@ def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway) -> Prog
         ) from None
 
 
-def program_to_dict(program: Program) -> dict:
-    return {
+def program_to_json(program: Program) -> str:
+    payload = {
         "format_version": PROGRAM_FORMAT_VERSION,
         "signature": {
             "name": program.signature.name,
@@ -260,14 +261,14 @@ def program_to_dict(program: Program) -> dict:
             for demo in program.demos
         ],
     }
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
 
 
-def program_from_dict(payload: dict) -> Program:
-    if not isinstance(payload, dict):
-        raise ValidationError("program file is not a JSON object")
-    version = payload.get("format_version")
-    if version != PROGRAM_FORMAT_VERSION:
-        raise ValidationError(f"unsupported program format_version {version!r}")
+def program_from_json(text: str) -> Program:
+    return read_document(text, "program file", (PROGRAM_FORMAT_VERSION,), _program_of)
+
+
+def _program_of(version: int, payload: dict) -> Program:
     sig = payload["signature"]
     signature = Signature(
         name=sig["name"],
@@ -289,18 +290,3 @@ def program_from_dict(payload: dict) -> Program:
         demos=demos,
         compiled_instruction=payload.get("compiled_instruction"),
     )
-
-
-def program_to_json(program: Program) -> str:
-    return json.dumps(program_to_dict(program), ensure_ascii=False, indent=2, sort_keys=True)
-
-
-def program_from_json(text: str) -> Program:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"program file is not valid JSON: {exc}") from exc
-    try:
-        return program_from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"program file is missing required fields: {exc}") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .corpus import McqRecord
+from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document
 from .errors import ValidationError
 
 INDEX_FORMAT_VERSION = 2
@@ -153,10 +153,7 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
         "vocabulary": index.vocabulary,
         "postings": postings,
         "doc_norms": list(index.doc_norms),
-        "corpus": [
-            {"question": r.question, "options": dict(r.options), "answer": r.correct_label}
-            for r in index.corpus
-        ],
+        "corpus": [mcq_to_object(r) for r in index.corpus],
     }
     # Encoded before the file is opened: a text UTF-8 cannot carry fails
     # here and leaves an existing file as it was.
@@ -171,36 +168,29 @@ def load_index(path: str | Path) -> TfidfIndex:
     """Read an index file of format 2, or of format 1, which stored each
     document's weights instead of postings of counts."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read index file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"index file {path} is not a JSON object")
-    version = payload.get("format_version")
-    if version not in (1, INDEX_FORMAT_VERSION):
-        raise ValidationError(f"index file {path} has unsupported format_version {version!r}")
-    try:
-        corpus = tuple(
-            McqRecord(
-                question=obj["question"],
-                options=tuple((str(k), str(v)) for k, v in obj["options"].items()),
-                correct_label=obj["answer"],
-            )
-            for obj in payload["corpus"]
+        return read_document(
+            Path(path).read_text(encoding="utf-8"), f"index file {path}", (1, INDEX_FORMAT_VERSION), _index_of
         )
-        vocabulary = {str(k): int(v) for k, v in payload["vocabulary"].items()}
-        if sorted(vocabulary.values()) != list(range(len(vocabulary))):
-            raise ValueError("the vocabulary's term ids are not 0 to its size - 1")
-        if version == INDEX_FORMAT_VERSION:
-            counted = payload["postings"]
-        else:
-            counted = _counts_of_v1(payload, len(vocabulary), len(corpus))
-        postings = _weighted_postings(counted, len(vocabulary), len(corpus))
-        doc_norms = tuple(float(x) for x in payload["doc_norms"])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
-        raise ValidationError(f"malformed index file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read index file {path}: {exc}") from exc
+
+
+def _index_of(version: int, payload: dict) -> TfidfIndex:
+    corpus = tuple(map(mcq_from_object, payload["corpus"]))
+    vocabulary = payload["vocabulary"]
+    term_ids = sorted(vocabulary.values())
+    if set(map(type, term_ids)) - {int} or term_ids != list(range(len(term_ids))):
+        raise ValueError("the vocabulary's term ids are not the integers 0 to its size - 1")
+    if version == INDEX_FORMAT_VERSION:
+        counted = payload["postings"]
+    else:
+        counted = _counts_of_v1(payload, len(vocabulary), len(corpus))
+    postings = _weighted_postings(counted, len(vocabulary), len(corpus))
+    doc_norms = tuple(payload["doc_norms"])
+    if set(map(type, doc_norms)) - {int, float}:
+        raise ValueError("a doc norm is not a number")
     if len(doc_norms) != len(corpus):
-        raise ValidationError(f"malformed index file {path}: corpus and doc_norms differ in length")
+        raise ValueError("corpus and doc_norms differ in length")
     return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=doc_norms, corpus=corpus)
 
 

@@ -50,6 +50,21 @@ def make_mcq(question: str, options: dict[str, str], answer: str) -> McqRecord:
     return McqRecord(question=question, options=tuple(options.items()), correct_label=answer)
 
 
+def report_payload(**row_fields) -> str:
+    """A one-record score report file, its record's fields overridden."""
+    row = {
+        "record_id": "r1", "pred_flag": 0, "gold_flag": 0, "flag_correct": True,
+        "pred_sentence_id": -1, "gold_sentence_id": -1, "sentence_correct": True,
+        "base_scores": {"rouge1_f": None, "rouge_l_f": None}, "composites": {"rouge1_f": 1.0, "rouge_l_f": 1.0},
+    }
+    report = {
+        "format_version": 1, "n_records": 1, "flag_accuracy": 1.0, "sentence_accuracy": 1.0,
+        "mean_rouge1_f": None, "mean_rouge_l_f": None, "composite_means": {"rouge1_f": 1.0, "rouge_l_f": 1.0},
+        "unavailable": [], "per_record": [{**row, **row_fields}],
+    }
+    return json.dumps(report)
+
+
 # --- prompt introspection -------------------------------------------------------
 
 # Stage programs are identified by their declared output field, whose label is

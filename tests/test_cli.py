@@ -13,9 +13,10 @@ from medcorr.corpus import parse_clinical_records
 from medcorr.gateway import LmGateway, ReplayCache, ScriptedBackend
 from medcorr.metrics import ScoreReport
 from medcorr.optimize import compile_uw_pipeline
-from medcorr.pipelines import default_uw_pipeline, parse_predictions, serialize_predictions, Prediction
+from medcorr.pipelines import default_uw_pipeline, parse_predictions, serialize_predictions, uw_detect_program, Prediction
+from medcorr.program import program_to_json
 
-from helpers import uw_gold_responder
+from helpers import report_payload, uw_gold_responder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RECORDS_CSV = FIXTURES / "clinical_10.csv"
@@ -361,11 +362,23 @@ def assert_one_error_line(result: subprocess.CompletedProcess) -> None:
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
-@pytest.mark.parametrize("payload", ["[1, 2]", '"report"', "null"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[1, 2]",
+        '"report"',
+        "null",
+        pytest.param(report_payload(pred_flag=float("inf")), id="pred-flag-infinity"),
+        pytest.param(report_payload().replace('"composite_means": {"rouge1_f": 1.0', '"composite_means": {"rouge1_f": "x"'),
+                     id="composite-mean-a-string"),
+    ],
+)
 def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, payload):
     bad = tmp_path / "bad.json"
     bad.write_text(payload, encoding="utf-8")
-    assert_one_error_line(run_cli_process(["report", "--in", str(bad)]))
+    result = run_cli_process(["report", "--in", str(bad)])
+    assert_one_error_line(result)
+    assert str(bad) in result.stderr
 
 
 _MCQ = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, "answer": "A"}
@@ -408,6 +421,10 @@ def two_document_index_payload(first_posting: list) -> str:
         pytest.param(v1_index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-vectors"),
         pytest.param(v1_index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-vectors"),
         pytest.param(v1_index_payload(document_frequency={"0": 0, "1": 1, "2": 1}), id="df-zero"),
+        pytest.param(v1_index_payload(format_version=True), id="format-version-true"),
+        pytest.param(index_payload(format_version=2.0), id="format-version-a-float"),
+        pytest.param(index_payload(vocabulary={"of": 0, "the": "1", "with": 2}), id="vocabulary-id-a-string"),
+        pytest.param(index_payload(doc_norms=["1.7"]), id="norm-a-string"),
         pytest.param(index_payload(postings=[[[1], [1]], [[0], [1]], [[0], [1]]]), id="doc-id-out-of-range"),
         pytest.param(two_document_index_payload([[1, 0], [1, 1]]), id="doc-ids-not-ascending"),
         pytest.param(index_payload(postings=[[[0], [1.5]], [[0], [1]], [[0], [1]]]), id="count-not-an-integer"),
@@ -430,15 +447,38 @@ def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, pa
     assert not (tmp_path / "p.csv").exists()
 
 
-def test_predict_with_a_non_object_compiled_stage_exits_one_without_traceback(tmp_path):
+def detect_program_payload(**fields) -> str:
+    return json.dumps({**json.loads(program_to_json(uw_detect_program())), **fields})
+
+
+def assert_compiled_stage_rejected(tmp_path: Path, payload: str) -> None:
     compiled = tmp_path / "compiled"
     compiled.mkdir()
-    (compiled / "detect.json").write_text("[1]", encoding="utf-8")
+    (compiled / "detect.json").write_text(payload, encoding="utf-8")
     result = run_cli_process(
         ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--compiled", str(compiled),
          "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
     )
     assert_one_error_line(result)
+    assert str(compiled / "detect.json") in result.stderr
+
+
+def test_predict_with_a_non_object_compiled_stage_exits_one_without_traceback(tmp_path):
+    assert_compiled_stage_rejected(tmp_path, "[1]")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(
+            detect_program_payload(demos=[{"input_values": [[1, 2, 3]], "output_values": {}}]),
+            id="demo-input-values-a-nested-list",
+        ),
+        pytest.param(detect_program_payload(format_version=True), id="format-version-true"),
+    ],
+)
+def test_predict_with_a_malformed_compiled_stage_exits_one_without_traceback(tmp_path, payload):
+    assert_compiled_stage_rejected(tmp_path, payload)
 
 
 @pytest.mark.parametrize("strict", [False, True])

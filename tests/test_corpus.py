@@ -144,6 +144,29 @@ def test_parse_jsonl_unknown_key():
         parse_clinical_records(raw, format="json-lines")
 
 
+@pytest.mark.parametrize(
+    "parse, raw, key",
+    [
+        pytest.param(
+            lambda raw: parse_clinical_records(raw, format="json-lines"),
+            b'{"record_id": "a", "sentences": ["X."]}\n{"record_id": "b", "record_id": "c", "sentences": ["Y."]}\n',
+            "record_id",
+            id="clinical",
+        ),
+        pytest.param(
+            parse_mcq_corpus,
+            b'{"question": "q", "options": {"A": "x", "B": "y"}, "answer": "A"}\n'
+            b'{"question": "q", "question": "r", "options": {"A": "x", "B": "y"}, "answer": "A"}\n',
+            "question",
+            id="mcq",
+        ),
+    ],
+)
+def test_json_lines_reject_a_repeated_key_naming_the_line(parse, raw, key):
+    with pytest.raises(ValidationError, match=f"^line 2: duplicate key '{key}'$"):
+        parse(raw)
+
+
 def test_round_trip_both_formats():
     records = [
         record_with_error("a", ["Alpha one.", "Alpha two."], 1, "Alpha two fixed."),

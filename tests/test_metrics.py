@@ -21,7 +21,7 @@ from medcorr.na import NA
 from medcorr.pipelines import Prediction
 from medcorr.retrieval import tokenize
 
-from helpers import record_no_error, record_with_error, scripted_http_server
+from helpers import record_no_error, record_with_error, report_payload, scripted_http_server
 from oracles import rouge1_oracle, rouge_l_oracle
 
 _VOCAB = "pain chest aspirin fever cough dose renal note left right acute mild".split()
@@ -268,6 +268,14 @@ def test_evaluate_report_json_round_trip():
     report = evaluate(perfect_predictions(golds), golds)
     text = report.to_json()
     assert ScoreReport.from_json(text) == report
+
+
+@pytest.mark.parametrize("field", ["flag_correct", "sentence_correct"])
+def test_report_json_rejects_a_string_where_a_bool_belongs(field):
+    assert ScoreReport.from_json(report_payload()).per_record[0].flag_correct is True
+    # bool("false") is True: a coerced field would read the opposite of the file
+    with pytest.raises(ValidationError, match=f"malformed score report: {field} 'false'"):
+        ScoreReport.from_json(report_payload(**{field: "false"}))
 
 
 def test_evaluate_requires_labeled_golds():
