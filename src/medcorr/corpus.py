@@ -259,7 +259,7 @@ def _parse_clinical_csv(text: str) -> list[ClinicalRecord]:
     for _, row in csv_rows(text, CLINICAL_CSV_COLUMNS, "clinical CSV"):
         record_id, note_text, sentences_json, flag_text, error_id_text, correction_text = row
         try:
-            sentence_texts = json.loads(sentences_json)
+            sentence_texts = json_loads(sentences_json)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"record {record_id!r}: sentences_json is not valid JSON: {exc}") from exc
         if not isinstance(sentence_texts, list) or not all(isinstance(s, str) for s in sentence_texts):
@@ -283,13 +283,17 @@ def _parse_clinical_jsonl(text: str) -> list[ClinicalRecord]:
             raise ValidationError(f"line {lineno}: record_id must be a string")
         if not isinstance(sentence_texts, list) or not all(isinstance(s, str) for s in sentence_texts):
             raise ValidationError(f"record {record_id!r}: sentences must be an array of strings")
+        note_text = obj.get("text", "")
+        if not isinstance(note_text, str):
+            raise ValidationError(f"line {lineno}: text must be a string")
+        correction = obj.get("corrected_sentence")
+        if correction is not None and not isinstance(correction, str):
+            raise ValidationError(f"line {lineno}: corrected_sentence must be a string or null")
+        correction_text = "" if correction is None else correction
         flag = obj.get("error_flag")
         flag_text = "" if flag is None else str(flag)
         error_id = obj.get("error_sentence_id")
         error_id_text = "" if error_id is None else str(error_id)
-        correction = obj.get("corrected_sentence")
-        correction_text = "" if correction is None else str(correction)
-        note_text = str(obj.get("text", ""))
         records.append(
             _record_from_parts(record_id, note_text, sentence_texts, flag_text, error_id_text, correction_text)
         )
@@ -399,7 +403,7 @@ def json_lines(text: str) -> Iterator[tuple[int, dict]]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line, object_pairs_hook=_reject_duplicate_keys)
+            obj = json_loads(line, object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
         except ValidationError as exc:
@@ -407,6 +411,15 @@ def json_lines(text: str) -> Iterator[tuple[int, dict]]:
         if not isinstance(obj, dict):
             raise ValidationError(f"line {lineno}: expected a JSON object")
         yield lineno, obj
+
+
+def json_loads(text: str | bytes, **options) -> object:
+    """``json.loads``, except that nesting too deep for the decoder is a
+    ``JSONDecodeError`` like any other undecodable text."""
+    try:
+        return json.loads(text, **options)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", "", 0) from None
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -423,7 +436,7 @@ def read_document(text: str, what: str, versions: tuple[int, ...], build: Callab
     ``format_version`` is one of ``versions``; every error, ``build``'s
     included, is a ``ValidationError`` naming ``what``."""
     try:
-        payload = json.loads(text)
+        payload = json_loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     # A caller that passes a temporary, as load_index does, hands over the

@@ -22,6 +22,7 @@ from typing import Callable, Protocol
 
 import requests
 
+from .corpus import json_loads
 from .errors import CacheMissError, LiveRequestError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -124,7 +125,7 @@ class ReplayCache:
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                entry = json_loads(line)
                 response = entry["response"]
                 if not isinstance(response["text"], str):
                     raise TypeError(f"response text is {type(response['text']).__name__}, not a string")
@@ -304,7 +305,7 @@ class LiveBackend:
                 completion_tokens=int(usage.get("completion_tokens", 0)),
                 backend_tag=self.tag,
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise LiveRequestError(
                 f"malformed chat completion response: {exc}", status=http.status_code,
                 body_excerpt=http.text[:200],

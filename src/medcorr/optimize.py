@@ -10,6 +10,10 @@ is intentionally not reproduced. Both pipelines compile through it: ``uw``
 adds LM-proposed instructions, ``ms`` keeps each stage's own instruction.
 ``random_search_compile`` is the same search over pools the caller holds.
 
+The bootstrap, the instruction proposals and the search keep up to
+``gateway.concurrency`` requests in flight and take results in a fixed
+order, so calls, programs and reports do not depend on the concurrency.
+
 Localization and correction compiles must only ever see error-containing
 records; use :func:`error_records` when assembling their train/val sets.
 Both pipeline compilers check that there are some before their first call.
@@ -128,8 +132,15 @@ def bootstrap_demos(
     """Capture per-stage demos from passing zero-shot traces.
 
     All target stages are captured simultaneously from the same pipeline
-    run. Iteration follows a seeded shuffle of the training set and stops
-    once every pool holds ``max_demos`` demos.
+    run. Records are taken in a seeded shuffle of the training set until
+    every pool holds ``max_demos`` demos. They are predicted in waves of
+    ``min(gateway.concurrency, need)`` concurrent records, ``need`` being
+    the most demos any pool still lacks, and accepted in shuffled order.
+    A trace holds each stage at most once, so a record adds at most one
+    demo to each pool and no wave reaches past the record where a
+    one-at-a-time loop would stop: the predicted records, the backend
+    calls and the pools are the same at any concurrency. The first
+    exception in shuffled order propagates.
     """
     if max_demos < 1:
         raise ValidationError(f"max_demos must be >= 1, got {max_demos}")
@@ -143,23 +154,30 @@ def bootstrap_demos(
     order = list(trainset)
     random.Random(seed).shuffle(order)
     pools: dict[str, list[Demo]] = {stage: [] for stage in target_stages}
-    for record in order:
-        if all(len(pool) >= max_demos for pool in pools.values()):
+    start = 0
+    while start < len(order):
+        need = max((max_demos - len(pool) for pool in pools.values()), default=0)
+        if need <= 0:
             break
-        prediction, score = _predict_scored(pipeline, record, metric, gateway)
-        if prediction is None or score < metric.pass_threshold:
-            continue
-        for stage_trace in prediction.trace:
-            pool = pools.get(stage_trace.stage)
-            if pool is None or len(pool) >= max_demos:
+        wave = order[start : start + min(gateway.concurrency, need)]
+        start += len(wave)
+        outcomes = map_ordered(
+            lambda record: _predict_scored(pipeline, record, metric, gateway), wave, gateway.concurrency
+        )
+        for record, (prediction, score) in zip(wave, outcomes):
+            if prediction is None or score < metric.pass_threshold:
                 continue
-            pool.append(
-                Demo(
-                    input_values=dict(stage_trace.inputs),
-                    output_values=dict(stage_trace.outputs),
-                    source_record_id=record.record_id,
+            for stage_trace in prediction.trace:
+                pool = pools.get(stage_trace.stage)
+                if pool is None or len(pool) >= max_demos:
+                    continue
+                pool.append(
+                    Demo(
+                        input_values=dict(stage_trace.inputs),
+                        output_values=dict(stage_trace.outputs),
+                        source_record_id=record.record_id,
+                    )
                 )
-            )
     for stage, pool in pools.items():
         if not pool:
             logger.warning(
@@ -362,13 +380,15 @@ def propose_instructions(
     gateway: LmGateway,
     n_proposals: int = DEFAULT_N_PROPOSALS,
 ) -> list[str]:
-    """LM-written instruction candidates; the original is always proposal 0."""
+    """LM-written instruction candidates; the original is always proposal 0.
+
+    The ``n_proposals`` calls run concurrently; answers are deduplicated in
+    variant order, so the list does not depend on completion order."""
     if n_proposals < 1:
         raise ValidationError(f"n_proposals must be >= 1, got {n_proposals}")
     template = _PROPOSAL_TEMPLATE.read_text(encoding="utf-8")
-    proposals = [signature.instruction]
-    for variant in range(1, n_proposals + 1):
-        prompt = template.format(
+    prompts = [
+        template.format(
             name=signature.name,
             instruction=signature.instruction,
             input_fields="\n".join(f"- {field_label(f.name)}: {f.description}" for f in signature.inputs),
@@ -376,7 +396,13 @@ def propose_instructions(
             demos=_render_demo_lines(signature, sample_demos),
             variant=variant,
         )
-        text = gateway.complete_messages([Message("user", prompt)]).text.strip()
+        for variant in range(1, n_proposals + 1)
+    ]
+    texts = map_ordered(
+        lambda prompt: gateway.complete_messages([Message("user", prompt)]).text.strip(), prompts, gateway.concurrency
+    )
+    proposals = [signature.instruction]
+    for text in texts:
         if text and text not in proposals:
             proposals.append(text)
     if len(proposals) == 1:

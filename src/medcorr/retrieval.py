@@ -233,9 +233,13 @@ def _counts_of_v1(payload: dict, n_terms: int, n_documents: int) -> list[list[li
             term_id = int(key)
             if not 0 <= term_id < n_terms:
                 raise ValueError(f"document {doc_id} carries term id {term_id}, which is not in the vocabulary")
+            if type(weight) not in (int, float):
+                raise ValueError(f"document {doc_id} has a weight that is not a number")
             by_term[term_id][0].append(doc_id)
-            by_term[term_id][1].append(float(weight))
-    document_frequency = {int(k): int(v) for k, v in payload["document_frequency"].items()}
+            by_term[term_id][1].append(weight)
+    document_frequency = {int(k): v for k, v in payload["document_frequency"].items()}
+    if set(map(type, document_frequency.values())) - {int}:
+        raise ValueError("a document_frequency is not an integer")
     counted = []
     for term_id, (ids, weights) in enumerate(by_term):
         if document_frequency.get(term_id) != len(ids):

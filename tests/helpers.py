@@ -360,7 +360,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
         status, payload = self.server.script(self.path, body)  # type: ignore[attr-defined]
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -373,7 +373,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
 @contextmanager
 def scripted_http_server(script: Callable[[str, bytes], tuple[int, dict]]):
-    """Serve POSTs on a loopback port; ``script(path, body) -> (status, payload)``."""
+    """Serve POSTs on a loopback port; ``script(path, body) -> (status, payload)``,
+    a payload of bytes sent as it is and any other as JSON."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script = script  # type: ignore[attr-defined]
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)

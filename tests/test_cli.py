@@ -371,6 +371,7 @@ def assert_one_error_line(result: subprocess.CompletedProcess) -> None:
         pytest.param(report_payload(pred_flag=float("inf")), id="pred-flag-infinity"),
         pytest.param(report_payload().replace('"composite_means": {"rouge1_f": 1.0', '"composite_means": {"rouge1_f": "x"'),
                      id="composite-mean-a-string"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, payload):
@@ -422,6 +423,9 @@ def two_document_index_payload(first_posting: list) -> str:
         pytest.param(v1_index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-vectors"),
         pytest.param(v1_index_payload(document_frequency={"0": 0, "1": 1, "2": 1}), id="df-zero"),
         pytest.param(v1_index_payload(format_version=True), id="format-version-true"),
+        pytest.param(v1_index_payload(document_frequency={"0": "1", "1": 1, "2": 1}), id="df-a-string"),
+        pytest.param(v1_index_payload(document_frequency={"0": True, "1": 1, "2": 1}), id="df-a-bool"),
+        pytest.param(v1_index_payload(doc_vectors=[{"0": "1.0", "1": 1.0, "2": 1.0}]), id="weight-a-string"),
         pytest.param(index_payload(format_version=2.0), id="format-version-a-float"),
         pytest.param(index_payload(vocabulary={"of": 0, "the": "1", "with": 2}), id="vocabulary-id-a-string"),
         pytest.param(index_payload(doc_norms=["1.7"]), id="norm-a-string"),

@@ -10,6 +10,7 @@ from medcorr.corpus import (
     Sentence,
     parse_clinical_records,
     parse_mcq_corpus,
+    read_document,
     serialize_clinical_records,
     serialize_mcq_corpus,
     split_dataset,
@@ -165,6 +166,60 @@ def test_parse_jsonl_unknown_key():
 def test_json_lines_reject_a_repeated_key_naming_the_line(parse, raw, key):
     with pytest.raises(ValidationError, match=f"^line 2: duplicate key '{key}'$"):
         parse(raw)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder can recurse
+
+
+@pytest.mark.parametrize(
+    "parse, raw, where",
+    [
+        pytest.param(
+            lambda raw: parse_clinical_records(raw, format="json-lines"),
+            '{"record_id": "a", "sentences": ["X."]}\n' + DEEP + "\n", "^line 2: invalid JSON: nesting too deep",
+            id="clinical-json-lines",
+        ),
+        pytest.param(parse_mcq_corpus, "\n" + DEEP + "\n", "^line 2: invalid JSON: nesting too deep", id="mcq"),
+        pytest.param(
+            parse_clinical_records,
+            # half as deep: the CSV reader caps a field at 131,072 characters
+            csv_of(f'r1,X.,"{DEEP[49_999:150_001]}",0,-1,NA'),
+            "^record 'r1': sentences_json is not valid JSON: nesting too deep",
+            id="csv-sentences_json",
+        ),
+        pytest.param(
+            lambda raw: read_document(raw, "score report", (1,), lambda version, payload: payload), DEEP,
+            "^score report is not valid JSON: nesting too deep", id="versioned-document",
+        ),
+    ],
+)
+def test_json_nested_too_deep_is_a_validation_error_naming_where(parse, raw, where):
+    with pytest.raises(ValidationError, match=where):
+        parse(raw)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("text", 5, "text must be a string", id="text-a-number"),
+        pytest.param("text", None, "text must be a string", id="text-null"),
+        pytest.param("corrected_sentence", 7, "corrected_sentence must be a string or null", id="correction-a-number"),
+        pytest.param("corrected_sentence", ["Two fixed."], "corrected_sentence must be a string or null",
+                     id="correction-a-list"),
+    ],
+)
+def test_parse_jsonl_rejects_a_text_that_is_not_a_string_naming_the_line(field, value, message):
+    obj = {"record_id": "a", "text": "One. Two.", "sentences": ["One.", "Two."],
+           "error_flag": 1, "error_sentence_id": 1, "corrected_sentence": "Two fixed."}
+    raw = '{"record_id": "z", "sentences": ["Z."]}\n' + json.dumps({**obj, field: value}) + "\n"
+    with pytest.raises(ValidationError, match=f"^line 2: {message}$"):
+        parse_clinical_records(raw, format="json-lines")
+
+
+def test_parse_jsonl_takes_a_null_correction_as_absent():
+    raw = '{"record_id": "a", "sentences": ["One."], "corrected_sentence": null}\n'
+    (record,) = parse_clinical_records(raw, format="json-lines")
+    assert record.gold_correction is None and not record.labeled
 
 
 def test_round_trip_both_formats():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -253,6 +254,14 @@ def test_cache_rejects_malformed_line_mid_file(tmp_path):
         ReplayCache(path)
 
 
+def test_cache_rejects_a_line_nested_too_deep_naming_the_file_and_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = cache_line(fixture_request(), "one")
+    path.write_text(f'{good}\n{"[" * 100_000}{"]" * 100_000}\n{good}\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^cache file {re.escape(str(path))} line 2 is malformed: nesting too deep"):
+        ReplayCache(path)
+
+
 @pytest.mark.parametrize("text", [5, None, ["one"]])
 def test_cache_rejects_non_string_response_text_mid_file(tmp_path, text):
     path = tmp_path / "cache.jsonl"
@@ -356,6 +365,21 @@ def test_live_non_transient_error_is_immediate_with_excerpt():
     assert len(calls) == 1
     assert exc_info.value.status == 400
     assert "bad request body" in exc_info.value.body_excerpt
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"choices": []}, id="no-choice"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep"),
+    ],
+)
+def test_live_malformed_response_is_a_live_request_error(payload):
+    with scripted_http_server(lambda path, body: (200, payload)) as base_url:
+        backend = LiveBackend(base_url, sleeper=no_sleep)
+        with pytest.raises(LiveRequestError, match="^malformed chat completion response") as exc_info:
+            backend.complete(fixture_request())
+    assert exc_info.value.status == 200
 
 
 def test_live_sends_bearer_auth_and_path(tmp_path):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import logging
+import random
 import re
+import threading
+from collections import Counter
 
 import pytest
 
-from medcorr.errors import ValidationError
-from medcorr.gateway import LmGateway, ReplayBackend, ReplayCache, ScriptedBackend
+from medcorr.errors import GatewayError, LiveRequestError, ValidationError
+from medcorr.gateway import LmGateway, ReplayBackend, ReplayCache, ScriptedBackend, canonical_key
 from medcorr.optimize import (
     Candidate,
     CompileReport,
@@ -28,6 +31,7 @@ from medcorr.retrieval import build_index
 from helpers import (
     PROPOSAL_MARKER,
     SamplingBackend,
+    find_by_text,
     live_block,
     magic_demo_setup,
     ms_gold_responder,
@@ -150,6 +154,62 @@ def test_bootstrap_propagates_gateway_errors_with_record_id():
         bootstrap_demos(default_uw_pipeline(), records, flag_match_metric(), 5, gateway, seed=0)
 
 
+def detect_overridden_gateway(records, override, **options):
+    """A gold-scripted ``uw`` gateway that answers ``detect`` for a record
+    with ``override(record)`` unless that is None, and the canonical keys of
+    the requests its backend was sent."""
+    gold = uw_gold_responder(records)
+    by_first = {r.sentences[0].text: r for r in records}
+    sent = []
+
+    def respond(request):
+        sent.append(canonical_key(request))
+        if PROPOSAL_MARKER not in request.messages[-1].content and stage_of(request) == "detect":
+            answer = override(find_by_text(live_block(request), by_first))
+            if answer is not None:
+                return answer
+        return gold(request)
+
+    return LmGateway(backend=ScriptedBackend(respond), **options), sent
+
+
+def wrong_flag_for(failing_ids):
+    return lambda record: "Rationale: r.\nError Flag: 9" if record.record_id in failing_ids else None
+
+
+@pytest.mark.parametrize("max_demos", [1, 4, 40])
+def test_bootstrap_pools_and_requests_do_not_depend_on_concurrency(max_demos):
+    # Flag-0 records add only a detect demo and every third record fails, so
+    # the pools fill at different rates and the stopping record matters.
+    records = synth_uw_records(24)
+    failing = wrong_flag_for({r.record_id for r in records[::3]})
+    pools, requests = [], []
+    for concurrency in (1, 3, 8):
+        gateway, sent = detect_overridden_gateway(records, failing, concurrency=concurrency)
+        pools.append(bootstrap_demos(default_uw_pipeline(), records, flag_match_metric(), max_demos, gateway, seed=7))
+        requests.append(Counter(sent))
+    assert pools[0]["correct"] and pools[0]["detect"]
+    assert pools[0] == pools[1] == pools[2]
+    assert requests[0] == requests[1] == requests[2]
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_bootstrap_raises_the_first_gateway_error_in_shuffled_order(concurrency):
+    records = synth_uw_records(12)
+    order = list(records)
+    random.Random(5).shuffle(order)
+    broken = {r.record_id for r in order[2:4]}  # at concurrency 4 both are in the first wave
+
+    def fail(record):
+        if record.record_id in broken:
+            raise LiveRequestError(f"backend down for {record.record_id}")
+        return None
+
+    gateway, _ = detect_overridden_gateway(records, fail, concurrency=concurrency)
+    with pytest.raises(GatewayError, match=f"record {order[2].record_id!r}: backend down for {order[2].record_id}"):
+        bootstrap_demos(default_uw_pipeline(), records, flag_match_metric(), 20, gateway, seed=5)
+
+
 def test_bootstrap_validates_inputs():
     records = synth_uw_records(2)
     gateway = gold_gateway(records)
@@ -268,6 +328,22 @@ def test_propose_instructions_three_distinct():
     proposals = propose_instructions(detect_signature(), [], gateway, n_proposals=3)
     assert len(proposals) == 4
     assert proposals[0] == detect_signature().instruction
+
+
+def test_propose_instructions_overlaps_its_calls_and_keeps_variant_order():
+    # variant 1 can only answer once variant 2 has been sent
+    second_sent = threading.Event()
+
+    def respond(request):
+        variant = request.messages[-1].content.rsplit("variant ", 1)[1].split()[0]
+        if variant == "1":
+            return "First instruction." if second_sent.wait(timeout=10) else "Variant 2 never ran alongside."
+        second_sent.set()
+        return "Second instruction."
+
+    gateway = LmGateway(backend=ScriptedBackend(respond), concurrency=2)
+    proposals = propose_instructions(detect_signature(), [], gateway, n_proposals=2)
+    assert proposals == [detect_signature().instruction, "First instruction.", "Second instruction."]
 
 
 def test_propose_instructions_dedupes_echo(caplog):
@@ -562,6 +638,36 @@ def test_compile_outputs_do_not_depend_on_concurrency():
         )
     assert for_uw[0] == for_uw[1]
     assert for_ms[0] == for_ms[1]
+
+
+@pytest.mark.parametrize("name", ["ms", "uw"])
+def test_a_compile_recorded_at_concurrency_one_replays_at_eight(tmp_path, name):
+    cache = ReplayCache(tmp_path / "cache.jsonl")
+    if name == "uw":
+        records = synth_uw_records(10)
+        failing = wrong_flag_for({records[2].record_id, records[5].record_id})
+        live_gateway, _ = detect_overridden_gateway(records, failing, cache=cache, record=True, concurrency=1)
+
+        def compile_with(gateway):
+            return compile_uw(records, gateway)
+    else:
+        records, corpus, asserted = synth_ms_dataset(10)
+        index = build_index(corpus)
+        live_gateway = LmGateway(
+            backend=ScriptedBackend(ms_gold_responder(records, asserted)), cache=cache, record=True, concurrency=1
+        )
+
+        def compile_with(gateway):
+            return compile_outputs(
+                *compile_ms_pipeline(
+                    default_ms_pipeline(index), records[:6], records[6:], gateway,
+                    seed=5, n_candidates=4, demos_per_stage=2,
+                )
+            )
+
+    live = compile_with(live_gateway)
+    replayed = compile_with(LmGateway(backend=ReplayBackend(ReplayCache(cache.path)), concurrency=8))
+    assert replayed == live
 
 
 def test_compile_ms_pipeline_honours_a_demo_cap_above_twenty():
