@@ -371,20 +371,30 @@ def mcq_to_object(record: McqRecord) -> dict:
 
 def csv_rows(text: str, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
     """The non-empty rows of a CSV table whose header is exactly ``columns``,
-    each with its line number, counting the header as line 1."""
+    each with the number of the line it starts on, the header being line 1.
+    A quoted field may span lines; a malformed row is a ValidationError
+    naming its line."""
+    # No field is longer than its text. The limit is process-wide and this
+    # only ever raises it.
+    csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     reader = csv.reader(io.StringIO(text))
+    end = 0  # the last line of the row read before
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{what} is empty (missing header)") from None
-    if tuple(header) != columns:
-        raise ValidationError(f"{what} header {header} does not match expected columns {list(columns)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise ValidationError(f"line {lineno}: expected {len(columns)} columns, got {len(row)}")
-        yield lineno, row
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{what} is empty (missing header)")
+        if tuple(header) != columns:
+            raise ValidationError(f"{what} header {header} does not match expected columns {list(columns)}")
+        end = reader.line_num
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValidationError(f"line {start}: expected {len(columns)} columns, got {len(row)}")
+            yield start, row
+    except csv.Error as exc:
+        raise ValidationError(f"{what} line {end + 1}: {exc}") from None
 
 
 def csv_text(columns: tuple[str, ...], rows: Iterable[list[str]]) -> str:

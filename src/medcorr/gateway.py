@@ -95,6 +95,14 @@ def canonical_key(request: LmRequest) -> str:
     return hashlib.sha256(canonical_request_json(request).encode("utf-8")).hexdigest()
 
 
+def _usage_count(response: dict, name: str) -> int:
+    """A cached response's token count: a JSON integer >= 0, 0 when absent."""
+    value = response.get(name, 0)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} is {value!r}, not a JSON integer >= 0")
+    return value
+
+
 class ReplayCache:
     """Append-only json-lines store of ``{key, request, response}`` entries.
 
@@ -133,8 +141,8 @@ class ReplayCache:
                     entry["key"],
                     LmResponse(
                         text=response["text"],
-                        prompt_tokens=int(response.get("prompt_tokens", 0)),
-                        completion_tokens=int(response.get("completion_tokens", 0)),
+                        prompt_tokens=_usage_count(response, "prompt_tokens"),
+                        completion_tokens=_usage_count(response, "completion_tokens"),
                         backend_tag="replay",
                     ),
                 )

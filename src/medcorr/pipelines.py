@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -474,17 +474,47 @@ _R = TypeVar("_R")
 def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> list[_R]:
     """``[fn(item) for item in items]`` on up to ``workers`` threads.
 
-    Results come back in input order regardless of completion order. The
-    first exception in input order propagates, and calls not yet started
-    are cancelled.
+    Each thread takes the next index from a shared counter and stores its
+    result in that slot, so results come back in input order. No call starts
+    after a call fails or the calling thread is interrupted; the started
+    calls finish, and the first exception in input order propagates.
     """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    if workers < 1:
+        raise ValidationError(f"concurrency must be >= 1, got {workers}")
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0  # set to len(items) to stop
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                index = taken
+                if index == len(items):
+                    return
+                taken += 1
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    failures[index] = exc
+                    taken = len(items)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        with lock:
+            taken = len(items)
+        raise
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def predict_batch(
@@ -499,8 +529,6 @@ def predict_batch(
     Per-record failures become flag-0 fallback entries carrying the error
     message; in strict mode the first failure aborts the batch.
     """
-    if concurrency < 1:
-        raise ValidationError(f"concurrency must be >= 1, got {concurrency}")
 
     def one(record: ClinicalRecord) -> Prediction:
         try:

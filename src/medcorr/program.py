@@ -13,13 +13,17 @@ Prompt layout (pinned by this package, documented in the README):
 * user message: demo blocks then the live block, separated by ``---``
   lines; each block is ``Label: value`` lines, and the live block leaves
   the output labels open for the model to fill.
+
+Everything but the live input values depends only on the program, so
+:attr:`Program.layout` computes it once and rendering joins the values in.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .corpus import read_document
@@ -85,6 +89,16 @@ class Demo:
     source_record_id: str | None = None
 
 
+class _Layout(NamedTuple):
+    system: str
+    demos: str  # every demo block, each followed by the block separator
+    input_prefixes: tuple[tuple[str, str], ...]  # (input name, "Label: ")
+    open_outputs: str  # the live block's output label lines
+    expected_inputs: frozenset[str]
+    expected_outputs: frozenset[str]
+    recognized_outputs: frozenset[str]  # the expected ones, plus the rationale under chain of thought
+
+
 @dataclass(frozen=True)
 class Program:
     signature: Signature
@@ -118,6 +132,22 @@ class Program:
     def instruction(self) -> str:
         return self.compiled_instruction if self.compiled_instruction is not None else self.signature.instruction
 
+    @cached_property
+    def layout(self) -> _Layout:
+        """The prompt and parse parts that depend only on the program, computed
+        on first use; ``dataclasses.replace`` makes a new program with its own."""
+        outputs = _output_fields(self)
+        format_lines = [f"{field_label(f.name)}: {f.description}" for f in self.signature.inputs + tuple(outputs)]
+        return _Layout(
+            system=self.instruction + "\n\nFollow the following format.\n\n" + "\n".join(format_lines),
+            demos="".join(_demo_block(self, demo) + _BLOCK_SEPARATOR for demo in self.demos),
+            input_prefixes=tuple((name, f"{field_label(name)}: ") for name in self.signature.input_names()),
+            open_outputs="\n".join(f"{field_label(out.name)}:" for out in outputs),
+            expected_inputs=frozenset(self.signature.input_names()),
+            expected_outputs=frozenset(self.signature.output_names()),
+            recognized_outputs=frozenset(f.name for f in outputs),
+        )
+
 
 def field_label(name: str) -> str:
     """``error_line`` renders as ``Error Line``."""
@@ -146,29 +176,17 @@ def _demo_block(program: Program, demo: Demo) -> str:
     return "\n".join(lines)
 
 
-def _live_block(program: Program, inputs: Mapping[str, str]) -> str:
-    lines = [f"{field_label(name)}: {inputs[name]}" for name in program.signature.input_names()]
-    lines.extend(f"{field_label(out.name)}:" for out in _output_fields(program))
-    return "\n".join(lines)
-
-
 def render_messages(program: Program, inputs: Mapping[str, str]) -> list[Message]:
     """Deterministic prompt rendering; raises on missing/unknown inputs."""
-    expected = set(program.signature.input_names())
-    missing = expected - set(inputs)
-    if missing:
-        raise ValidationError(f"missing input field(s): {sorted(missing)}")
-    unknown = set(inputs) - expected
-    if unknown:
-        raise ValidationError(f"unknown input field(s): {sorted(unknown)}")
-
-    format_lines = [f"{field_label(f.name)}: {f.description}" for f in program.signature.inputs]
-    format_lines.extend(f"{field_label(f.name)}: {f.description}" for f in _output_fields(program))
-    system = program.instruction + "\n\nFollow the following format.\n\n" + "\n".join(format_lines)
-
-    blocks = [_demo_block(program, demo) for demo in program.demos]
-    blocks.append(_live_block(program, inputs))
-    return [Message("system", system), Message("user", _BLOCK_SEPARATOR.join(blocks))]
+    layout = program.layout
+    if inputs.keys() != layout.expected_inputs:
+        missing = layout.expected_inputs - set(inputs)
+        if missing:
+            raise ValidationError(f"missing input field(s): {sorted(missing)}")
+        raise ValidationError(f"unknown input field(s): {sorted(set(inputs) - layout.expected_inputs)}")
+    live = [f"{prefix}{inputs[name]}" for name, prefix in layout.input_prefixes]
+    live.append(layout.open_outputs)
+    return [Message("system", layout.system), Message("user", layout.demos + "\n".join(live))]
 
 
 _LABEL_LINE = re.compile(r"^[ \t]*([A-Za-z][A-Za-z0-9_ ]*?)[ \t]*:", re.MULTILINE)
@@ -183,8 +201,8 @@ def parse_completion(program: Program, completion_text: str) -> dict[str, str]:
     The rationale field is recognized but optional; any declared output
     that is absent raises :class:`CompletionParseError` naming it.
     """
-    expected = set(program.signature.output_names())
-    recognized = expected | ({RATIONALE_FIELD} if program.strategy == CHAIN_OF_THOUGHT else set())
+    expected = program.layout.expected_outputs
+    recognized = program.layout.recognized_outputs
     boundaries: list[tuple[str, int, int]] = []
     for match in _LABEL_LINE.finditer(completion_text):
         name = _normalize_label(match.group(1))

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from medcorr.errors import ValidationError
+from medcorr.gateway import Message
+from medcorr.program import CHAIN_OF_THOUGHT, RATIONALE_DESCRIPTION, RATIONALE_FIELD, Field, field_label
 from medcorr.retrieval import document_text, tokenize
 
 
@@ -127,3 +129,38 @@ def save_index_v1(index, path: str | Path) -> None:
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write index file {path}: {exc}") from exc
     Path(path).write_bytes(data)
+
+
+def render_messages_oracle(program, inputs) -> list[Message]:
+    """``program.render_messages`` as it was before ``Program.layout``: every
+    block rebuilt from the signature, strategy and demos on each call."""
+    expected = set(program.signature.input_names())
+    missing = expected - set(inputs)
+    if missing:
+        raise ValidationError(f"missing input field(s): {sorted(missing)}")
+    unknown = set(inputs) - expected
+    if unknown:
+        raise ValidationError(f"unknown input field(s): {sorted(unknown)}")
+
+    def output_fields() -> list[Field]:
+        fields = list(program.signature.outputs)
+        if program.strategy == CHAIN_OF_THOUGHT:
+            fields.insert(0, Field(RATIONALE_FIELD, RATIONALE_DESCRIPTION))
+        return fields
+
+    def demo_block(demo) -> str:
+        lines = [f"{field_label(name)}: {demo.input_values[name]}" for name in program.signature.input_names()]
+        for out in output_fields():
+            if out.name in demo.output_values:
+                lines.append(f"{field_label(out.name)}: {demo.output_values[out.name]}")
+        return "\n".join(lines)
+
+    format_lines = [f"{field_label(f.name)}: {f.description}" for f in program.signature.inputs]
+    format_lines.extend(f"{field_label(f.name)}: {f.description}" for f in output_fields())
+    system = program.instruction + "\n\nFollow the following format.\n\n" + "\n".join(format_lines)
+
+    live = [f"{field_label(name)}: {inputs[name]}" for name in program.signature.input_names()]
+    live.extend(f"{field_label(out.name)}:" for out in output_fields())
+    blocks = [demo_block(demo) for demo in program.demos]
+    blocks.append("\n".join(live))
+    return [Message("system", system), Message("user", "\n\n---\n\n".join(blocks))]

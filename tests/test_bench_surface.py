@@ -28,6 +28,23 @@ def test_pipelines_call_the_module_bindings_the_tracer_wraps():
     assert pipelines.rouge_l_f is optimize.rouge_l_f is metrics.rouge_l_f
 
 
+def test_program_run_calls_the_render_and_parse_bindings_the_tracer_wraps(monkeypatch):
+    # the traced program.render_us and program.parse_us read 0 if run stops
+    # looking these up as module attributes
+    calls = []
+    for name in ("render_messages", "parse_completion"):
+        def counted(*args, _original=getattr(program, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(program, name, counted)
+    records = synth_uw_records(1)
+    gw = gateway.LmGateway(backend=gateway.ScriptedBackend(uw_gold_responder(records)))
+    detect = pipelines.uw_detect_program()
+    program.run(detect, {"clinical_text": pipelines.render_numbered_text(records[0])}, gw)
+    assert calls == ["render_messages", "parse_completion"]
+
+
 def test_names_the_harness_looks_up_exist():
     wrapped = {
         corpus: ("parse_clinical_records", "parse_mcq_corpus"),

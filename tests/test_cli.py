@@ -117,6 +117,20 @@ def test_ingest_rejects_invalid_rows(tmp_path, capsys):
     assert "r1" in capsys.readouterr().err
 
 
+def test_ingest_reads_a_note_longer_than_the_default_csv_field_limit(tmp_path):
+    note = "x" * 140_000 + "."
+    long = tmp_path / "long.csv"
+    long.write_text(
+        'record_id,text,sentences_json,error_flag,error_sentence_id,corrected_sentence\n'
+        f'r1,{note},"[""{note}""]",0,-1,NA\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.jsonl"
+    assert run_command(["ingest", "--in", str(long), "--out", str(out), "--out-format", "json-lines"]) == 0
+    (record,) = parse_clinical_records(out.read_bytes(), format="json-lines")
+    assert record.full_text() == note
+
+
 # --- index --------------------------------------------------------------------------
 
 

@@ -127,6 +127,25 @@ def test_parse_row_with_wrong_column_count_reports_line():
         parse_clinical_records(raw)
 
 
+def test_parse_csv_reports_the_line_a_row_starts_on_after_a_multi_line_note():
+    raw = csv_of('r1,"One.\nTwo.\nThree.","[""One."", ""Two."", ""Three.""]",0,-1,NA', "r2,only-two-fields")
+    with pytest.raises(ValidationError, match="^line 5:"):
+        parse_clinical_records(raw)
+
+
+def test_parse_csv_reads_a_note_longer_than_the_default_field_limit():
+    note = "x" * 140_000 + "."
+    (record,) = parse_clinical_records(csv_of(f'r1,{note},"[""{note}""]",0,-1,NA'))
+    assert record.full_text() == note
+
+
+def test_parse_csv_maps_a_reader_error_to_a_validation_error_naming_the_line():
+    # a carriage return inside an unquoted field is an error of the csv module
+    raw = csv_of('r1,Fine.,"[""Fine.""]",0,-1,NA', 'r2,Bad\rtext.,"[""Bad.""]",0,-1,NA')
+    with pytest.raises(ValidationError, match="clinical CSV line 3: new-line character"):
+        parse_clinical_records(raw)
+
+
 def test_parse_jsonl_and_unlabeled_records():
     raw = (
         '{"record_id": "a", "text": "One. Two.", "sentences": ["One.", "Two."],'

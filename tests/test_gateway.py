@@ -280,6 +280,37 @@ def test_cache_treats_a_final_unterminated_non_string_text_as_torn(tmp_path, cap
     assert "torn line 2" in caplog.text
 
 
+def usage_line(request: LmRequest, name: str, count) -> str:
+    line = json.loads(cache_line(request, "one"))
+    line["response"][name] = count
+    return json.dumps(line)
+
+
+_BAD_COUNTS = pytest.mark.parametrize("count", ["7", True, -1, 2.0, None])
+_COUNT_NAMES = pytest.mark.parametrize("name", ["prompt_tokens", "completion_tokens"])
+
+
+@_COUNT_NAMES
+@_BAD_COUNTS
+def test_cache_rejects_a_usage_count_that_is_not_a_json_count_mid_file(tmp_path, name, count):
+    path = tmp_path / "cache.jsonl"
+    good = cache_line(fixture_request(max_tokens=16), "two")
+    path.write_text(f"{good}\n{usage_line(fixture_request(), name, count)}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^cache file {re.escape(str(path))} line 2 is malformed: {name}"):
+        ReplayCache(path)
+
+
+@_COUNT_NAMES
+@_BAD_COUNTS
+def test_cache_treats_a_final_unterminated_bad_usage_count_as_torn(tmp_path, caplog, name, count):
+    path = tmp_path / "cache.jsonl"
+    first, second = fixture_request(), fixture_request(max_tokens=16)
+    path.write_text(f"{cache_line(first, 'one')}\n{usage_line(second, name, count)}", encoding="utf-8")
+    cache = ReplayCache(path)
+    assert len(cache) == 1 and cache.get(canonical_key(second)) is None
+    assert "torn line 2" in caplog.text
+
+
 # A crash mid-append leaves an unterminated final line, cut anywhere, even
 # inside a multi-byte character.
 @pytest.mark.parametrize("torn", [b'{"key": "abc", "respo', b'{"key": "caf\xc3'])

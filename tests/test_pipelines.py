@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -9,11 +12,13 @@ from medcorr.errors import PipelineStageError, ValidationError
 from medcorr.gateway import LmGateway, ScriptedBackend
 from medcorr.metrics import rouge_l_f
 from medcorr.na import NA, is_na
+from medcorr import pipelines
 from medcorr.pipelines import (
     MsPipeline,
     Prediction,
     default_ms_pipeline,
     default_uw_pipeline,
+    map_ordered,
     ms_localize_program,
     parse_predictions,
     predict_batch,
@@ -356,6 +361,150 @@ def test_predict_batch_preserves_input_order_and_is_deterministic():
     assert serialize_predictions(first) == serialize_predictions(second)
 
 
+# --- map_ordered -----------------------------------------------------------------------
+
+WAIT_S = 5.0
+
+
+def test_map_ordered_returns_input_order_when_calls_finish_in_reverse():
+    done = [threading.Event() for _ in range(4)]
+
+    def fn(i):
+        # each call finishes only after the next one has
+        if i + 1 < len(done):
+            assert done[i + 1].wait(WAIT_S)
+        done[i].set()
+        return i * 10
+
+    assert map_ordered(fn, range(4), workers=4) == [0, 10, 20, 30]
+
+
+def test_map_ordered_stress_runs_each_item_once_and_never_more_than_workers_at_once():
+    lock = threading.Lock()
+    calls: list[int] = []
+    running = peak = 0
+
+    def fn(i):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            calls.append(i)
+        time.sleep(0.0005)
+        with lock:
+            running -= 1
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = map_ordered(fn, range(2000), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
+    assert 1 <= peak <= 8
+
+
+def test_map_ordered_raises_the_earliest_failure_even_when_a_later_one_fails_first():
+    later_failed = threading.Event()
+
+    def fn(i):
+        if i == 1:
+            later_failed.set()
+            raise KeyError("later")
+        assert later_failed.wait(WAIT_S)
+        raise ValueError("earliest")
+
+    with pytest.raises(ValueError, match="earliest"):
+        map_ordered(fn, range(2), workers=2)
+
+
+def test_map_ordered_starts_no_call_after_a_failure():
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 2:
+            raise ValueError("third")
+        return i
+
+    with pytest.raises(ValueError, match="third"):
+        map_ordered(fn, range(10), workers=1)
+    assert started == [0, 1, 2]
+
+
+def test_map_ordered_a_running_thread_takes_no_item_after_another_failed(monkeypatch):
+    threads = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            threads.append(self)
+
+    started = []
+    one_started = threading.Event()
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            assert one_started.wait(WAIT_S)
+            raise ValueError("first")
+        one_started.set()
+        # item 1 finishes only once the thread that failed item 0 has exited
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(WAIT_S)
+                assert not thread.is_alive()
+        return i
+
+    monkeypatch.setattr(pipelines.threading, "Thread", Recorded)
+    with pytest.raises(ValueError, match="first"):
+        map_ordered(fn, range(10), workers=2)
+    assert sorted(started) == [0, 1]
+
+
+def test_map_ordered_an_interrupt_while_joining_stops_new_calls(monkeypatch):
+    release = threading.Event()
+    started = []
+    threads = []
+
+    class InterruptedJoin(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            threads.append(self)
+
+        def join(self, timeout=None):
+            raise KeyboardInterrupt
+
+    def fn(i):
+        started.append(i)
+        release.wait(WAIT_S)
+        return i
+
+    monkeypatch.setattr(pipelines.threading, "Thread", InterruptedJoin)
+    with pytest.raises(KeyboardInterrupt):
+        map_ordered(fn, range(10), workers=2)
+    release.set()
+    for thread in threads:
+        super(InterruptedJoin, thread).join(WAIT_S)
+        assert not thread.is_alive()
+    assert set(started) <= {0, 1}
+
+
+def test_map_ordered_starts_no_thread_for_empty_input(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(pipelines.threading, "Thread", no_thread)
+    assert map_ordered(lambda item: item, [], workers=4) == []
+
+
+def test_map_ordered_needs_a_worker():
+    with pytest.raises(ValidationError, match="concurrency must be >= 1"):
+        map_ordered(lambda item: item, [1], workers=0)
+
+
 # --- predictions and trace files ------------------------------------------------------------
 
 
@@ -381,6 +530,12 @@ def test_parse_predictions_rejects_inconsistent_row():
     bad = "record_id,error_flag,error_sentence_id,corrected_sentence\nx,1,-1,NA\n"
     with pytest.raises(ValidationError, match="line 2"):
         parse_predictions(bad)
+
+
+def test_parse_predictions_names_the_line_a_row_starts_on_after_a_multi_line_correction():
+    text = serialize_predictions([Prediction("a", 1, 0, "One.\nTwo.\nThree.")]) + "b,1,-1,NA\n"
+    with pytest.raises(ValidationError, match="^line 5:"):
+        parse_predictions(text)
 
 
 def test_trace_file_shape():

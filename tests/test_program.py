@@ -24,6 +24,8 @@ from medcorr.program import (
     run,
 )
 
+from oracles import render_messages_oracle
+
 
 def qa_signature() -> Signature:
     return Signature(
@@ -153,6 +155,60 @@ def test_compiled_instruction_overrides_signature():
     system = render_messages(program, {"question": "Q"})[0].content
     assert system.startswith("Be terse.\n\n")
     assert "Answer the question." not in system
+
+
+def test_a_replaced_program_renders_its_own_demos_after_the_original_rendered():
+    original = qa_program(demos=[demo("first?", "one")])
+    inputs = {"question": "live?"}
+    before = render_messages(original, inputs)
+    replaced = replace(original, demos=(demo("second?", "two"),), compiled_instruction="Be terse.")
+    system, user = render_messages(replaced, inputs)
+    assert "second?" in user.content and "first?" not in user.content
+    assert system.content.startswith("Be terse.\n\n")
+    assert render_messages(original, inputs) == before
+
+
+_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(lambda name: name != "rationale")
+
+
+@st.composite
+def programs_and_inputs(draw):
+    names = draw(st.lists(_NAME, min_size=2, max_size=5, unique=True))
+    n_inputs = draw(st.integers(1, len(names) - 1))
+    fields = [Field(name, draw(st.text(max_size=12))) for name in names]
+    signature = Signature(draw(_NAME), draw(st.text(max_size=20)), tuple(fields[:n_inputs]), tuple(fields[n_inputs:]))
+    outputs = [*signature.output_names(), "rationale"]
+    demos = draw(st.lists(st.builds(
+        Demo,
+        input_values=st.fixed_dictionaries({name: st.text(max_size=12) for name in signature.input_names()}),
+        output_values=st.dictionaries(st.sampled_from(outputs), st.text(max_size=12)),
+    ), max_size=3))
+    program = Program(
+        signature,
+        strategy=draw(st.sampled_from([PREDICT, CHAIN_OF_THOUGHT])),
+        demos=tuple(demos),
+        compiled_instruction=draw(st.none() | st.text(max_size=20)),
+    )
+    inputs = {name: draw(st.text(max_size=12)) for name in signature.input_names()}
+    # sometimes drop a declared input or add an unknown one, so errors are compared too
+    for name in draw(st.lists(st.sampled_from(list(inputs)), max_size=1)):
+        del inputs[name]
+    for name in draw(st.lists(_NAME.filter(lambda name: name not in names), max_size=1)):
+        inputs[name] = "extra"
+    return program, inputs
+
+
+def render_or_error(render, program, inputs):
+    try:
+        return render(program, inputs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(programs_and_inputs())
+def test_render_messages_matches_the_pre_layout_renderer_property(case):
+    program, inputs = case
+    assert render_or_error(render_messages, program, inputs) == render_or_error(render_messages_oracle, program, inputs)
 
 
 def test_field_label_formatting():
