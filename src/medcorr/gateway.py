@@ -76,14 +76,22 @@ class LmRequest:
 
 @dataclass(frozen=True)
 class LmResponse:
+    """A completion. Live, scripted and cached responses are all built here,
+    so none with a non-string text or a usage count that is not an
+    integer >= 0 gets in."""
+
     text: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
     backend_tag: str = "scripted"
 
     def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValidationError("usage counts must be >= 0")
+        if not isinstance(self.text, str):
+            raise ValidationError(f"response text is {type(self.text).__name__}, not a string")
+        for name in ("prompt_tokens", "completion_tokens"):
+            count = getattr(self, name)
+            if type(count) is not int or count < 0:
+                raise ValidationError(f"{name} is {count!r}, not an integer >= 0")
 
 
 def canonical_request_json(request: LmRequest) -> str:
@@ -93,14 +101,6 @@ def canonical_request_json(request: LmRequest) -> str:
 
 def canonical_key(request: LmRequest) -> str:
     return hashlib.sha256(canonical_request_json(request).encode("utf-8")).hexdigest()
-
-
-def _usage_count(response: dict, name: str) -> int:
-    """A cached response's token count: a JSON integer >= 0, 0 when absent."""
-    value = response.get(name, 0)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} is {value!r}, not a JSON integer >= 0")
-    return value
 
 
 class ReplayCache:
@@ -135,18 +135,16 @@ class ReplayCache:
             try:
                 entry = json_loads(line)
                 response = entry["response"]
-                if not isinstance(response["text"], str):
-                    raise TypeError(f"response text is {type(response['text']).__name__}, not a string")
                 self._entries.setdefault(
                     entry["key"],
                     LmResponse(
                         text=response["text"],
-                        prompt_tokens=_usage_count(response, "prompt_tokens"),
-                        completion_tokens=_usage_count(response, "completion_tokens"),
+                        prompt_tokens=response.get("prompt_tokens", 0),
+                        completion_tokens=response.get("completion_tokens", 0),
                         backend_tag="replay",
                     ),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 if lineno < len(lines):
                     raise ValidationError(f"cache file {self.path} line {lineno} is malformed: {exc}") from exc
                 logger.warning("cache file %s ends in a torn line %d; ignoring it: %s", self.path, lineno, exc)
@@ -309,11 +307,11 @@ class LiveBackend:
             usage = body.get("usage", {})
             return LmResponse(
                 text=text,
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
+                prompt_tokens=usage.get("prompt_tokens", 0),
+                completion_tokens=usage.get("completion_tokens", 0),
                 backend_tag=self.tag,
             )
-        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError, ValidationError) as exc:
             raise LiveRequestError(
                 f"malformed chat completion response: {exc}", status=http.status_code,
                 body_excerpt=http.text[:200],

@@ -7,12 +7,16 @@ uniformly over (instruction x demo subset) per stage and scores each draw on
 the validation set against a zero-demo baseline (candidate 0), so the winner
 can never score below zero-shot; the Bayesian surrogate of the full method
 is intentionally not reproduced. Both pipelines compile through it: ``uw``
-adds LM-proposed instructions, ``ms`` keeps each stage's own instruction.
-``random_search_compile`` is the same search over pools the caller holds.
+adds LM-proposed instructions and, like MIPRO's per-module credit, scores
+each stage alone on gold inputs; ``ms`` keeps each stage's own instruction
+and its chain. ``random_search_compile`` is the same search over pools the
+caller holds.
 
 The bootstrap, the instruction proposals and the search keep up to
 ``gateway.concurrency`` requests in flight and take results in a fixed
 order, so calls, programs and reports do not depend on the concurrency.
+Candidate 0 is scored while the bootstrap and proposals run, and the three
+``uw`` stage compiles run together.
 
 Localization and correction compiles must only ever see error-containing
 records; use :func:`error_records` when assembling their train/val sets.
@@ -271,15 +275,16 @@ def _search(
 ) -> tuple[Pipeline, CompileReport]:
     """The one search behind both compilers. After the checks, ``space``
     returns each stage's instruction proposals (the original first) and demo
-    pool; it is the only step that may issue calls before scoring.
+    pool, while candidate 0 is scored on the valset.
 
     Candidate 0 is each stage's original instruction with no demos; each
     later one draws, per stage, an instruction (only when there is a choice)
     and a demo subset. With no demo and no second instruction anywhere,
-    candidate 0 is the only one. All (candidate, record) pairs share one
-    pool of ``gateway.concurrency`` workers and scores are collected by
-    index, so the report does not depend on completion order. The first
-    gateway error in (candidate, record) order propagates.
+    candidate 0 is the only one. The later (candidate, record) pairs share
+    one pool of ``gateway.concurrency`` workers. Scores are collected by
+    index, so the report does not depend on completion order. A gateway
+    error from ``space`` propagates first, then the first in (candidate,
+    record) order.
     """
     if gateway is None:
         raise ValidationError("compile needs a gateway")
@@ -287,10 +292,20 @@ def _search(
         raise ValidationError(f"n_candidates must be >= 1, got {n_candidates}")
     if not valset:
         raise ValidationError("compile needs a non-empty valset")
-    proposals, pools = space(gateway)
-    specs: list[tuple[dict[str, str], dict[str, tuple[Demo, ...]]]] = [
-        ({stage: proposals[stage][0] for stage in stage_names}, {stage: () for stage in stage_names})
-    ]
+
+    def score(specs: Sequence[tuple[dict[str, str], dict[str, tuple[Demo, ...]]]]) -> list[float]:
+        candidates = [_candidate_pipeline(pipeline, *spec) for spec in specs]
+        pairs = [(candidate, record) for candidate in candidates for record in valset]
+        return map_ordered(
+            lambda pair: _predict_scored(pair[0], pair[1], metric, gateway)[1], pairs, gateway.concurrency
+        )
+
+    baseline: tuple[dict[str, str], dict[str, tuple[Demo, ...]]] = (
+        {stage: pipeline.stages[stage].signature.instruction for stage in stage_names},
+        {stage: () for stage in stage_names},
+    )
+    (proposals, pools), flat = map_ordered(lambda job: job(), [lambda: space(gateway), lambda: score([baseline])], 2)
+    specs = [baseline]
     rng = random.Random(seed)
     if any(pools[stage] or len(proposals[stage]) > 1 for stage in stage_names):
         for _ in range(1, n_candidates):
@@ -303,11 +318,7 @@ def _search(
                 for stage in stage_names
             }
             specs.append((instructions, demos))
-    candidate_pipelines = [_candidate_pipeline(pipeline, instructions, demos) for instructions, demos in specs]
-    pairs = [(candidate, record) for candidate in candidate_pipelines for record in valset]
-    flat = map_ordered(
-        lambda pair: _predict_scored(pair[0], pair[1], metric, gateway)[1], pairs, gateway.concurrency
-    )
+    flat += score(specs[1:])
     candidates: list[Candidate] = []
     per_example: dict[int, tuple[float, ...]] = {}
     for candidate_id, (instructions, demos) in enumerate(specs):
@@ -501,21 +512,28 @@ def compile_uw_pipeline(
     binary_pass_threshold: float = BINARY_PASS_THRESHOLD,
 ) -> tuple[UwPipeline, dict[str, CompileReport]]:
     """Per-stage joint instruction+demo search: detection on the full split,
-    localization and correction on the error-containing subset only."""
+    localization and correction on the error-containing subset only.
+
+    Each stage is scored alone on gold inputs (``UwPipeline.gold_stage``), so
+    the three compiles are independent and run together; the result carries
+    their winning programs and no ``gold_stage``. The first error in detect,
+    localize, correct order propagates.
+    """
     train_errors, val_errors = error_records(trainset), error_records(valset)
     if not train_errors or not val_errors:
         raise ValidationError("uw localize/correct compile needs error-containing records in train and val")
-    reports: dict[str, CompileReport] = {}
-    compiled, reports["detect"] = mipro_compile(
-        pipeline, trainset, valset, flag_match_metric(binary_pass_threshold), budget, seed, gateway,
-        demos_per_stage, stages=("detect",),
+    phases = {
+        "detect": (trainset, valset, flag_match_metric(binary_pass_threshold)),
+        "localize": (train_errors, val_errors, sentence_match_metric(binary_pass_threshold)),
+        "correct": (train_errors, val_errors, correction_rouge_l_metric(rouge_pass_threshold)),
+    }
+    results = map_ordered(
+        lambda stage: mipro_compile(
+            replace(pipeline, gold_stage=stage), *phases[stage], budget, seed, gateway, demos_per_stage,
+            stages=(stage,),
+        ),
+        list(phases),
+        len(phases),
     )
-    compiled, reports["localize"] = mipro_compile(
-        compiled, train_errors, val_errors, sentence_match_metric(binary_pass_threshold),
-        budget, seed, gateway, demos_per_stage, stages=("localize",),
-    )
-    compiled, reports["correct"] = mipro_compile(
-        compiled, train_errors, val_errors, correction_rouge_l_metric(rouge_pass_threshold),
-        budget, seed, gateway, demos_per_stage, stages=("correct",),
-    )
-    return compiled, reports  # type: ignore[return-value]
+    compiled = pipeline.replace_stages({stage: won.stages[stage] for stage, (won, _) in zip(phases, results)})
+    return compiled, {stage: report for stage, (_, report) in zip(phases, results)}  # type: ignore[return-value]

@@ -333,18 +333,22 @@ class Pipeline:
     def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
         raise NotImplementedError
 
-    def _localize_and_correct(
+    def _localize(
+        self, record: ClinicalRecord, inputs: dict[str, str], gateway: LmGateway, trace: list[StageTrace]
+    ) -> int:
+        located = _run_stage("localize", self.localize, inputs, gateway, trace)
+        return parse_line_value("localize", located["error_line"], record)
+
+    def _correct(
         self,
         record: ClinicalRecord,
-        localize_inputs: dict[str, str],
+        error_line: int,
         correct_inputs: dict[str, str],
         gateway: LmGateway,
         trace: list[StageTrace],
     ) -> Prediction:
-        """The flag-1 tail: localize the error line, rewrite its sentence
-        (``correct_inputs`` plus the sentence) and gate the rewrite."""
-        located = _run_stage("localize", self.localize, localize_inputs, gateway, trace)
-        error_line = parse_line_value("localize", located["error_line"], record)
+        """The flag-1 tail: rewrite the error line's sentence (``correct_inputs``
+        plus the sentence) and gate the rewrite."""
         error_sentence = record.sentence_text(error_line)
         correct_inputs = {"error_sentence": error_sentence, **correct_inputs}
         corrected = _run_stage("correct", self.correct, correct_inputs, gateway, trace)["corrected_sentence"]
@@ -412,12 +416,9 @@ class MsPipeline(Pipeline):
         )["verdict"]
         if parse_match_value("compare_answer", verdict) == 0:
             return no_error_prediction(record.record_id, trace=tuple(trace))
-        return self._localize_and_correct(
-            record,
-            {"clinical_text": numbered, "extracted_choice": extracted},
-            {"extracted_choice": extracted, "correct_answer": correct_answer},
-            gateway,
-            trace,
+        error_line = self._localize(record, {"clinical_text": numbered, "extracted_choice": extracted}, gateway, trace)
+        return self._correct(
+            record, error_line, {"extracted_choice": extracted, "correct_answer": correct_answer}, gateway, trace
         )
 
 
@@ -429,19 +430,41 @@ class UwPipeline(Pipeline):
     localize: Program
     correct: Program
     gate_threshold: float = DEFAULT_GATE_THRESHOLD
+    gold_stage: str | None = None
 
     name = "uw"
     stage_names = ("detect", "localize", "correct")
     optimizable_stages = stage_names
 
+    def __post_init__(self) -> None:
+        if self.gold_stage is not None and self.gold_stage not in self.stage_names:
+            raise ValidationError(f"unknown uw gold stage {self.gold_stage!r}")
+        super().__post_init__()
+
     def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
-        """Detect; on an error flag, localize and correct."""
-        numbered = render_numbered_text(record)
+        """Detect; on an error flag, localize and correct.
+
+        A compile sets ``gold_stage`` to score one stage alone: ``detect`` or
+        ``localize`` on the numbered text, or ``correct`` on the gold error
+        sentence, then the gate. A flag-1 answer that stops before ``correct``
+        keeps its line's sentence; ``detect``, whose metric reads only the
+        flag, names line one.
+        """
         trace: list[StageTrace] = []
+        if self.gold_stage == "correct":
+            return self._correct(record, record.gold_error_sentence_id, {}, gateway, trace)  # type: ignore[arg-type]
+        numbered = render_numbered_text(record)
+        if self.gold_stage == "localize":
+            line = self._localize(record, {"clinical_text": numbered}, gateway, trace)
+            return Prediction(record.record_id, 1, line, record.sentence_text(line), trace=tuple(trace))
         flag = _run_stage("detect", self.detect, {"clinical_text": numbered}, gateway, trace)["error_flag"]
         if parse_flag_value("detect", flag) == 0:
             return no_error_prediction(record.record_id, trace=tuple(trace))
-        return self._localize_and_correct(record, {"clinical_text": numbered}, {}, gateway, trace)
+        if self.gold_stage == "detect":
+            first_line, first_sentence = record.sentences[0]
+            return Prediction(record.record_id, 1, first_line, first_sentence, trace=tuple(trace))
+        line = self._localize(record, {"clinical_text": numbered}, gateway, trace)
+        return self._correct(record, line, {}, gateway, trace)
 
 
 def default_ms_pipeline(index: TfidfIndex, gate_threshold: float | None = None) -> MsPipeline:

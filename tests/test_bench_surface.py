@@ -8,6 +8,7 @@ without breaking any other test.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -81,10 +82,11 @@ def test_compile_steps_carry_the_pipeline_and_metric_where_the_tracer_reads_them
     # perfbench's tracer notes (type(args[0]), args[i].name) positionally:
     # i is 3 for the searches and 2 for bootstrap_demos
     metric_index = {"mipro_compile": 3, "random_search_compile": 3, "bootstrap_demos": 2}
+    expected = pipelines.MsPipeline if name == "ms" else pipelines.UwPipeline
     seen = []
     for attr, index in metric_index.items():
         def traced(*args, _original=getattr(optimize, attr), _attr=attr, _index=index, **kwargs):
-            assert isinstance(args[0], pipelines.Pipeline), _attr
+            assert type(args[0]) is expected, _attr
             assert isinstance(args[_index], optimize.Metric), _attr
             seen.append(_attr)
             return _original(*args, **kwargs)
@@ -105,3 +107,39 @@ def test_compile_steps_carry_the_pipeline_and_metric_where_the_tracer_reads_them
             budget=(1, 2), demos_per_stage=1,
         )
     assert seen.count("mipro_compile") == seen.count("bootstrap_demos") == (2 if name == "ms" else 3)
+
+
+@pytest.mark.parametrize("name", ["ms", "uw"])
+def test_compiles_score_every_record_through_the_predict_the_harness_wraps(monkeypatch, name):
+    # The harness counts failed_frac by replacing cls.__dict__["predict"]; a
+    # compile that scored records another way would leave it blind.
+    scored = []
+    for cls in (pipelines.MsPipeline, pipelines.UwPipeline):
+        def counted(pipeline, record, gw, _original=cls.__dict__["predict"]):
+            scored.append((type(pipeline), record.record_id))
+            return _original(pipeline, record, gw)
+
+        monkeypatch.setattr(cls, "predict", counted)
+    if name == "ms":
+        records, mcqs, asserted = synth_ms_dataset(10)
+        expected = pipelines.MsPipeline
+        _, reports = optimize.compile_ms_pipeline(
+            pipelines.default_ms_pipeline(retrieval.build_index(mcqs)), records[:6], records[6:],
+            gateway.LmGateway(backend=gateway.ScriptedBackend(ms_gold_responder(records, asserted))),
+            n_candidates=3, demos_per_stage=2,
+        )
+    else:
+        records = synth_uw_records(10)
+        expected = pipelines.UwPipeline
+        _, reports = optimize.compile_uw_pipeline(
+            pipelines.default_uw_pipeline(), records[:6], records[6:],
+            gateway.LmGateway(backend=gateway.ScriptedBackend(uw_gold_responder(records))),
+            budget=(2, 3), demos_per_stage=2,
+        )
+    val_ids = {r.record_id for r in records[6:]}
+    per_candidate = Counter(
+        record_id for report in reports.values() for _ in report.candidates for record_id in report.valset_record_ids
+    )
+    assert Counter(record_id for _, record_id in scored if record_id in val_ids) == per_candidate
+    assert any(record_id not in val_ids for _, record_id in scored)  # the bootstrap's records
+    assert {cls for cls, _ in scored} == {expected}

@@ -730,6 +730,26 @@ def test_predict_live_records_then_replays(tmp_path, monkeypatch):
     assert replay_out.read_bytes() == live_out.read_bytes()
 
 
+def test_predict_live_null_content_exits_two_and_records_nothing(tmp_path, monkeypatch, capsys):
+    from helpers import chat_completion_payload, scripted_http_server
+
+    cache_path = tmp_path / "live_cache.jsonl"
+    live_config = tmp_path / "live.yaml"
+    live_config.write_text(
+        f"gateway:\n  backend: live\n  cache_path: {cache_path}\n  record: true\n", encoding="utf-8"
+    )
+    with scripted_http_server(lambda path, body: (200, chat_completion_payload(None))) as base_url:
+        monkeypatch.setenv("MEDCORR_BASE_URL", base_url)
+        code = run_command(
+            ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--strict",
+             "--out", str(tmp_path / "preds.csv"), "--config", str(live_config)]
+        )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["gateway error: malformed chat completion response: response text is NoneType, not a string"]
+    assert not cache_path.exists()
+
+
 def test_evaluate_with_external_scorers_via_cli(tmp_path):
     from helpers import scripted_http_server
 

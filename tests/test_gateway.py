@@ -413,6 +413,35 @@ def test_live_malformed_response_is_a_live_request_error(payload):
     assert exc_info.value.status == 200
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(chat_completion_payload(None), id="null-content"),
+        pytest.param(chat_completion_payload("ok", prompt_tokens=2.9), id="fractional-count"),
+        pytest.param(chat_completion_payload("ok", completion_tokens=True), id="boolean-count"),
+        pytest.param(chat_completion_payload("ok", prompt_tokens="7"), id="string-count"),
+        pytest.param(chat_completion_payload("ok", completion_tokens=-1), id="negative-count"),
+        pytest.param({**chat_completion_payload("ok"), "usage": None}, id="null-usage"),
+    ],
+)
+def test_live_response_failing_the_response_check_is_a_live_request_error_and_is_not_recorded(tmp_path, payload):
+    cache_path = tmp_path / "cache.jsonl"
+    with scripted_http_server(lambda path, body: (200, payload)) as base_url:
+        gateway = LmGateway(
+            backend=LiveBackend(base_url, sleeper=no_sleep), cache=ReplayCache(cache_path), record=True
+        )
+        with pytest.raises(LiveRequestError, match="^malformed chat completion response"):
+            gateway.complete(fixture_request())
+    assert not cache_path.exists()
+
+
+def test_live_response_keeps_integer_usage_counts():
+    payload = chat_completion_payload("ok", prompt_tokens=11, completion_tokens=0)
+    with scripted_http_server(lambda path, body: (200, payload)) as base_url:
+        response = LiveBackend(base_url, sleeper=no_sleep).complete(fixture_request())
+    assert (response.text, response.prompt_tokens, response.completion_tokens) == ("ok", 11, 0)
+
+
 def test_live_sends_bearer_auth_and_path(tmp_path):
     seen = {}
 

@@ -4,7 +4,9 @@ import logging
 import random
 import re
 import threading
+import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +33,6 @@ from medcorr.retrieval import build_index
 from helpers import (
     PROPOSAL_MARKER,
     SamplingBackend,
-    find_by_text,
     live_block,
     magic_demo_setup,
     ms_gold_responder,
@@ -154,27 +155,33 @@ def test_bootstrap_propagates_gateway_errors_with_record_id():
         bootstrap_demos(default_uw_pipeline(), records, flag_match_metric(), 5, gateway, seed=0)
 
 
-def detect_overridden_gateway(records, override, **options):
-    """A gold-scripted ``uw`` gateway that answers ``detect`` for a record
-    with ``override(record)`` unless that is None, and the canonical keys of
-    the requests its backend was sent."""
+def uw_gateway(records, answer=lambda stage, record, request: None, **options):
+    """A gold-scripted ``uw`` gateway and the (stage, canonical key) of each
+    request its backend is sent. ``answer(stage, record, request)`` replaces
+    a stage's gold answer unless it is None; ``record`` is the one the live
+    block names (for ``correct``, by its gold error sentence), else None."""
     gold = uw_gold_responder(records)
     by_first = {r.sentences[0].text: r for r in records}
+    by_error = {r.sentence_text(r.gold_error_sentence_id): r for r in records if r.gold_flag == 1}
     sent = []
 
     def respond(request):
-        sent.append(canonical_key(request))
-        if PROPOSAL_MARKER not in request.messages[-1].content and stage_of(request) == "detect":
-            answer = override(find_by_text(live_block(request), by_first))
-            if answer is not None:
-                return answer
-        return gold(request)
+        if PROPOSAL_MARKER in request.messages[-1].content:
+            sent.append(("propose", canonical_key(request)))
+            return gold(request)
+        stage, block = stage_of(request), live_block(request)
+        sent.append((stage, canonical_key(request)))
+        record = next((r for key, r in (by_error if stage == "correct" else by_first).items() if key in block), None)
+        replaced = answer(stage, record, request)
+        return gold(request) if replaced is None else replaced
 
     return LmGateway(backend=ScriptedBackend(respond), **options), sent
 
 
 def wrong_flag_for(failing_ids):
-    return lambda record: "Rationale: r.\nError Flag: 9" if record.record_id in failing_ids else None
+    return lambda stage, record, request: (
+        "Rationale: r.\nError Flag: 9" if stage == "detect" and record.record_id in failing_ids else None
+    )
 
 
 @pytest.mark.parametrize("max_demos", [1, 4, 40])
@@ -185,7 +192,7 @@ def test_bootstrap_pools_and_requests_do_not_depend_on_concurrency(max_demos):
     failing = wrong_flag_for({r.record_id for r in records[::3]})
     pools, requests = [], []
     for concurrency in (1, 3, 8):
-        gateway, sent = detect_overridden_gateway(records, failing, concurrency=concurrency)
+        gateway, sent = uw_gateway(records, failing, concurrency=concurrency)
         pools.append(bootstrap_demos(default_uw_pipeline(), records, flag_match_metric(), max_demos, gateway, seed=7))
         requests.append(Counter(sent))
     assert pools[0]["correct"] and pools[0]["detect"]
@@ -200,12 +207,12 @@ def test_bootstrap_raises_the_first_gateway_error_in_shuffled_order(concurrency)
     random.Random(5).shuffle(order)
     broken = {r.record_id for r in order[2:4]}  # at concurrency 4 both are in the first wave
 
-    def fail(record):
-        if record.record_id in broken:
+    def fail(stage, record, request):
+        if stage == "detect" and record.record_id in broken:
             raise LiveRequestError(f"backend down for {record.record_id}")
         return None
 
-    gateway, _ = detect_overridden_gateway(records, fail, concurrency=concurrency)
+    gateway, _ = uw_gateway(records, fail, concurrency=concurrency)
     with pytest.raises(GatewayError, match=f"record {order[2].record_id!r}: backend down for {order[2].record_id}"):
         bootstrap_demos(default_uw_pipeline(), records, flag_match_metric(), 20, gateway, seed=5)
 
@@ -581,6 +588,133 @@ def test_compile_is_deterministic_for_fixed_seed():
     assert dumps[0] == dumps[1]
 
 
+# --- gold-conditioned uw stage compiles ------------------------------------------------------
+
+
+def test_uw_detect_compile_keeps_the_demo_and_score_of_a_record_whose_localize_fails():
+    records = synth_uw_records(12)
+    train, val = records[:8], records[8:]
+    broken = {train[0].record_id, val[0].record_id}  # both carry an error
+
+    def unparseable_line(stage, record, request):
+        return "Rationale: r.\nError Line: none" if stage == "localize" and record.record_id in broken else None
+
+    gateway, _ = uw_gateway(records, unparseable_line)
+    _, reports = compile_uw_pipeline(default_uw_pipeline(), train, val, gateway, seed=3, budget=(1, 2), demos_per_stage=8)
+    detect = reports["detect"]
+    assert train[0].record_id in detect.candidates[1].demo_sources()["detect"]
+    assert detect.per_example_scores[0][0] == 1.0
+    assert reports["localize"].per_example_scores[0][0] == 0.0
+    assert reports["correct"].per_example_scores[0][0] == 1.0
+
+
+def test_uw_correct_compile_scores_the_gold_sentence_when_localize_picks_another_line():
+    records = synth_uw_records(12)
+    train, val = records[:8], records[8:]
+
+    def wrong_line(stage, record, request):
+        if stage == "localize":
+            return "Rationale: r.\nError Line: 0"  # every error is on line 2
+        if stage == "correct" and record is None:
+            return f"Rationale: r.\nCorrected Sentence: {live_block(request).split(': ', 1)[1]}"
+        return None
+
+    _, reports = compile_uw_pipeline(
+        default_uw_pipeline(), train, val, uw_gateway(records, wrong_line)[0],
+        seed=3, budget=(1, 2), demos_per_stage=4,
+    )
+    assert reports["localize"].per_example_scores[0] == (0.0, 0.0)
+    assert reports["correct"].per_example_scores[0] == (1.0, 1.0)
+
+
+def test_each_uw_stage_compile_sends_only_its_own_stage_and_proposals():
+    records = synth_uw_records(12)
+    train, val = records[:8], records[8:]
+    phases = {
+        "detect": (train, val, flag_match_metric()),
+        "localize": (error_records(train), error_records(val), sentence_match_metric()),
+        "correct": (error_records(train), error_records(val), correction_rouge_l_metric()),
+    }
+    separately = Counter()
+    for stage, (stage_train, stage_val, metric) in phases.items():
+        gateway, sent = uw_gateway(records)
+        mipro_compile(
+            replace(default_uw_pipeline(), gold_stage=stage), stage_train, stage_val, metric,
+            budget=(2, 4), seed=3, gateway=gateway, demos_per_stage=3, stages=(stage,),
+        )
+        assert {kind for kind, _ in sent} == {stage, "propose"}
+        separately.update(sent)
+    gateway, sent = uw_gateway(records)
+    compiled, _ = compile_uw_pipeline(default_uw_pipeline(), train, val, gateway, seed=3, budget=(2, 4), demos_per_stage=3)
+    assert Counter(sent) == separately
+    assert compiled.gold_stage is None
+
+
+@pytest.mark.parametrize("name", ["ms", "uw"])
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_compile_never_has_more_than_concurrency_calls_in_flight(name, concurrency):
+    uw_records = synth_uw_records(10)
+    ms_records, corpus, asserted = synth_ms_dataset(10)
+    responder = uw_gold_responder(uw_records) if name == "uw" else ms_gold_responder(ms_records, asserted)
+    lock = threading.Lock()
+    inflight = [0, 0]  # now, most
+
+    def respond(request):
+        with lock:
+            inflight[0] += 1
+            inflight[1] = max(inflight)
+        time.sleep(0.002)
+        with lock:
+            inflight[0] -= 1
+        return responder(request)
+
+    gateway = LmGateway(backend=ScriptedBackend(respond), concurrency=concurrency)
+    if name == "uw":
+        compile_uw(uw_records, gateway)
+    else:
+        compile_ms(ms_records, build_index(corpus), gateway)
+    assert inflight[1] == concurrency
+
+
+def test_search_raises_a_bootstrap_error_before_a_baseline_error():
+    records = synth_uw_records(12)
+    train, val = records[:6], records[6:]
+    order = list(train)
+    random.Random(4).shuffle(order)
+
+    def raising_for(ids):
+        def fail(stage, record, request):
+            if stage == "detect" and record.record_id in ids:
+                raise LiveRequestError(f"backend down for {record.record_id}")
+            return None
+
+        return fail
+
+    def compile_with(broken):
+        gateway, _ = uw_gateway(records, raising_for(broken))
+        mipro_compile(
+            default_uw_pipeline(), train, val, flag_match_metric(), budget=(1, 3), seed=4, gateway=gateway,
+            stages=("detect",),
+        )
+
+    with pytest.raises(GatewayError, match=f"record {order[0].record_id!r}: backend down"):
+        compile_with({r.record_id for r in records})
+    with pytest.raises(GatewayError, match=f"record {val[1].record_id!r}: backend down"):
+        compile_with({val[1].record_id, val[3].record_id})
+
+
+def test_uw_compile_raises_the_first_error_in_stage_order():
+    records = synth_uw_records(8)
+
+    def down(stage, record, request):
+        if stage in ("localize", "correct"):
+            raise LiveRequestError(f"{stage} down")
+        return None
+
+    with pytest.raises(GatewayError, match="localize down"):
+        compile_uw(records, uw_gateway(records, down)[0])
+
+
 def test_error_records_helper():
     records = synth_uw_records(6)
     subset = error_records(records)
@@ -603,41 +737,73 @@ def compile_uw(records, gateway):
     )
 
 
-def test_recorded_sampling_compile_replays_to_the_same_outputs(tmp_path):
-    records = synth_uw_records(10)
-    gold = uw_gold_responder(records)
+def compile_ms(records, index, gateway, demos_per_stage=3):
+    return compile_outputs(
+        *compile_ms_pipeline(
+            default_ms_pipeline(index), records[:6], records[6:], gateway,
+            seed=5, n_candidates=4, demos_per_stage=demos_per_stage,
+        )
+    )
 
-    def sample(request, n):
+
+class LoggingBackend:
+    """Passes requests to ``inner`` and keeps their canonical keys."""
+
+    def __init__(self, inner):
+        self.inner, self.tag, self.sent = inner, inner.tag, []
+
+    def complete(self, request):
+        self.sent.append(canonical_key(request))
+        return self.inner.complete(request)
+
+
+def test_recorded_sampling_compile_replays_to_the_same_outputs(tmp_path):
+    # A live compile at temperature 1.0 gets a different sample for every new
+    # request; replaying its cache at any concurrency sends the same requests
+    # and writes the same programs and reports.
+    uw_records = synth_uw_records(10)
+    ms_records, corpus, asserted = synth_ms_dataset(10)
+    index = build_index(corpus)
+    uw_gold, ms_gold = uw_gold_responder(uw_records), ms_gold_responder(ms_records, asserted)
+
+    def sample_uw(request, n):
         # Odd samples get the error flag wrong, so which sample a repeated
         # request received changes the scores.
-        text = gold(request).replace("Rationale: ", f"Rationale: sample {n}; ", 1)
+        text = uw_gold(request).replace("Rationale: ", f"Rationale: sample {n}; ", 1)
         return text if n % 2 == 0 else re.sub(r"Error Flag: (\d)", lambda m: f"Error Flag: {1 - int(m[1])}", text)
 
-    cache_path = tmp_path / "cache.jsonl"
-    live = compile_uw(records, LmGateway(backend=SamplingBackend(sample), cache=ReplayCache(cache_path), record=True))
-    replayed = compile_uw(records, LmGateway(backend=ReplayBackend(ReplayCache(cache_path))))
-    assert replayed == live
+    def sample_ms(request, n):
+        return ms_gold(request).replace("Rationale: ", f"Rationale: sample {n}; ", 1)
+
+    for name, compile_with, sample in (
+        ("uw", lambda gateway: compile_uw(uw_records, gateway), sample_uw),
+        ("ms", lambda gateway: compile_ms(ms_records, index, gateway), sample_ms),
+    ):
+        cache_path = tmp_path / f"{name}.jsonl"
+        live = compile_with(LmGateway(backend=SamplingBackend(sample), cache=ReplayCache(cache_path), record=True))
+        sent = []
+        for concurrency in (1, 4, 8):
+            backend = LoggingBackend(ReplayBackend(ReplayCache(cache_path)))
+            assert compile_with(LmGateway(backend=backend, concurrency=concurrency)) == live, (name, concurrency)
+            sent.append(Counter(backend.sent))
+        assert sent[0] == sent[1] == sent[2], name
 
 
 def test_compile_outputs_do_not_depend_on_concurrency():
     uw_records = synth_uw_records(10)
+    failing = wrong_flag_for({uw_records[2].record_id, uw_records[7].record_id})
     ms_records, corpus, asserted = synth_ms_dataset(10)
     index = build_index(corpus)
-    for_uw, for_ms = [], []
-    for concurrency in (1, 4):
-        uw_gateway = LmGateway(backend=ScriptedBackend(uw_gold_responder(uw_records)), concurrency=concurrency)
-        for_uw.append(compile_uw(uw_records, uw_gateway))
-        ms_gateway = LmGateway(backend=ScriptedBackend(ms_gold_responder(ms_records, asserted)), concurrency=concurrency)
-        for_ms.append(
-            compile_outputs(
-                *compile_ms_pipeline(
-                    default_ms_pipeline(index), ms_records[:6], ms_records[6:], ms_gateway,
-                    seed=5, n_candidates=4, demos_per_stage=3,
-                )
-            )
+    runs = []
+    for concurrency in (1, 4, 8):
+        uw_gw, uw_sent = uw_gateway(uw_records, failing, concurrency=concurrency)
+        ms_backend = LoggingBackend(ScriptedBackend(ms_gold_responder(ms_records, asserted)))
+        ms_gateway = LmGateway(backend=ms_backend, concurrency=concurrency)
+        runs.append(
+            (compile_uw(uw_records, uw_gw), Counter(uw_sent), compile_ms(ms_records, index, ms_gateway),
+             Counter(ms_backend.sent))
         )
-    assert for_uw[0] == for_uw[1]
-    assert for_ms[0] == for_ms[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("name", ["ms", "uw"])
@@ -646,7 +812,7 @@ def test_a_compile_recorded_at_concurrency_one_replays_at_eight(tmp_path, name):
     if name == "uw":
         records = synth_uw_records(10)
         failing = wrong_flag_for({records[2].record_id, records[5].record_id})
-        live_gateway, _ = detect_overridden_gateway(records, failing, cache=cache, record=True, concurrency=1)
+        live_gateway, _ = uw_gateway(records, failing, cache=cache, record=True, concurrency=1)
 
         def compile_with(gateway):
             return compile_uw(records, gateway)
@@ -658,12 +824,7 @@ def test_a_compile_recorded_at_concurrency_one_replays_at_eight(tmp_path, name):
         )
 
         def compile_with(gateway):
-            return compile_outputs(
-                *compile_ms_pipeline(
-                    default_ms_pipeline(index), records[:6], records[6:], gateway,
-                    seed=5, n_candidates=4, demos_per_stage=2,
-                )
-            )
+            return compile_ms(records, index, gateway, demos_per_stage=2)
 
     live = compile_with(live_gateway)
     replayed = compile_with(LmGateway(backend=ReplayBackend(ReplayCache(cache.path)), concurrency=8))

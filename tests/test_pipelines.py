@@ -30,6 +30,7 @@ from medcorr.program import Demo
 from medcorr.retrieval import build_index
 
 from helpers import (
+    live_block,
     make_mcq,
     ms_gold_responder,
     record_no_error,
@@ -302,6 +303,36 @@ def test_uw_bad_flag_value_is_stage_error():
 def test_uw_gate_threshold_range_validated():
     with pytest.raises(ValidationError):
         default_uw_pipeline(gate_threshold=1.2)
+
+
+def test_uw_gold_stage_runs_only_its_stage_on_gold_inputs():
+    record, pipeline = hypo_fixture()
+    sent = []
+
+    def respond(request):
+        stage = stage_of(request)
+        sent.append((stage, live_block(request)))
+        return {
+            "detect": "Rationale: r.\nError Flag: 1",
+            "localize": "Rationale: r.\nError Line: 0",  # the wrong line
+            "correct": f"Rationale: r.\nCorrected Sentence: {HYPO_FIXED}",
+        }[stage]
+
+    gateway = LmGateway(backend=ScriptedBackend(respond))
+    detect, localize, correct = (
+        replace(pipeline, gold_stage=stage).predict(record, gateway) for stage in ("detect", "localize", "correct")
+    )
+    assert [stage for stage, _ in sent] == ["detect", "localize", "correct"]
+    assert sent[2][1].startswith(f"Error Sentence: {HYPO_ERROR}")  # the gold line, not line 0
+    assert (detect.flag, [t.stage for t in detect.trace]) == (1, ["detect"])
+    assert (localize.error_sentence_id, localize.corrected_sentence) == (0, record.sentence_text(0))
+    assert (correct.error_sentence_id, correct.corrected_sentence) == (1, HYPO_FIXED)
+    assert [t.stage for t in correct.trace] == ["correct", "quality_gate"]
+
+
+def test_uw_gold_stage_must_name_a_stage():
+    with pytest.raises(ValidationError, match="gold stage 'retrieve'"):
+        replace(default_uw_pipeline(), gold_stage="retrieve")
 
 
 # --- prediction invariants ---------------------------------------------------------------
