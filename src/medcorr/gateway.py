@@ -16,6 +16,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -37,6 +38,17 @@ DEFAULT_MAX_TOKENS = 4096
 MAX_LIVE_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 8.0
+
+# The stop shared by a tree of nested ``pipelines.map_ordered`` batches, set in
+# each of their worker threads. Once it is set no batch in the tree takes an
+# item and the gateway sends no new request for it.
+batch_stop: ContextVar[threading.Event | None] = ContextVar("batch_stop", default=None)
+
+
+class BatchStopped(BaseException):
+    """A call given up because its batch tree stopped. Not an ``Exception``,
+    so no per-record handler scores or retries it; ``map_ordered`` ranks it
+    after every real failure."""
 
 
 @dataclass(frozen=True)
@@ -332,7 +344,9 @@ class LmGateway:
     ``record`` is set it is also appended to the cache file. Errors are not
     cached: waiters get the exception and a later call retries. Without a
     configured cache the gateway keeps an in-memory one. A replay backend is
-    called directly, since it is itself the cache lookup.
+    called directly, since it is itself the cache lookup. A request that gets
+    a backend slot after its batch tree stopped raises :class:`BatchStopped`
+    unsent.
     """
 
     backend: Backend
@@ -383,6 +397,9 @@ class LmGateway:
             return flight.result()
         try:
             with self._semaphore:
+                stop = batch_stop.get()
+                if stop is not None and stop.is_set():
+                    raise BatchStopped
                 response = backend.complete(request)
             self.cache.append(request, response, key=key, write=self.record)
         except BaseException as exc:

@@ -16,7 +16,8 @@ The bootstrap, the instruction proposals and the search keep up to
 ``gateway.concurrency`` requests in flight and take results in a fixed
 order, so calls, programs and reports do not depend on the concurrency.
 Candidate 0 is scored while the bootstrap and proposals run, and the three
-``uw`` stage compiles run together.
+``uw`` stage compiles run together; a gateway error in any of them stops
+them all from sending more requests.
 
 Localization and correction compiles must only ever see error-containing
 records; use :func:`error_records` when assembling their train/val sets.
@@ -143,8 +144,8 @@ def bootstrap_demos(
     A trace holds each stage at most once, so a record adds at most one
     demo to each pool and no wave reaches past the record where a
     one-at-a-time loop would stop: the predicted records, the backend
-    calls and the pools are the same at any concurrency. The first
-    exception in shuffled order propagates.
+    calls and the pools are the same at any concurrency. Of the exceptions
+    raised, the first in shuffled order propagates (see ``map_ordered``).
     """
     if max_demos < 1:
         raise ValidationError(f"max_demos must be >= 1, got {max_demos}")
@@ -282,9 +283,11 @@ def _search(
     and a demo subset. With no demo and no second instruction anywhere,
     candidate 0 is the only one. The later (candidate, record) pairs share
     one pool of ``gateway.concurrency`` workers. Scores are collected by
-    index, so the report does not depend on completion order. A gateway
-    error from ``space`` propagates first, then the first in (candidate,
-    record) order.
+    index, so the report does not depend on completion order. The first
+    gateway error stops ``space`` and candidate 0 alike (see
+    ``map_ordered``). Of the errors raised, one from ``space`` propagates
+    before one from candidate 0, then the first in (candidate, record)
+    order; a record stopped while it waits for a gateway slot raises none.
     """
     if gateway is None:
         raise ValidationError("compile needs a gateway")
@@ -516,8 +519,10 @@ def compile_uw_pipeline(
 
     Each stage is scored alone on gold inputs (``UwPipeline.gold_stage``), so
     the three compiles are independent and run together; the result carries
-    their winning programs and no ``gold_stage``. The first error in detect,
-    localize, correct order propagates.
+    their winning programs and no ``gold_stage``, even when ``pipeline`` has
+    one. The first error stops all three (see ``map_ordered``); the first
+    real error in detect, localize, correct order among those raised
+    propagates.
     """
     train_errors, val_errors = error_records(trainset), error_records(valset)
     if not train_errors or not val_errors:
@@ -535,5 +540,7 @@ def compile_uw_pipeline(
         list(phases),
         len(phases),
     )
-    compiled = pipeline.replace_stages({stage: won.stages[stage] for stage, (won, _) in zip(phases, results)})
+    compiled = replace(pipeline, gold_stage=None).replace_stages(
+        {stage: won.stages[stage] for stage, (won, _) in zip(phases, results)}
+    )
     return compiled, {stage: report for stage, (_, report) in zip(phases, results)}  # type: ignore[return-value]

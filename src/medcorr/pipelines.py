@@ -23,7 +23,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .corpus import ClinicalRecord, McqRecord, csv_rows, csv_text
 from .errors import MedcorrError, PipelineStageError, ValidationError
-from .gateway import LmGateway
+from .gateway import BatchStopped, LmGateway, batch_stop
 from .metrics import rouge_l_f
 from .na import NA, NAType, is_na, na_to_text, text_to_na
 from .program import (
@@ -498,23 +498,32 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> li
     """``[fn(item) for item in items]`` on up to ``workers`` threads.
 
     Each thread takes the next index from a shared counter and stores its
-    result in that slot, so results come back in input order. No call starts
-    after a call fails or the calling thread is interrupted; the started
-    calls finish, and the first exception in input order propagates.
+    result in that slot, so results come back in input order. ``fn`` may run
+    batches of its own, and every batch in such a tree shares one stop
+    (``gateway.batch_stop``). A failure in any of them, or an exception in
+    the outermost calling thread such as ``KeyboardInterrupt``, sets it: no
+    batch in the tree takes another item and the gateway sends no new
+    request. The started calls finish. The first exception in input order
+    propagates, a :class:`~medcorr.gateway.BatchStopped` only when there is
+    no other; a batch stopped from outside raises one. An item whose call
+    was waiting for a gateway slot is stopped too, so when several items
+    fail, which one propagates can depend on timing.
     """
     if workers < 1:
         raise ValidationError(f"concurrency must be >= 1, got {workers}")
+    stop = batch_stop.get() or threading.Event()
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
     lock = threading.Lock()
-    taken = 0  # set to len(items) to stop
+    taken = 0
 
     def work() -> None:
         nonlocal taken
+        batch_stop.set(stop)  # a new thread starts in an empty context
         while True:
             with lock:
                 index = taken
-                if index == len(items):
+                if index == len(items) or stop.is_set():
                     return
                 taken += 1
             try:
@@ -522,7 +531,7 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> li
             except BaseException as exc:  # re-raised in the calling thread
                 with lock:
                     failures[index] = exc
-                    taken = len(items)
+                    stop.set()
                 return
 
     threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)))]
@@ -532,11 +541,12 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> li
         for thread in threads:
             thread.join()
     except BaseException:
-        with lock:
-            taken = len(items)
+        stop.set()
         raise
     if failures:
-        raise failures[min(failures)]
+        raise min(failures.items(), key=lambda failure: (isinstance(failure[1], BatchStopped), failure[0]))[1]
+    if taken < len(items):
+        raise BatchStopped
     return results
 
 

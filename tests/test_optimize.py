@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from medcorr import pipelines
 from medcorr.errors import GatewayError, LiveRequestError, ValidationError
 from medcorr.gateway import LmGateway, ReplayBackend, ReplayCache, ScriptedBackend, canonical_key
 from medcorr.optimize import (
@@ -648,6 +649,13 @@ def test_each_uw_stage_compile_sends_only_its_own_stage_and_proposals():
     compiled, _ = compile_uw_pipeline(default_uw_pipeline(), train, val, gateway, seed=3, budget=(2, 4), demos_per_stage=3)
     assert Counter(sent) == separately
     assert compiled.gold_stage is None
+    gateway, sent = uw_gateway(records)
+    compiled, _ = compile_uw_pipeline(
+        replace(default_uw_pipeline(), gold_stage="localize"), train, val, gateway, seed=3, budget=(2, 4),
+        demos_per_stage=3,
+    )
+    assert Counter(sent) == separately
+    assert compiled.gold_stage is None
 
 
 @pytest.mark.parametrize("name", ["ms", "uw"])
@@ -676,43 +684,96 @@ def test_compile_never_has_more_than_concurrency_calls_in_flight(name, concurren
     assert inflight[1] == concurrency
 
 
-def test_search_raises_a_bootstrap_error_before_a_baseline_error():
-    records = synth_uw_records(12)
-    train, val = records[:6], records[6:]
-    order = list(train)
-    random.Random(4).shuffle(order)
+WAIT_S = 5.0
 
-    def raising_for(ids):
-        def fail(stage, record, request):
-            if stage == "detect" and record.record_id in ids:
-                raise LiveRequestError(f"backend down for {record.record_id}")
-            return None
 
-        return fail
+class Outage:
+    """An ``answer`` for :func:`uw_gateway` that raises where ``fails(stage,
+    record)`` holds and otherwise answers gold after 2 ms. ``calls`` counts
+    the requests sent, ``first_failure`` the count at the first failing one."""
 
-    def compile_with(broken):
-        gateway, _ = uw_gateway(records, raising_for(broken))
+    def __init__(self, fails):
+        self.fails, self.calls, self.first_failure = fails, 0, None
+        self.lock = threading.Lock()
+
+    def __call__(self, stage, record, request):
+        fails = self.fails(stage, record)
+        with self.lock:
+            self.calls += 1
+            if fails and self.first_failure is None:
+                self.first_failure = self.calls
+        if fails:
+            raise LiveRequestError(f"{stage} down for {record.record_id if record else None}")
+        time.sleep(0.002)
+        return None
+
+    @property
+    def sent_after_failure(self):
+        return self.calls - self.first_failure
+
+
+@pytest.mark.parametrize("broken", ["train", "val"])
+def test_search_error_in_the_bootstrap_or_candidate_zero_stops_both(broken):
+    # The bootstrap and candidate 0 run together; whichever fails first stops
+    # the other, so only requests already holding a gateway slot follow it.
+    # A record stopped while it waits for a slot raises nothing of its own, so
+    # which failing record is named depends on timing.
+    records = synth_uw_records(24)
+    train, val = records[:12], records[12:]
+    failing = {r.record_id for r in train} if broken == "train" else {val[1].record_id, val[3].record_id}
+    outage = Outage(lambda stage, record: stage == "detect" and record.record_id in failing)
+    gateway, _ = uw_gateway(records, outage, concurrency=2)
+    with pytest.raises(GatewayError, match=r"record '(uw\d+)': detect down") as raised:
         mipro_compile(
             default_uw_pipeline(), train, val, flag_match_metric(), budget=(1, 3), seed=4, gateway=gateway,
             stages=("detect",),
         )
-
-    with pytest.raises(GatewayError, match=f"record {order[0].record_id!r}: backend down"):
-        compile_with({r.record_id for r in records})
-    with pytest.raises(GatewayError, match=f"record {val[1].record_id!r}: backend down"):
-        compile_with({val[1].record_id, val[3].record_id})
+    assert re.match(r"record '(uw\d+)'", str(raised.value))[1] in failing
+    assert outage.sent_after_failure <= gateway.concurrency
 
 
-def test_uw_compile_raises_the_first_error_in_stage_order():
-    records = synth_uw_records(8)
+@pytest.mark.parametrize("broken", ["localize", "correct"])
+def test_uw_compile_stops_every_stage_once_one_fails(broken):
+    records = synth_uw_records(20)
+    outage = Outage(lambda stage, record: stage == broken)
+    gateway, _ = uw_gateway(records, outage)
+    with pytest.raises(GatewayError, match=f"{broken} down"):
+        compile_uw_pipeline(default_uw_pipeline(), records[:12], records[12:], gateway, seed=3, budget=(3, 6), demos_per_stage=4)
+    assert outage.sent_after_failure <= gateway.concurrency
 
-    def down(stage, record, request):
-        if stage in ("localize", "correct"):
-            raise LiveRequestError(f"{stage} down")
+
+def test_an_interrupt_during_a_uw_compile_starts_no_further_request(monkeypatch):
+    records = synth_uw_records(20)
+    threads = []
+    some_sent = threading.Event()
+    interrupted_at = []
+
+    class InterruptedJoin(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            threads.append(self)
+
+        def join(self, timeout=None):
+            if threading.current_thread() is not threading.main_thread():
+                return super().join(timeout)
+            assert some_sent.wait(WAIT_S)
+            interrupted_at.append(len(sent))
+            raise KeyboardInterrupt
+
+    def answer(stage, record, request):
+        if len(sent) >= 12:
+            some_sent.set()
+        time.sleep(0.002)
         return None
 
-    with pytest.raises(GatewayError, match="localize down"):
-        compile_uw(records, uw_gateway(records, down)[0])
+    gateway, sent = uw_gateway(records, answer)
+    monkeypatch.setattr(pipelines.threading, "Thread", InterruptedJoin)
+    with pytest.raises(KeyboardInterrupt):
+        compile_uw_pipeline(default_uw_pipeline(), records[:12], records[12:], gateway, seed=3, budget=(3, 6), demos_per_stage=4)
+    for thread in threads:  # each thread is listed before the ones it starts
+        super(InterruptedJoin, thread).join(WAIT_S)
+        assert not thread.is_alive()
+    assert len(sent) - interrupted_at[0] <= gateway.concurrency
 
 
 def test_error_records_helper():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from medcorr.errors import PipelineStageError, ValidationError
-from medcorr.gateway import LmGateway, ScriptedBackend
+from medcorr.gateway import BatchStopped, LmGateway, Message, ScriptedBackend, batch_stop
 from medcorr.metrics import rouge_l_f
 from medcorr.na import NA, is_na
 from medcorr import pipelines
@@ -521,6 +521,87 @@ def test_map_ordered_an_interrupt_while_joining_stops_new_calls(monkeypatch):
         super(InterruptedJoin, thread).join(WAIT_S)
         assert not thread.is_alive()
     assert set(started) <= {0, 1}
+
+
+def test_map_ordered_a_failure_stops_the_batches_nested_in_other_calls():
+    inner_started = []
+    three_started = threading.Event()
+
+    def inner(i):
+        inner_started.append(i)
+        if i == 2:
+            three_started.set()
+            assert batch_stop.get().wait(WAIT_S)  # the stop the whole tree shares
+        return i
+
+    def outer(i):
+        if i == 0:
+            return map_ordered(inner, range(50), workers=1)
+        assert three_started.wait(WAIT_S)
+        raise ValueError("sibling")
+
+    # The stopped batch in item 0 raises BatchStopped, which ranks after the real failure.
+    with pytest.raises(ValueError, match="sibling"):
+        map_ordered(outer, range(2), workers=2)
+    assert inner_started == [0, 1, 2]
+
+
+def test_map_ordered_a_stopped_batch_sends_no_request():
+    sent = []
+    gateway = LmGateway(backend=ScriptedBackend(lambda request: sent.append(request) or "ok"))
+
+    def fn(i):
+        if i == 0:
+            raise ValueError("first")
+        assert batch_stop.get().wait(WAIT_S)
+        return gateway.complete_messages([Message("user", "hello")])
+
+    with pytest.raises(ValueError, match="first"):
+        map_ordered(fn, range(2), workers=2)
+    assert sent == []
+
+
+def test_map_ordered_an_interrupt_while_joining_stops_nested_batches(monkeypatch):
+    threads = []
+    started = []
+    both_started = threading.Barrier(3)
+
+    class InterruptedJoin(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            threads.append(self)
+
+        def join(self, timeout=None):
+            if threading.current_thread() is not threading.main_thread():
+                return super().join(timeout)
+            both_started.wait(WAIT_S)
+            raise KeyboardInterrupt
+
+    def inner(item):
+        started.append(item)
+        if len(started) <= 2:
+            both_started.wait(WAIT_S)
+        assert batch_stop.get().wait(WAIT_S)
+        return item
+
+    monkeypatch.setattr(pipelines.threading, "Thread", InterruptedJoin)
+    with pytest.raises(KeyboardInterrupt):
+        map_ordered(lambda i: map_ordered(inner, [(i, k) for k in range(50)], workers=1), range(2), workers=2)
+    for thread in threads:  # the outer threads come first and join the inner ones
+        super(InterruptedJoin, thread).join(WAIT_S)
+        assert not thread.is_alive()
+    assert sorted(started) == [(0, 0), (1, 0)]
+
+
+def test_map_ordered_a_batch_stopped_from_outside_raises_batch_stopped():
+    stop = threading.Event()
+    stop.set()
+    token = batch_stop.set(stop)
+    try:
+        with pytest.raises(BatchStopped):
+            map_ordered(lambda item: item, [1, 2], workers=2)
+    finally:
+        batch_stop.reset(token)
 
 
 def test_map_ordered_starts_no_thread_for_empty_input(monkeypatch):
