@@ -344,9 +344,9 @@ class LmGateway:
     ``record`` is set it is also appended to the cache file. Errors are not
     cached: waiters get the exception and a later call retries. Without a
     configured cache the gateway keeps an in-memory one. A replay backend is
-    called directly, since it is itself the cache lookup. A request that gets
-    a backend slot after its batch tree stopped raises :class:`BatchStopped`
-    unsent.
+    called directly, since it is itself the cache lookup. Any other backend
+    request that gets a slot after its batch tree stopped (``batch_stop``)
+    raises :class:`BatchStopped` unsent.
     """
 
     backend: Backend
