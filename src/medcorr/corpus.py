@@ -358,7 +358,9 @@ def mcq_from_object(obj: dict) -> McqRecord:
     question, options, answer = obj["question"], obj["options"], obj["answer"]
     if not isinstance(question, str) or not isinstance(answer, str) or not isinstance(options, dict):
         raise ValidationError("malformed MCQ fields")
-    return McqRecord(question=question, options=tuple((k, str(v)) for k, v in options.items()), correct_label=answer)
+    if set(map(type, options.values())) - {str}:
+        raise ValidationError(f"MCQ {question[:60]!r} has an option text that is not a string")
+    return McqRecord(question=question, options=tuple(options.items()), correct_label=answer)
 
 
 def mcq_to_object(record: McqRecord) -> dict:

@@ -10,11 +10,13 @@ stop words.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
 import math
 import operator
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -23,7 +25,7 @@ from pathlib import Path
 from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document
 from .errors import ValidationError
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -97,7 +99,8 @@ def build_index(corpus: list[McqRecord]) -> TfidfIndex:
 
 
 def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
-    """Top-k documents by cosine similarity; zero-score documents pad to k.
+    """The ``min(k, n_documents)`` documents of highest cosine similarity,
+    zero-score documents included.
 
     Query terms absent from the index vocabulary are dropped. Ties break by
     ascending doc_id.
@@ -138,21 +141,26 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
 
 
 def save_index(index: TfidfIndex, path: str | Path) -> None:
-    """Write ``index`` in format 2: per vocabulary term, in term-id order, its
-    ascending doc ids and raw term counts, from which ``load_index`` derives
-    the weights."""
-    postings = []
+    """Write ``index`` in format 3: per vocabulary term, in term-id order, its
+    posting length, ascending doc ids and raw term counts, from which
+    ``load_index`` derives the weights. The numeric arrays are base64 of
+    packed little-endian values (int32, norms float64)."""
+    lengths, ids, counts = array("i"), array("i"), array("i")
     for term_id in range(len(index.vocabulary)):
-        ids, weights = index.postings[term_id]
+        term_ids, weights = index.postings[term_id]
         try:
-            postings.append([ids.tolist(), _counts(term_id, weights, index.idf(term_id))])
-        except ValueError as exc:
+            counts.extend(_counts(term_id, weights, index.idf(term_id)))
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot write index file {path}: {exc}") from exc
+        lengths.append(len(term_ids))
+        ids.extend(term_ids)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "vocabulary": index.vocabulary,
-        "postings": postings,
-        "doc_norms": list(index.doc_norms),
+        "posting_lengths": _packed(lengths),
+        "doc_ids": _packed(ids),
+        "counts": _packed(counts),
+        "doc_norms": _packed(array("d", index.doc_norms)),
         "corpus": [mcq_to_object(r) for r in index.corpus],
     }
     # Encoded before the file is opened: a text UTF-8 cannot carry fails
@@ -165,91 +173,78 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> TfidfIndex:
-    """Read an index file of format 2, or of format 1, which stored each
-    document's weights instead of postings of counts."""
+    """Read an index file of format 3. A file of format 1 or 2 is rejected
+    with a request to rebuild it, which ``index build`` does from the MCQ
+    corpus deterministically."""
+    what = f"index file {path}"
     try:
-        return read_document(
-            Path(path).read_text(encoding="utf-8"), f"index file {path}", (1, INDEX_FORMAT_VERSION), _index_of
-        )
+        index = read_document(Path(path).read_text(encoding="utf-8"), what, (1, 2, INDEX_FORMAT_VERSION), _index_of)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read index file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    if index is None:
+        raise ValidationError(f"{what} is of an older format, no longer read; rebuild it with `medcorr index build`")
+    return index
 
 
-def _index_of(version: int, payload: dict) -> TfidfIndex:
+def _index_of(version: int, payload: dict) -> TfidfIndex | None:
+    if version != INDEX_FORMAT_VERSION:
+        return None
     corpus = tuple(map(mcq_from_object, payload["corpus"]))
     vocabulary = payload["vocabulary"]
+    n_terms, n_documents = len(vocabulary), len(corpus)
     term_ids = sorted(vocabulary.values())
-    if set(map(type, term_ids)) - {int} or term_ids != list(range(len(term_ids))):
+    if set(map(type, term_ids)) - {int} or term_ids != list(range(n_terms)):
         raise ValueError("the vocabulary's term ids are not the integers 0 to its size - 1")
-    if version == INDEX_FORMAT_VERSION:
-        counted = payload["postings"]
-    else:
-        counted = _counts_of_v1(payload, len(vocabulary), len(corpus))
-    postings = _weighted_postings(counted, len(vocabulary), len(corpus))
-    doc_norms = tuple(payload["doc_norms"])
-    if set(map(type, doc_norms)) - {int, float}:
-        raise ValueError("a doc norm is not a number")
-    if len(doc_norms) != len(corpus):
+    lengths, ids, counts = (_unpacked(payload, name, "i") for name in ("posting_lengths", "doc_ids", "counts"))
+    doc_norms = tuple(_unpacked(payload, "doc_norms", "d"))
+    if len(lengths) != n_terms:
+        raise ValueError(f"{len(lengths)} posting lengths for {n_terms} vocabulary terms")
+    if min(lengths, default=1) < 1:
+        raise ValueError(f"term {lengths.index(min(lengths))} has an empty posting")
+    if not sum(lengths) == len(ids) == len(counts):
+        raise ValueError(f"posting lengths sum to {sum(lengths)} for {len(ids)} doc ids and {len(counts)} counts")
+    if min(counts, default=1) < 1:
+        raise ValueError("a count is below 1")
+    if len(doc_norms) != n_documents:
         raise ValueError("corpus and doc_norms differ in length")
+    # 0.0 <= nan is false, so with no NaN left max finds any infinity.
+    if not all(map((0.0).__le__, doc_norms)) or max(doc_norms, default=0.0) == math.inf:
+        raise ValueError("a doc norm is negative, infinite or not a number")
+    postings = {}
+    end = 0
+    for term_id, length in enumerate(lengths):
+        start, end = end, end + length
+        term_ids = ids[start:end]
+        if not all(map(operator.lt, term_ids, islice(term_ids, 1, None))):
+            raise ValueError(f"term {term_id}'s doc ids are not strictly ascending")
+        if term_ids[0] < 0 or term_ids[-1] >= n_documents:
+            raise ValueError(f"term {term_id} has a doc id outside [0, {n_documents})")
+        idf = _idf(n_documents, length)
+        postings[term_id] = (term_ids, array("d", [tf * idf for tf in counts[start:end]]))
     return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=doc_norms, corpus=corpus)
 
 
-def _weighted_postings(counted: list, n_terms: int, n_documents: int) -> dict[int, tuple[array, array]]:
-    """Check each term's ``[doc ids, raw counts]`` and weigh the counts as
-    ``build_index`` does."""
-    if len(counted) != n_terms:
-        raise ValueError(f"{len(counted)} postings for {n_terms} vocabulary terms")
-    postings = {}
-    for term_id, (ids, counts) in enumerate(counted):
-        if len(ids) != len(counts):
-            raise ValueError(f"term {term_id} has {len(ids)} doc ids but {len(counts)} counts")
-        if not ids:
-            raise ValueError(f"term {term_id} has an empty posting")
-        if set(map(type, ids)) | set(map(type, counts)) != {int}:
-            raise ValueError(f"term {term_id} has a doc id or count that is not an integer")
-        if not all(map(operator.lt, ids, islice(ids, 1, None))):
-            raise ValueError(f"term {term_id}'s doc ids are not strictly ascending")
-        if ids[0] < 0 or ids[-1] >= n_documents:
-            raise ValueError(f"term {term_id} has a doc id outside [0, {n_documents})")
-        if min(counts) < 1:
-            raise ValueError(f"term {term_id} has a count below 1")
-        idf = _idf(n_documents, len(ids))
-        postings[term_id] = (array("i", ids), array("d", [tf * idf for tf in counts]))
-    return postings
+def _packed(values: array) -> str:
+    """Base64 of ``values`` as little-endian bytes, which ``_unpacked`` reads."""
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
-def _counts_of_v1(payload: dict, n_terms: int, n_documents: int) -> list[list[list[int]]]:
-    """Format 1's per-document weights as per-term ``[doc ids, raw counts]``.
-
-    A weight must be exactly its recovered count times the idf, and a stored
-    document frequency exactly its term's posting length, so a file loads
-    only to the index that ``build_index`` made of its corpus."""
-    doc_vectors = payload["doc_vectors"]
-    if len(doc_vectors) != n_documents:
-        raise ValueError("corpus and doc_vectors differ in length")
-    by_term: list[tuple[list[int], list[float]]] = [([], []) for _ in range(n_terms)]
-    for doc_id, vector in enumerate(doc_vectors):
-        for key, weight in vector.items():
-            term_id = int(key)
-            if not 0 <= term_id < n_terms:
-                raise ValueError(f"document {doc_id} carries term id {term_id}, which is not in the vocabulary")
-            if type(weight) not in (int, float):
-                raise ValueError(f"document {doc_id} has a weight that is not a number")
-            by_term[term_id][0].append(doc_id)
-            by_term[term_id][1].append(weight)
-    document_frequency = {int(k): v for k, v in payload["document_frequency"].items()}
-    if set(map(type, document_frequency.values())) - {int}:
-        raise ValueError("a document_frequency is not an integer")
-    counted = []
-    for term_id, (ids, weights) in enumerate(by_term):
-        if document_frequency.get(term_id) != len(ids):
-            raise ValueError(
-                f"term {term_id} has document_frequency {document_frequency.get(term_id)} but {len(ids)} postings"
-            )
-        if not ids:
-            raise ValueError(f"term {term_id} is in no document")
-        counted.append([ids, _counts(term_id, weights, _idf(n_documents, len(ids)))])
-    return counted
+def _unpacked(payload: dict, name: str, typecode: str) -> array:
+    """The array that ``_packed`` wrote to ``payload[name]``."""
+    text = payload[name]
+    if type(text) is not str:
+        raise ValueError(f"{name} is not a base64 string")
+    values = array(typecode)
+    try:
+        values.frombytes(base64.b64decode(text, validate=True))
+    except ValueError as exc:  # not base64, or not of whole values
+        raise ValueError(f"{name} is not base64 of {values.itemsize}-byte values: {exc}") from None
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 def _counts(term_id: int, weights, idf: float) -> list[int]:

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from pathlib import Path
-from types import SimpleNamespace
+import struct
 from typing import Sequence
 
 from medcorr.errors import ValidationError
 from medcorr.gateway import Message
 from medcorr.program import CHAIN_OF_THOUGHT, RATIONALE_DESCRIPTION, RATIONALE_FIELD, Field, field_label
-from medcorr.retrieval import document_text, tokenize
+from medcorr.retrieval import tokenize
 
 
 def lcs_table_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -94,41 +94,26 @@ def document_vectors(index) -> list[dict[int, float]]:
     return vectors
 
 
-def save_index_v1(index, path: str | Path) -> None:
-    """Write ``index`` in index format 1, as ``retrieval.save_index`` did
-    before format 2: its body verbatim, run on the fields format 1 stored,
-    which are rebuilt from the postings. A document's terms come in the order
-    the document first mentions them, as ``build_index`` once stored them, so
-    this writes the bytes the format-1 writer wrote for a built index."""
-    vectors = document_vectors(index)
-    index = SimpleNamespace(
-        vocabulary=index.vocabulary,
-        document_frequency={term_id: len(ids) for term_id, (ids, _) in index.postings.items()},
-        doc_vectors=[
-            {term_id: vector[term_id] for term_id in dict.fromkeys(index.vocabulary[t] for t in tokenize(document_text(r)))}
-            for vector, r in zip(vectors, index.corpus)
-        ],
-        doc_norms=index.doc_norms,
-        corpus=index.corpus,
-    )
+def packed(code: str, values) -> str:
+    """Base64 of ``values`` packed little-endian by ``struct`` format ``code``."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
+def index_document(vocabulary: dict, postings: list, doc_norms: list, corpus: list, /, **fields) -> str:
+    """The JSON text of an index file of format 3, packed with ``struct``
+    rather than ``retrieval``'s arrays. ``postings`` holds one ``[doc ids,
+    raw counts]`` pair per term in term-id order, each term's length being
+    its number of ids; ``fields`` replace or add top-level fields."""
     payload = {
-        "format_version": 1,
-        "vocabulary": index.vocabulary,
-        "document_frequency": {str(k): v for k, v in index.document_frequency.items()},
-        "doc_vectors": [{str(k): v for k, v in vec.items()} for vec in index.doc_vectors],
-        "doc_norms": list(index.doc_norms),
-        "corpus": [
-            {"question": r.question, "options": dict(r.options), "answer": r.correct_label}
-            for r in index.corpus
-        ],
+        "format_version": 3,
+        "vocabulary": vocabulary,
+        "posting_lengths": packed("i", [len(ids) for ids, _ in postings]),
+        "doc_ids": packed("i", [doc_id for ids, _ in postings for doc_id in ids]),
+        "counts": packed("i", [count for _, counts in postings for count in counts]),
+        "doc_norms": packed("d", doc_norms),
+        "corpus": corpus,
     }
-    # Encoded before the file is opened: a text UTF-8 cannot carry fails
-    # here and leaves an existing file as it was.
-    try:
-        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"cannot write index file {path}: {exc}") from exc
-    Path(path).write_bytes(data)
+    return json.dumps({**payload, **fields})
 
 
 def render_messages_oracle(program, inputs) -> list[Message]:

@@ -17,6 +17,7 @@ from medcorr.pipelines import default_uw_pipeline, parse_predictions, serialize_
 from medcorr.program import program_to_json
 
 from helpers import report_payload, uw_gold_responder
+from oracles import index_document, packed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RECORDS_CSV = FIXTURES / "clinical_10.csv"
@@ -399,70 +400,94 @@ def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, paylo
 _MCQ = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, "answer": "A"}
 
 
-def v1_index_payload(**fields) -> str:
-    base = {
-        "format_version": 1,
-        "vocabulary": {"of": 0, "the": 1, "with": 2},
-        "document_frequency": {"0": 1, "1": 1, "2": 1},
-        "doc_vectors": [{"0": 1.0, "1": 1.0, "2": 1.0}],
-        "doc_norms": [1.7],
-        "corpus": [_MCQ],
-    }
-    return json.dumps({**base, **fields})
+_VOCABULARY = {"of": 0, "the": 1, "with": 2}
 
 
-def index_payload(**fields) -> str:
-    base = {
-        "format_version": 2,
-        "vocabulary": {"of": 0, "the": 1, "with": 2},
-        "postings": [[[0], [1]], [[0], [1]], [[0], [1]]],
-        "doc_norms": [1.7],
-        "corpus": [_MCQ],
-    }
-    return json.dumps({**base, **fields})
+def index_payload(postings=([[0], [1]],) * 3, norms=(1.7,), **fields) -> str:
+    """A one-document index file of format 3 over three terms; ``fields``
+    replace top-level fields, the corpus among them."""
+    return index_document(_VOCABULARY, list(postings), list(norms), [_MCQ], **fields)
 
 
 def two_document_index_payload(first_posting: list) -> str:
-    return index_payload(postings=[first_posting, [[0], [1]], [[1], [1]]], doc_norms=[1.7, 1.7], corpus=[_MCQ, _MCQ])
+    return index_payload(postings=[first_posting, [[0], [1]], [[1], [1]]], norms=[1.7, 1.7], corpus=[_MCQ, _MCQ])
 
 
 @pytest.mark.parametrize(
     "payload",
     [
         "[1, 2]",
-        '{"format_version": 1}',
-        '{"format_version": 1, "corpus": [1]}',
-        pytest.param(v1_index_payload(document_frequency={"0": 1}), id="term-without-document-frequency"),
-        pytest.param(v1_index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-vectors"),
-        pytest.param(v1_index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-vectors"),
-        pytest.param(v1_index_payload(document_frequency={"0": 0, "1": 1, "2": 1}), id="df-zero"),
-        pytest.param(v1_index_payload(format_version=True), id="format-version-true"),
-        pytest.param(v1_index_payload(document_frequency={"0": "1", "1": 1, "2": 1}), id="df-a-string"),
-        pytest.param(v1_index_payload(document_frequency={"0": True, "1": 1, "2": 1}), id="df-a-bool"),
-        pytest.param(v1_index_payload(doc_vectors=[{"0": "1.0", "1": 1.0, "2": 1.0}]), id="weight-a-string"),
-        pytest.param(index_payload(format_version=2.0), id="format-version-a-float"),
+        '{"format_version": 3}',
+        '{"format_version": 3, "corpus": [1]}',
+        pytest.param(index_payload(format_version=True), id="format-version-true"),
+        pytest.param(index_payload(format_version=3.0), id="format-version-a-float"),
         pytest.param(index_payload(vocabulary={"of": 0, "the": "1", "with": 2}), id="vocabulary-id-a-string"),
-        pytest.param(index_payload(doc_norms=["1.7"]), id="norm-a-string"),
+        pytest.param(index_payload(doc_norms=[1.7]), id="norms-a-json-list"),
+        pytest.param(index_payload(counts=1), id="counts-a-number"),
+        pytest.param(index_payload(doc_ids="AAAA!AAA"), id="doc-ids-invalid-base64"),
+        pytest.param(index_payload(doc_ids="AAAA"), id="doc-ids-not-whole-items"),
+        pytest.param(index_payload(doc_norms=packed("i", [1])), id="norms-not-whole-items"),
+        pytest.param(index_payload(posting_lengths=packed("i", [1, 1, 2])), id="lengths-do-not-sum-to-the-ids"),
+        pytest.param(index_payload(counts=packed("d", [1.0, 1.0, 1.0])), id="counts-packed-as-doubles"),
         pytest.param(index_payload(postings=[[[1], [1]], [[0], [1]], [[0], [1]]]), id="doc-id-out-of-range"),
+        pytest.param(index_payload(postings=[[[-1], [1]], [[0], [1]], [[0], [1]]]), id="doc-id-negative"),
         pytest.param(two_document_index_payload([[1, 0], [1, 1]]), id="doc-ids-not-ascending"),
-        pytest.param(index_payload(postings=[[[0], [1.5]], [[0], [1]], [[0], [1]]]), id="count-not-an-integer"),
+        pytest.param(two_document_index_payload([[0, 0], [1, 1]]), id="doc-id-repeated"),
         pytest.param(index_payload(postings=[[[0], [0]], [[0], [1]], [[0], [1]]]), id="count-below-one"),
         pytest.param(two_document_index_payload([[0, 1], [1]]), id="ids-and-counts-differ-in-length"),
         pytest.param(index_payload(postings=[[[], []], [[0], [1]], [[0], [1]]]), id="empty-posting"),
         pytest.param(index_payload(postings=[[[0], [1]], [[0], [1]]]), id="postings-fewer-than-terms"),
-        pytest.param(index_payload(doc_norms=[1.7, 1.7]), id="norms-longer-than-corpus"),
+        pytest.param(index_payload(norms=[1.7, 1.7]), id="norms-longer-than-corpus"),
+        pytest.param(index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-norms"),
+        pytest.param(index_payload(norms=[float("nan")]), id="norm-not-a-number"),
+        pytest.param(index_payload(corpus=[{**_MCQ, "options": {"A": "aspirin", "B": None}}]), id="option-text-null"),
     ],
 )
 def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, payload):
     index = tmp_path / "index.json"
     index.write_text(payload, encoding="utf-8")
-    result = run_cli_process(
-        ["predict", "--pipeline", "ms", "--records", str(RECORDS_CSV), "--index", str(index),
-         "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
-    )
+    result = predict_ms_with_index(tmp_path, index)
     assert_one_error_line(result)
     assert f"index file {index}" in result.stderr
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {
+            "format_version": 1,
+            "vocabulary": _VOCABULARY,
+            "document_frequency": {"0": 1, "1": 1, "2": 1},
+            "doc_vectors": [{"0": 1.0, "1": 1.0, "2": 1.0}],
+            "doc_norms": [1.7],
+            "corpus": [_MCQ],
+        },
+        {
+            "format_version": 2,
+            "vocabulary": _VOCABULARY,
+            "postings": [[[0], [1]], [[0], [1]], [[0], [1]]],
+            "doc_norms": [1.7],
+            "corpus": [_MCQ],
+        },
+    ],
+    ids=["format-1", "format-2"],
+)
+def test_predict_with_an_index_of_an_older_format_asks_to_rebuild_it(tmp_path, payload):
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps(payload), encoding="utf-8")
+    result = predict_ms_with_index(tmp_path, index)
+    assert_one_error_line(result)
+    assert f"index file {index} " in result.stderr
+    assert "rebuild it with `medcorr index build`" in result.stderr
+    assert not (tmp_path / "p.csv").exists()
+
+
+def predict_ms_with_index(tmp_path: Path, index: Path) -> subprocess.CompletedProcess:
+    return run_cli_process(
+        ["predict", "--pipeline", "ms", "--records", str(RECORDS_CSV), "--index", str(index),
+         "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
+    )
 
 
 def detect_program_payload(**fields) -> str:

@@ -308,6 +308,15 @@ def test_parse_mcq_rejects_a_lone_surrogate_naming_the_line(mcq):
         parse_mcq_corpus(raw)
 
 
+@pytest.mark.parametrize("options", [{"A": None, "B": "y"}, {"A": "x", "B": 7}, {"A": "x", "B": ["y"]}])
+def test_parse_mcq_rejects_an_option_text_that_is_not_a_string_naming_the_line(options):
+    raw = b'{"question": "q", "options": {"A": "x", "B": "y"}, "answer": "A"}\n' + json.dumps(
+        {"question": "Which?", "options": options, "answer": "A"}
+    ).encode("utf-8")
+    with pytest.raises(ValidationError, match="line 2: MCQ 'Which\\?' has an option text that is not a string"):
+        parse_mcq_corpus(raw)
+
+
 def test_mcq_round_trip():
     raw = (
         '{"question": "q1", "options": {"A": "x", "B": "y"}, "answer": "B"}\n'

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
 import random
 import re
+import struct
+import sys
 import tempfile
 from array import array
 from pathlib import Path
@@ -24,7 +27,7 @@ from medcorr.retrieval import (
 )
 
 from helpers import make_mcq
-from oracles import document_vectors, save_index_v1, scan_query
+from oracles import document_vectors, index_document, packed, scan_query
 
 MCQ_CORPUS = Path(__file__).parent / "fixtures" / "mcq_corpus.jsonl"
 
@@ -320,35 +323,114 @@ def test_save_load_round_trip(tmp_path):
     assert [(h.doc_id, h.score) for h in original] == [(h.doc_id, h.score) for h in replayed]
 
 
-def assert_format_1_and_2_files_agree(corpus, directory: Path) -> None:
-    """Both formats load to the built index, and format 2 round-trips byte
-    for byte from either, queries in between changing nothing."""
+def layout_oracle(index: TfidfIndex) -> dict:
+    """The format-3 file of ``index``, its postings counted from each
+    document's tokens and packed by ``oracles.index_document``."""
+    tokens = [tokenize(document_text(r)) for r in index.corpus]
+    postings = []
+    for term in index.vocabulary:  # in term-id order, as build_index assigns ids
+        ids = [doc_id for doc_id, doc in enumerate(tokens) if term in doc]
+        postings.append([ids, [tokens[doc_id].count(term) for doc_id in ids]])
+    corpus = [{"question": r.question, "options": dict(r.options), "answer": r.correct_label} for r in index.corpus]
+    return json.loads(index_document(index.vocabulary, postings, list(index.doc_norms), corpus))
+
+
+def assert_round_trips(corpus, directory: Path, query_text: str) -> None:
+    """A built index saves to the layout oracle's file, loads back equal, and
+    saves again to the same bytes; the loaded index's hits equal the scan's."""
     built = build_index(corpus)
-    v1, v2, again = directory / "v1.json", directory / "v2.json", directory / "again.json"
-    save_index_v1(built, v1)
-    save_index(built, v2)
-    from_v1, from_v2 = load_index(v1), load_index(v2)
-    assert json.loads(v1.read_bytes())["format_version"] == 1
-    assert json.loads(v2.read_bytes())["format_version"] == 2
-    assert from_v1 == from_v2 == built
-    save_index(from_v1, again)
-    assert again.read_bytes() == v2.read_bytes()
-    text = document_text(built.corpus[-1])
-    assert pairs(query(from_v1, text, k=3)) == pairs(query(from_v2, text, k=3)) == pairs(query(built, text, k=3))
-    save_index(from_v2, again)
-    assert again.read_bytes() == v2.read_bytes()
+    path, again = directory / "index.json", directory / "again.json"
+    save_index(built, path)
+    assert json.loads(path.read_bytes()) == layout_oracle(built)
+    loaded = load_index(path)
+    assert loaded == built
+    save_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    for k in range(1, len(corpus) + 3):
+        assert pairs(query(loaded, query_text, k=k)) == scan_query(built, query_text, k=k)
 
 
-def test_format_1_and_2_files_of_the_fixture_corpus_load_to_the_built_index(tmp_path):
+def test_the_fixture_corpus_index_round_trips(tmp_path):
     corpus = parse_mcq_corpus(MCQ_CORPUS.read_text(encoding="utf-8"))
-    assert_format_1_and_2_files_agree(corpus, tmp_path)
+    assert_round_trips(corpus, tmp_path, document_text(corpus[-1]))
 
 
-@settings(max_examples=30, deadline=None)
-@given(docs=st.lists(_DOC, min_size=1, max_size=12))
-def test_format_1_and_2_files_load_to_the_built_index_property(docs):
+@settings(max_examples=40, deadline=None)
+@given(docs=st.lists(_DOC, min_size=1, max_size=12), query_text=_DOC)
+def test_saved_index_round_trips_property(docs, query_text):
     with tempfile.TemporaryDirectory() as directory:
-        assert_format_1_and_2_files_agree(corpus_of(docs), Path(directory))
+        assert_round_trips(corpus_of(docs), Path(directory), query_text)
+
+
+TWO_DOCUMENTS = ["syncope workup syncope", "orthostatic syncope"]
+
+
+def test_format_3_layout_is_pinned(tmp_path):
+    # A typecode, byte-order or field-order change alters these strings.
+    path = tmp_path / "index.json"
+    save_index(build_index(corpus_of(TWO_DOCUMENTS)), path)
+    payload = json.loads(path.read_bytes())
+    assert list(payload) == ["format_version", "vocabulary", "posting_lengths", "doc_ids", "counts", "doc_norms", "corpus"]
+    assert payload["format_version"] == 3
+    assert payload["vocabulary"] == {"syncope": 0, "workup": 1, "alpha": 2, "beta": 3, "orthostatic": 4}
+    assert payload["posting_lengths"] == "AgAAAAEAAAACAAAAAgAAAAEAAAA="  # 2, 1, 2, 2, 1
+    assert payload["doc_ids"] == "AAAAAAEAAAAAAAAAAAAAAAEAAAAAAAAAAQAAAAEAAAA="  # 0 1, 0, 0 1, 0 1, 1
+    assert payload["counts"] == "AgAAAAEAAAABAAAAAQAAAAEAAAABAAAAAQAAAAEAAAA="  # 2 1, 1, 1 1, 1 1, 1
+    assert payload["doc_norms"] == "5RlwyVjSB0CrGoRViWADQA=="
+    idf = math.log(2.0) + 1.0
+    norms = struct.unpack("<2d", base64.b64decode(payload["doc_norms"]))
+    assert norms == pytest.approx((math.sqrt(4.0 + idf * idf + 2.0), math.sqrt(idf * idf + 3.0)), abs=1e-12)
+
+
+def test_save_and_load_swap_bytes_on_a_big_endian_host(tmp_path, monkeypatch):
+    built = build_index(corpus_of(TWO_DOCUMENTS))
+    native, swapped = tmp_path / "native.json", tmp_path / "swapped.json"
+    save_index(built, native)
+    monkeypatch.setattr(sys, "byteorder", "little" if sys.byteorder == "big" else "big")
+    save_index(built, swapped)
+    assert load_index(swapped) == built
+    first, second = json.loads(native.read_bytes()), json.loads(swapped.read_bytes())
+    for name, code in (("posting_lengths", "i"), ("doc_ids", "i"), ("counts", "i"), ("doc_norms", "d")):
+        values = array(code, base64.b64decode(first[name]))
+        values.byteswap()
+        assert base64.b64decode(second[name]) == values.tobytes()
+
+
+def two_document_payload(**fields) -> dict:
+    built = build_index(corpus_of(TWO_DOCUMENTS))
+    return {**layout_oracle(built), **fields}
+
+
+@pytest.mark.parametrize("norm", [math.nan, -1.0, -0.5e-300, math.inf, -math.inf])
+def test_load_rejects_a_norm_that_is_not_finite_and_at_least_zero(tmp_path, norm):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(two_document_payload(doc_norms=packed("d", [norm, 1.0]))), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*a doc norm is negative, infinite or not a number"):
+        load_index(path)
+
+
+def test_load_accepts_a_zero_norm(tmp_path):
+    # a document with no terms has norm 0.0 and scores 0.0
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(two_document_payload(doc_norms=packed("d", [0.0, 1.0]))), encoding="utf-8")
+    assert dict(pairs(query(load_index(path), "syncope workup", k=2)))[0] == 0.0
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_asks_to_rebuild_a_file_of_an_older_format(tmp_path, version):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(two_document_payload(format_version=version)), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^index file {re.escape(str(path))} .*rebuild it with `medcorr index build`"):
+        load_index(path)
+
+
+def test_load_rejects_an_option_text_that_is_not_a_string_naming_the_file(tmp_path):
+    path = tmp_path / "index.json"
+    payload = two_document_payload()
+    payload["corpus"][1]["options"]["B"] = None
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*option text that is not a string"):
+        load_index(path)
 
 
 def test_save_rejects_weights_that_are_not_counts_times_idf(tmp_path):
@@ -359,24 +441,6 @@ def test_save_rejects_weights_that_are_not_counts_times_idf(tmp_path):
     with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*term 0"):
         save_index(index, path)
     assert not path.exists()
-
-
-@pytest.mark.parametrize(
-    "edit, reason",
-    [
-        (lambda p: p["doc_vectors"][0].update({"0": p["doc_vectors"][0]["0"] * 1.5}), "not whole counts"),
-        (lambda p: p["doc_vectors"][0].update({"9": 1.0}), "not in the vocabulary"),
-    ],
-    ids=["weight-not-a-count", "unknown-term"],
-)
-def test_load_rejects_a_format_1_file_unlike_any_built_index(tmp_path, edit, reason):
-    path = tmp_path / "index.json"
-    save_index_v1(build_index(corpus_of(["syncope workup", "orthostatic hypotension"])), path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    edit(payload)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{reason}"):
-        load_index(path)
 
 
 def test_load_rejects_wrong_version(tmp_path):
