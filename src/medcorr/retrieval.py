@@ -46,10 +46,19 @@ class RetrievalHit:
 class TfidfIndex:
     """A TF-IDF index held as postings: term id -> (ascending doc ids, their
     weights), one posting per vocabulary term. A term's document frequency
-    is its posting length."""
+    is its posting length.
+
+    Both halves of a posting are tuples of shared objects: every posting
+    holds the same ``int`` for a document, and a term's posting holds one
+    ``float`` per distinct count. So ``query`` reads objects that already
+    exist, where packed arrays would box a new ``int`` and ``float`` per
+    entry read. Tuples rather than lists, because the garbage collector
+    stops tracking a tuple of ints or floats, so its collections do not
+    walk the postings. On a 10,000-question index (358k entries, 9.3k
+    distinct weights) this holds about 1.2 MB more than arrays would."""
 
     vocabulary: dict[str, int]
-    postings: dict[int, tuple[array, array]]
+    postings: dict[int, tuple[tuple[int, ...], tuple[float, ...]]]
     doc_norms: tuple[float, ...]
     corpus: tuple[McqRecord, ...]
 
@@ -86,15 +95,19 @@ def build_index(corpus: list[McqRecord]) -> TfidfIndex:
             document_frequency[term_id] = document_frequency.get(term_id, 0) + 1
     n = len(corpus)
     idf = {term_id: _idf(n, df) for term_id, df in document_frequency.items()}
-    postings = {term_id: (array("i"), array("d")) for term_id in idf}
+    postings = {term_id: ([], []) for term_id in idf}
+    # One weight object per (term, count); enumerate binds one doc id object
+    # per document. Every posting shares them (see TfidfIndex).
+    weight_of: dict[int, dict[int, float]] = {term_id: {} for term_id in idf}
     doc_norms = []
     for doc_id, counts in enumerate(term_counts):
-        weights = [tf * idf[term_id] for term_id, tf in counts.items()]
+        weights = [weight_of[term_id].setdefault(tf, tf * idf[term_id]) for term_id, tf in counts.items()]
         for term_id, weight in zip(counts, weights):
             ids, term_weights = postings[term_id]
             ids.append(doc_id)
             term_weights.append(weight)
         doc_norms.append(math.sqrt(sum(w * w for w in weights)))
+    postings = {term_id: (tuple(ids), tuple(term_weights)) for term_id, (ids, term_weights) in postings.items()}
     return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=tuple(doc_norms), corpus=tuple(corpus))
 
 
@@ -192,8 +205,8 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
     corpus = tuple(map(mcq_from_object, payload["corpus"]))
     vocabulary = payload["vocabulary"]
     n_terms, n_documents = len(vocabulary), len(corpus)
-    term_ids = sorted(vocabulary.values())
-    if set(map(type, term_ids)) - {int} or term_ids != list(range(n_terms)):
+    # The type check comes first: sorted would fail on a str among ints.
+    if set(map(type, vocabulary.values())) - {int} or sorted(vocabulary.values()) != list(range(n_terms)):
         raise ValueError("the vocabulary's term ids are not the integers 0 to its size - 1")
     lengths, ids, counts = (_unpacked(payload, name, "i") for name in ("posting_lengths", "doc_ids", "counts"))
     doc_norms = tuple(_unpacked(payload, "doc_norms", "d"))
@@ -210,6 +223,7 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
     # 0.0 <= nan is false, so with no NaN left max finds any infinity.
     if not all(map((0.0).__le__, doc_norms)) or max(doc_norms, default=0.0) == math.inf:
         raise ValueError("a doc norm is negative, infinite or not a number")
+    doc_objects = list(range(n_documents))
     postings = {}
     end = 0
     for term_id, length in enumerate(lengths):
@@ -220,7 +234,11 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
         if term_ids[0] < 0 or term_ids[-1] >= n_documents:
             raise ValueError(f"term {term_id} has a doc id outside [0, {n_documents})")
         idf = _idf(n_documents, length)
-        postings[term_id] = (term_ids, array("d", [tf * idf for tf in counts[start:end]]))
+        term_counts = counts[start:end]
+        weight_of = {tf: tf * idf for tf in set(term_counts)}
+        # Only after the range check: a list index would wrap a negative id.
+        shared_ids = tuple(map(doc_objects.__getitem__, term_ids))
+        postings[term_id] = (shared_ids, tuple(map(weight_of.__getitem__, term_counts)))
     return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=doc_norms, corpus=corpus)
 
 

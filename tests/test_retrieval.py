@@ -355,6 +355,34 @@ def test_the_fixture_corpus_index_round_trips(tmp_path):
     assert_round_trips(corpus, tmp_path, document_text(corpus[-1]))
 
 
+def assert_postings_share_their_objects(index: TfidfIndex) -> None:
+    """Each posting is a pair of tuples that hold one int object per document
+    and, within the term, one float object per count."""
+    doc_objects: dict[int, int] = {}
+    for ids, weights in index.postings.values():
+        assert type(ids) is tuple and type(weights) is tuple
+        assert all(doc_objects.setdefault(doc_id, doc_id) is doc_id for doc_id in ids)
+        weight_objects: dict[float, float] = {}
+        assert all(weight_objects.setdefault(weight, weight) is weight for weight in weights)
+
+
+@pytest.mark.parametrize("corpus_name", ["skewed", "fixture"])
+def test_save_load_save_is_byte_identical_and_postings_share_their_objects(tmp_path, corpus_name):
+    if corpus_name == "skewed":
+        corpus = corpus_of(skewed_corpus(2000, seed=5))
+    else:
+        corpus = parse_mcq_corpus(MCQ_CORPUS.read_text(encoding="utf-8"))
+    built = build_index(corpus)
+    path, again = tmp_path / "index.json", tmp_path / "again.json"
+    save_index(built, path)
+    loaded = load_index(path)
+    save_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert loaded == built
+    assert_postings_share_their_objects(built)
+    assert_postings_share_their_objects(loaded)
+
+
 @settings(max_examples=40, deadline=None)
 @given(docs=st.lists(_DOC, min_size=1, max_size=12), query_text=_DOC)
 def test_saved_index_round_trips_property(docs, query_text):
@@ -406,6 +434,33 @@ def test_load_rejects_a_norm_that_is_not_finite_and_at_least_zero(tmp_path, norm
     path = tmp_path / "index.json"
     path.write_text(json.dumps(two_document_payload(doc_norms=packed("d", [norm, 1.0]))), encoding="utf-8")
     with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*a doc norm is negative, infinite or not a number"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    ("doc_ids", "term_id"),
+    [
+        pytest.param([-1, 1, 0, 0, 1, 0, 1, 1], 0, id="negative-first-of-two"),
+        pytest.param([0, 1, -1, 0, 1, 0, 1, 1], 1, id="negative-alone"),
+        pytest.param([0, 1, 2, 0, 1, 0, 1, 1], 1, id="n-alone"),
+        pytest.param([0, 1, 0, 0, 1, 0, 1, 2], 4, id="n-last-term"),
+    ],
+)
+def test_load_rejects_a_doc_id_outside_the_corpus(tmp_path, doc_ids, term_id):
+    # TWO_DOCUMENTS' doc ids are 0 1, 0, 0 1, 0 1, 1 (see the layout test); a
+    # wrapped negative id would name the other document of the two.
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(two_document_payload(doc_ids=packed("i", doc_ids))), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"term {term_id} has a doc id outside [0, 2)")):
+        load_index(path)
+
+
+def test_load_names_the_vocabulary_when_a_term_id_is_a_string(tmp_path):
+    path = tmp_path / "index.json"
+    vocabulary = {"syncope": 0, "workup": "1", "alpha": 2, "beta": 3, "orthostatic": 4}
+    path.write_text(json.dumps(two_document_payload(vocabulary=vocabulary)), encoding="utf-8")
+    message = "the vocabulary's term ids are not the integers 0 to its size - 1"
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: {re.escape(message)}$"):
         load_index(path)
 
 
