@@ -29,7 +29,7 @@ from .config import EngineConfig, load_config
 from .errors import ConfigError, GatewayError, MedcorrError, ValidationError
 from .gateway import LiveBackend, LmGateway, ReplayBackend, ReplayCache
 from .metrics import ExternalScorer, ScoreReport, evaluate
-from .program import Program, program_from_json, program_to_json
+from .program import program_from_json, program_to_json
 
 _T = TypeVar("_T")
 
@@ -172,15 +172,6 @@ def build_gateway(config: EngineConfig) -> LmGateway:
     )
 
 
-def _load_compiled_stage(compiled_dir: str | None, stage: str) -> Program | None:
-    if not compiled_dir:
-        return None
-    path = Path(compiled_dir) / f"{stage}.json"
-    if not path.exists():
-        return None
-    return _parse_file(path, program_from_json)
-
-
 def _load_pipeline(
     selector: str,
     config: EngineConfig,
@@ -196,12 +187,15 @@ def _load_pipeline(
         index = retrieval.load_index(path)
         gate = config.pipeline.gate_threshold if config.pipeline.ms_gate_enabled else None
         pipeline = pipelines.default_ms_pipeline(index, gate_threshold=gate)
-    updates = {}
-    for stage in pipeline.stages:
-        program = _load_compiled_stage(compiled_dir, stage)
-        if program is not None:
-            updates[stage] = program
-    return pipeline.replace_stages(updates) if updates else pipeline
+    if not compiled_dir:
+        return pipeline
+    # Each {stage}.json found replaces its stage; one whose fields do not fit
+    # the stage is rejected naming the file.
+    for stage in pipeline.stage_names:
+        stage_path = Path(compiled_dir) / f"{stage}.json"
+        if stage_path.exists():
+            pipeline = _parse_file(stage_path, lambda text: pipeline.replace_stages({stage: program_from_json(text)}))
+    return pipeline
 
 
 # --- subcommands --------------------------------------------------------------
@@ -264,7 +258,7 @@ def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[st
     if not records_path:
         raise ValidationError("no records file (--records or paths.records)")
     records = _parse_file(records_path, corpus.parse_clinical_records)
-    compiled_dir = getattr(args, "compiled", None) or config.paths.compiled_dir or None
+    compiled_dir = args.compiled or config.paths.compiled_dir or None
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir)
     strict = getattr(args, "strict", False) or config.pipeline.strict
     predictions = pipelines.predict_batch(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
-from .corpus import ClinicalRecord, read_document
+from .corpus import ClinicalRecord, json_loads, read_document
 from .errors import ValidationError
 from .na import NAType, is_na
 from .retrieval import tokenize
@@ -150,7 +150,8 @@ class ExternalScorer:
     """HTTP plug-in returning one score in [0, 1] per (candidate, reference) pair.
 
     Wire format: ``POST {url}`` with ``{"pairs": [{"candidate": ...,
-    "reference": ...}, ...]}``; response ``{"scores": [...]}``.
+    "reference": ...}, ...]}``; response ``{"scores": [...]}``, each score a
+    JSON number (not a string or a boolean).
     """
 
     name: str
@@ -168,7 +169,10 @@ class ExternalScorer:
                 raise ValidationError(
                     f"external scorer {self.name!r} returned HTTP {http.status_code}: {http.text[:200]}"
                 )
-            payload = http.json()
+            try:
+                payload = json_loads(http.content)
+            except ValueError as exc:
+                raise ValidationError(f"external scorer {self.name!r} returned invalid JSON: {exc}") from None
             batch_scores = payload.get("scores") if isinstance(payload, dict) else None
             if not isinstance(batch_scores, list) or len(batch_scores) != len(batch):
                 raise ValidationError(
@@ -176,15 +180,11 @@ class ExternalScorer:
                     f"for {len(batch)} pairs"
                 )
             for value in batch_scores:
-                try:
-                    score = float(value)
-                except (TypeError, ValueError, OverflowError):
-                    raise ValidationError(
-                        f"external scorer {self.name!r} returned non-numeric score {value!r}"
-                    ) from None
-                if not 0.0 <= score <= 1.0:
-                    raise ValidationError(f"external scorer {self.name!r} score {score} out of [0, 1]")
-                scores.append(score)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValidationError(f"external scorer {self.name!r} returned non-numeric score {value!r}")
+                if not 0.0 <= value <= 1.0:
+                    raise ValidationError(f"external scorer {self.name!r} score {value} out of [0, 1]")
+                scores.append(float(value))
         return scores
 
 

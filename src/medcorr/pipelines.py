@@ -158,129 +158,94 @@ def quality_gate(original_sentence: str, candidate: str, threshold: float) -> tu
 
 # --- default stage programs -------------------------------------------------
 
+_CLINICAL_TEXT = Field("clinical_text", "the clinical text, one numbered sentence per line")
+_ERROR_LINE = Field("error_line", "the number of the line containing the error")
+_ERROR_SENTENCE = Field("error_sentence", "the sentence containing the error")
+_CORRECTED_SENTENCE = Field("corrected_sentence", "the corrected sentence")
 
-def ms_extract_choice_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="extract_choice",
-            instruction=(
-                "A clinical text and a similar multiple-choice question are given. "
-                "Identify which of the question's answer options is implicitly asserted "
-                "by the clinical text, and output that option's text exactly as written."
-            ),
-            inputs=(
-                Field("clinical_text", "the clinical text, one numbered sentence per line"),
-                Field("similar_question", "a similar multiple-choice question with labeled options"),
-            ),
-            outputs=(Field("extracted_choice", "the option text asserted by the clinical text"),),
+
+def _stages(*programs: tuple[str, str, str, tuple[Field, ...], tuple[Field, ...]]) -> dict[str, Program]:
+    """``{name: Program}`` of (name, strategy, instruction, inputs, outputs) entries, in run order."""
+    return {
+        name: Program(Signature(name, instruction, inputs, outputs), strategy)
+        for name, strategy, instruction, inputs, outputs in programs
+    }
+
+
+# Each pipeline's stages in run order, each with its zero-shot program. The
+# programs are frozen, so every default pipeline shares these instances.
+_DEFAULT_STAGES: dict[str, dict[str, Program]] = {
+    "ms": _stages(
+        (
+            "extract_choice", CHAIN_OF_THOUGHT,
+            "A clinical text and a similar multiple-choice question are given. "
+            "Identify which of the question's answer options is implicitly asserted "
+            "by the clinical text, and output that option's text exactly as written.",
+            (_CLINICAL_TEXT, Field("similar_question", "a similar multiple-choice question with labeled options")),
+            (Field("extracted_choice", "the option text asserted by the clinical text"),),
         ),
-        strategy=CHAIN_OF_THOUGHT,
-    )
-
-
-def ms_compare_answer_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="compare_answer",
-            instruction=(
-                "Decide whether the extracted choice and the correct answer refer to the "
-                "same clinical entity. Output 'match' if they agree, 'mismatch' otherwise."
-            ),
-            inputs=(
+        (
+            "compare_answer", CHAIN_OF_THOUGHT,
+            "Decide whether the extracted choice and the correct answer refer to the "
+            "same clinical entity. Output 'match' if they agree, 'mismatch' otherwise.",
+            (
                 Field("extracted_choice", "the answer choice found in the clinical text"),
                 Field("correct_answer", "the correct answer of the similar question"),
             ),
-            outputs=(Field("verdict", "either 'match' or 'mismatch'"),),
+            (Field("verdict", "either 'match' or 'mismatch'"),),
         ),
-        strategy=CHAIN_OF_THOUGHT,
-    )
-
-
-def ms_localize_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="localize",
-            instruction=(
-                "Given a clinical text with numbered sentences and an erroneous answer "
-                "choice, output the number of the line that most closely matches the "
-                "erroneous choice."
-            ),
-            inputs=(
-                Field("clinical_text", "the clinical text, one numbered sentence per line"),
-                Field("extracted_choice", "the erroneous answer choice present in the text"),
-            ),
-            outputs=(Field("error_line", "the number of the line containing the error"),),
+        (
+            "localize", PREDICT,
+            "Given a clinical text with numbered sentences and an erroneous answer "
+            "choice, output the number of the line that most closely matches the "
+            "erroneous choice.",
+            (_CLINICAL_TEXT, Field("extracted_choice", "the erroneous answer choice present in the text")),
+            (_ERROR_LINE,),
         ),
-        strategy=PREDICT,
-    )
-
-
-def ms_correct_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="correct",
-            instruction=(
-                "Rewrite the erroneous sentence, replacing the incorrect finding (the "
-                "extracted choice) with the correct answer. Output only the corrected sentence."
-            ),
-            inputs=(
-                Field("error_sentence", "the sentence containing the error"),
+        (
+            "correct", CHAIN_OF_THOUGHT,
+            "Rewrite the erroneous sentence, replacing the incorrect finding (the "
+            "extracted choice) with the correct answer. Output only the corrected sentence.",
+            (
+                _ERROR_SENTENCE,
                 Field("extracted_choice", "the incorrect finding asserted by the sentence"),
                 Field("correct_answer", "the correct answer to substitute"),
             ),
-            outputs=(Field("corrected_sentence", "the corrected sentence"),),
+            (_CORRECTED_SENTENCE,),
         ),
-        strategy=CHAIN_OF_THOUGHT,
-    )
-
-
-def uw_detect_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="detect",
-            instruction=(
-                "Decide whether the clinical text contains a single factual error. "
-                "Output 1 if an error is present and 0 otherwise."
-            ),
-            inputs=(Field("clinical_text", "the clinical text, one numbered sentence per line"),),
-            outputs=(Field("error_flag", "1 if the text contains an error, else 0"),),
+    ),
+    "uw": _stages(
+        (
+            "detect", CHAIN_OF_THOUGHT,
+            "Decide whether the clinical text contains a single factual error. "
+            "Output 1 if an error is present and 0 otherwise.",
+            (_CLINICAL_TEXT,),
+            (Field("error_flag", "1 if the text contains an error, else 0"),),
         ),
-        strategy=CHAIN_OF_THOUGHT,
-    )
-
-
-def uw_localize_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="localize",
-            instruction=(
-                "The clinical text contains exactly one factual error. Output the number "
-                "of the line containing the error."
-            ),
-            inputs=(Field("clinical_text", "the clinical text, one numbered sentence per line"),),
-            outputs=(Field("error_line", "the number of the line containing the error"),),
+        (
+            "localize", CHAIN_OF_THOUGHT,
+            "The clinical text contains exactly one factual error. Output the number "
+            "of the line containing the error.",
+            (_CLINICAL_TEXT,),
+            (_ERROR_LINE,),
         ),
-        strategy=CHAIN_OF_THOUGHT,
-    )
-
-
-def uw_correct_program() -> Program:
-    return Program(
-        signature=Signature(
-            name="correct",
-            instruction=(
-                "The sentence below contains a factual error. Rewrite it so it is "
-                "clinically consistent, changing as little as possible. Output only the "
-                "corrected sentence."
-            ),
-            inputs=(Field("error_sentence", "the sentence containing the error"),),
-            outputs=(Field("corrected_sentence", "the corrected sentence"),),
+        (
+            "correct", CHAIN_OF_THOUGHT,
+            "The sentence below contains a factual error. Rewrite it so it is "
+            "clinically consistent, changing as little as possible. Output only the "
+            "corrected sentence.",
+            (_ERROR_SENTENCE,),
+            (_CORRECTED_SENTENCE,),
         ),
-        strategy=CHAIN_OF_THOUGHT,
-    )
+    ),
+}
 
 
 # --- pipelines ---------------------------------------------------------------
+
+
+def _field_names(program: Program) -> tuple[list[str], list[str]]:
+    return sorted(program.signature.input_names()), sorted(program.signature.output_names())
 
 
 def _run_stage(
@@ -305,9 +270,10 @@ def _run_stage(
 
 
 class Pipeline:
-    """What both pipelines share: a declared stage list, each stage a
-    ``Program`` field of the same name, and an optional ROUGE-L gate on the
-    correction (``gate_threshold`` None means no gate)."""
+    """What both pipelines share: the stage list of ``_DEFAULT_STAGES[name]``,
+    each stage a ``Program`` field of the same name whose input and output
+    field names are its default program's, and an optional ROUGE-L gate on
+    the correction (``gate_threshold`` None means no gate)."""
 
     name: ClassVar[str]
     stage_names: ClassVar[tuple[str, ...]]
@@ -319,6 +285,13 @@ class Pipeline:
     def __post_init__(self) -> None:
         if self.gate_threshold is not None and not 0.0 <= self.gate_threshold <= 1.0:
             raise ValidationError(f"gate threshold must be in [0, 1], got {self.gate_threshold}")
+        for stage, default in _DEFAULT_STAGES[self.name].items():
+            fields, expected = _field_names(getattr(self, stage)), _field_names(default)
+            if fields != expected:
+                raise ValidationError(
+                    f"{self.name} stage {stage!r} reads {expected[0]} and writes {expected[1]}, "
+                    f"but its program reads {fields[0]} and writes {fields[1]}"
+                )
 
     @property
     def stages(self) -> dict[str, Program]:
@@ -378,7 +351,7 @@ class MsPipeline(Pipeline):
     gate_threshold: float | None = None
 
     name = "ms"
-    stage_names = ("extract_choice", "compare_answer", "localize", "correct")
+    stage_names = tuple(_DEFAULT_STAGES[name])
     optimizable_stages = ("extract_choice", "compare_answer", "correct")
 
     def __post_init__(self) -> None:
@@ -433,7 +406,7 @@ class UwPipeline(Pipeline):
     gold_stage: str | None = None
 
     name = "uw"
-    stage_names = ("detect", "localize", "correct")
+    stage_names = tuple(_DEFAULT_STAGES[name])
     optimizable_stages = stage_names
 
     def __post_init__(self) -> None:
@@ -468,23 +441,11 @@ class UwPipeline(Pipeline):
 
 
 def default_ms_pipeline(index: TfidfIndex, gate_threshold: float | None = None) -> MsPipeline:
-    return MsPipeline(
-        index=index,
-        extract_choice=ms_extract_choice_program(),
-        compare_answer=ms_compare_answer_program(),
-        localize=ms_localize_program(),
-        correct=ms_correct_program(),
-        gate_threshold=gate_threshold,
-    )
+    return MsPipeline(index=index, gate_threshold=gate_threshold, **_DEFAULT_STAGES["ms"])
 
 
 def default_uw_pipeline(gate_threshold: float = DEFAULT_GATE_THRESHOLD) -> UwPipeline:
-    return UwPipeline(
-        detect=uw_detect_program(),
-        localize=uw_localize_program(),
-        correct=uw_correct_program(),
-        gate_threshold=gate_threshold,
-    )
+    return UwPipeline(gate_threshold=gate_threshold, **_DEFAULT_STAGES["uw"])
 
 
 # --- batch prediction ---------------------------------------------------------

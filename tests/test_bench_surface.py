@@ -41,7 +41,7 @@ def test_program_run_calls_the_render_and_parse_bindings_the_tracer_wraps(monkey
         monkeypatch.setattr(program, name, counted)
     records = synth_uw_records(1)
     gw = gateway.LmGateway(backend=gateway.ScriptedBackend(uw_gold_responder(records)))
-    detect = pipelines.uw_detect_program()
+    detect = pipelines.default_uw_pipeline().detect
     program.run(detect, {"clinical_text": pipelines.render_numbered_text(records[0])}, gw)
     assert calls == ["render_messages", "parse_completion"]
 

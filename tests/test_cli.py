@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from medcorr.cli import run_command
-from medcorr.corpus import parse_clinical_records
+from medcorr.corpus import parse_clinical_records, parse_mcq_corpus
 from medcorr.gateway import LmGateway, ReplayCache, ScriptedBackend
 from medcorr.metrics import ScoreReport
 from medcorr.optimize import compile_uw_pipeline
-from medcorr.pipelines import default_uw_pipeline, parse_predictions, serialize_predictions, uw_detect_program, Prediction
+from medcorr.pipelines import default_ms_pipeline, default_uw_pipeline, parse_predictions, serialize_predictions, Prediction
 from medcorr.program import program_to_json
+from medcorr.retrieval import build_index
 
 from helpers import report_payload, uw_gold_responder
 from oracles import index_document, packed
@@ -491,19 +492,21 @@ def predict_ms_with_index(tmp_path: Path, index: Path) -> subprocess.CompletedPr
 
 
 def detect_program_payload(**fields) -> str:
-    return json.dumps({**json.loads(program_to_json(uw_detect_program())), **fields})
+    return json.dumps({**json.loads(program_to_json(default_uw_pipeline().detect)), **fields})
 
 
-def assert_compiled_stage_rejected(tmp_path: Path, payload: str) -> None:
+def assert_compiled_stage_rejected(tmp_path: Path, payload: str, stage: str = "detect") -> str:
+    """Run a uw predict with ``payload`` as the compiled ``stage`` and return its error line."""
     compiled = tmp_path / "compiled"
     compiled.mkdir()
-    (compiled / "detect.json").write_text(payload, encoding="utf-8")
+    (compiled / f"{stage}.json").write_text(payload, encoding="utf-8")
     result = run_cli_process(
         ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--compiled", str(compiled),
          "--out", str(tmp_path / "p.csv"), "--config", str(replay_config(tmp_path, CACHE_JSONL))]
     )
     assert_one_error_line(result)
-    assert str(compiled / "detect.json") in result.stderr
+    assert str(compiled / f"{stage}.json") in result.stderr
+    return result.stderr
 
 
 def test_predict_with_a_non_object_compiled_stage_exits_one_without_traceback(tmp_path):
@@ -522,6 +525,22 @@ def test_predict_with_a_non_object_compiled_stage_exits_one_without_traceback(tm
 )
 def test_predict_with_a_malformed_compiled_stage_exits_one_without_traceback(tmp_path, payload):
     assert_compiled_stage_rejected(tmp_path, payload)
+
+
+def test_predict_rejects_a_compiled_stage_of_the_other_pipeline(tmp_path):
+    # ms correct also reads the retrieved answer, which uw never supplies:
+    # loaded, every flag-1 record would fail into a flag-0 fallback
+    ms = default_ms_pipeline(build_index(parse_mcq_corpus(MCQ_JSONL.read_text(encoding="utf-8"))))
+    error = assert_compiled_stage_rejected(tmp_path, program_to_json(ms.correct), stage="correct")
+    assert "uw stage 'correct' reads ['error_sentence']" in error
+
+
+def test_predict_rejects_a_compiled_stage_whose_output_is_renamed(tmp_path):
+    # the pipeline reads detect's output by its name, error_flag
+    payload = json.loads(detect_program_payload())
+    payload["signature"]["outputs"][0]["name"] = "flag"
+    error = assert_compiled_stage_rejected(tmp_path, json.dumps(payload))
+    assert "writes ['error_flag'], but its program reads ['clinical_text'] and writes ['flag']" in error
 
 
 @pytest.mark.parametrize("strict", [False, True])

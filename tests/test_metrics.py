@@ -348,12 +348,16 @@ def test_evaluate_scorer_failure_strict_raises():
 
 
 # Bodies a misbehaving scorer may send: non-numeric scores, null scores,
-# a number too large for a float, and a JSON list instead of an object.
+# a number too large for a float, a JSON list instead of an object, JSON
+# nested too deep to decode, and scores that are strings or booleans.
 BAD_SCORER_BODIES = [
     lambda n: {"scores": ["abc"] * n},
     lambda n: {"scores": [None] * n},
     lambda n: {"scores": [10**400] * n},
     lambda n: [0.5] * n,
+    lambda n: b"[" * 100_000 + b"]" * 100_000,
+    lambda n: {"scores": ["0.5"] * n},
+    lambda n: {"scores": [True] * n},
 ]
 
 
@@ -366,7 +370,11 @@ def bad_body_script(make_body):
     return script
 
 
-@pytest.mark.parametrize("make_body", BAD_SCORER_BODIES, ids=["string", "null", "overflow", "list-body"])
+@pytest.mark.parametrize(
+    "make_body",
+    BAD_SCORER_BODIES,
+    ids=["string", "null", "overflow", "list-body", "deeply-nested", "numeric-string", "bool"],
+)
 def test_evaluate_bad_scorer_body_marks_unavailable_or_raises_when_strict(make_body):
     golds = five_golds()
     preds = perfect_predictions(golds)

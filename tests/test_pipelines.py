@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 import threading
 import time
@@ -19,14 +20,13 @@ from medcorr.pipelines import (
     default_ms_pipeline,
     default_uw_pipeline,
     map_ordered,
-    ms_localize_program,
     parse_predictions,
     predict_batch,
     quality_gate,
     serialize_predictions,
     serialize_traces,
 )
-from medcorr.program import Demo
+from medcorr.program import Demo, program_to_json
 from medcorr.retrieval import build_index
 
 from helpers import (
@@ -88,6 +88,35 @@ def test_gate_output_is_always_original_or_candidate(original, candidate, thresh
     assert final in (original, candidate)
     assert gated == (rouge_l_f(candidate, original) < threshold)
     assert (final == original) or not gated
+
+
+# --- default stage programs -------------------------------------------------------------
+
+# sha256 of each default stage's program_to_json. The replayed goldens cover
+# only uw prompts, so this is what notices a changed ms prompt.
+DEFAULT_PROGRAM_SHA256 = {
+    ("ms", "extract_choice"): "f0c22f22c33dd5c5d056ecdc575ea74cfee78c2ce7716a557422349c9412d42f",
+    ("ms", "compare_answer"): "0d7e79e4483eb8a6413c3428a50016a9599a010004a4758c71385c99c281926b",
+    ("ms", "localize"): "4fda37ea6ab791db0ead3f4236694bddc31db3916a54665191c20df95a184066",
+    ("ms", "correct"): "eb3a439f894c19049aa658975d193b8e1bf741ceb9cc733978917256a5ad475a",
+    ("uw", "detect"): "298eb8be8e63f266256f7390f99c660c3a6f06da51663d90a0ebc566ccb05c53",
+    ("uw", "localize"): "3ef96902a071981e5c6cfa5b5986b86b8db11541c192903909d44683788fae35",
+    ("uw", "correct"): "8e5c4737d1f2cd9308f425fc4e6d57eb78a25e0d5e833723dfbc3e252cd3b0b8",
+}
+
+
+@pytest.mark.parametrize(("name", "stage"), list(DEFAULT_PROGRAM_SHA256))
+def test_default_stage_programs_are_pinned(name, stage):
+    pipeline = pathogen_fixture()[1] if name == "ms" else default_uw_pipeline()
+    assert list(pipeline.stages) == [s for n, s in DEFAULT_PROGRAM_SHA256 if n == name]
+    digest = hashlib.sha256(program_to_json(pipeline.stages[stage]).encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_PROGRAM_SHA256[name, stage]
+
+
+def test_a_stage_program_must_read_and_write_its_stage_fields():
+    pipeline = default_uw_pipeline()
+    with pytest.raises(ValidationError, match="uw stage 'correct' reads \\['error_sentence'\\]"):
+        replace(pipeline, correct=pipeline.localize)
 
 
 # --- ms pipeline ----------------------------------------------------------------------
@@ -178,7 +207,7 @@ def test_ms_predict_out_of_range_line_is_stage_error():
 
 def test_ms_localize_must_stay_demo_free():
     record, pipeline = pathogen_fixture()
-    localize = ms_localize_program()
+    localize = pipeline.localize
     seeded = replace(
         localize,
         demos=(
