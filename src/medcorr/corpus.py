@@ -426,12 +426,17 @@ def json_lines(text: str) -> Iterator[tuple[int, dict]]:
 
 
 def json_loads(text: str | bytes, **options) -> object:
-    """``json.loads``, except that nesting too deep for the decoder is a
-    ``JSONDecodeError`` like any other undecodable text."""
+    """``json.loads``, except that nesting too deep for the decoder and an
+    integer too long for ``int`` are a ``JSONDecodeError`` like any other
+    undecodable text."""
     try:
         return json.loads(text, **options)
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", "", 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # the integer digit limit, or bytes that are not UTF-8/16/32
+        raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -463,6 +468,15 @@ def read_document(text: str, what: str, versions: tuple[int, ...], build: Callab
         return build(version, payload)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def _typed(obj: dict, types: dict[str, tuple[type, ...]]) -> dict:
+    """The fields that ``types`` names, each of an allowed type as parsed,
+    with no coercion: ``true`` is not an ``int`` and ``"false"`` no ``bool``."""
+    for name, allowed in types.items():
+        if type(obj[name]) not in allowed:
+            raise ValueError(f"{name} {obj[name]!r} is not of type {' or '.join(t.__name__ for t in allowed)}")
+    return {name: obj[name] for name in types}
 
 
 def split_dataset(

@@ -314,7 +314,7 @@ class LiveBackend:
 
     def _parse_response(self, http: requests.Response) -> LmResponse:
         try:
-            body = http.json()
+            body = json_loads(http.content)
             text = body["choices"][0]["message"]["content"]
             usage = body.get("usage", {})
             return LmResponse(
@@ -323,7 +323,7 @@ class LiveBackend:
                 completion_tokens=usage.get("completion_tokens", 0),
                 backend_tag=self.tag,
             )
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError, ValidationError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, ValidationError) as exc:
             raise LiveRequestError(
                 f"malformed chat completion response: {exc}", status=http.status_code,
                 body_excerpt=http.text[:200],

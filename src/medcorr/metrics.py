@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
-from .corpus import ClinicalRecord, json_loads, read_document
+from .corpus import ClinicalRecord, _typed, json_loads, read_document
 from .errors import ValidationError
 from .na import NAType, is_na
 from .retrieval import tokenize
@@ -253,15 +253,6 @@ _ROW_TYPES = {
 }
 
 
-def _typed(obj: dict, types: dict[str, tuple[type, ...]]) -> dict:
-    """The fields that ``types`` names, each of an allowed type as parsed,
-    with no coercion: ``true`` is not an ``int`` and ``"false"`` no ``bool``."""
-    for name, allowed in types.items():
-        if type(obj[name]) not in allowed:
-            raise ValueError(f"{name} {obj[name]!r} is not of type {' or '.join(t.__name__ for t in allowed)}")
-    return {name: obj[name] for name in types}
-
-
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
@@ -282,55 +273,35 @@ def evaluate(
     if not pairs:
         raise ValidationError("cannot evaluate an empty record set")
 
-    non_na = [
-        not is_na(pred.corrected_sentence) and not is_na(gold.gold_correction)
-        for pred, gold in pairs
+    scored = [
+        i for i, (pred, gold) in enumerate(pairs) if not (is_na(pred.corrected_sentence) or is_na(gold.gold_correction))
     ]
-    scored_indices = [i for i, keep in enumerate(non_na) if keep]
-    texts = [
-        (str(pairs[i][0].corrected_sentence), str(pairs[i][1].gold_correction))
-        for i in scored_indices
-    ]
-
-    external_scores: dict[str, dict[int, float]] = {}
+    texts = [(str(pairs[i][0].corrected_sentence), str(pairs[i][1].gold_correction)) for i in scored]
+    columns: dict[str, list[float]] = {
+        "rouge1_f": [rouge1_f(c, r) for c, r in texts],
+        "rouge_l_f": [rouge_l_f(c, r) for c, r in texts],
+    }
     unavailable: list[str] = []
     for scorer in scorers:
         try:
-            scores = scorer.score_pairs(texts)
+            columns[scorer.name] = scorer.score_pairs(texts)
         except (ValidationError, requests.RequestException) as exc:
             if strict_scorers:
                 raise ValidationError(f"external scorer {scorer.name!r} failed: {exc}") from exc
             logger.warning("external scorer %r unavailable: %s", scorer.name, exc)
             unavailable.append(scorer.name)
-            continue
-        external_scores[scorer.name] = dict(zip(scored_indices, scores))
-
-    with_aggregate = all(
-        component == "rouge1_f" or component in external_scores for component in AGGREGATE_COMPONENTS
-    )
+    if all(name in columns for name in AGGREGATE_COMPONENTS):
+        columns["aggregate"] = [aggregate_score(parts) for parts in zip(*(columns[c] for c in AGGREGATE_COMPONENTS))]
+    # the scores of each scored pair, by its index in pairs
+    scores_at = dict(zip(scored, (dict(zip(columns, values)) for values in zip(*columns.values()))))
 
     rows: list[RecordScores] = []
     for i, (pred, gold) in enumerate(pairs):
-        candidate = str(pred.corrected_sentence)
-        reference = str(gold.gold_correction)
-
-        base_scores: dict[str, float | None] = {
-            "rouge1_f": rouge1_f(candidate, reference) if non_na[i] else None,
-            "rouge_l_f": rouge_l_f(candidate, reference) if non_na[i] else None,
-        }
-        for name, by_index in external_scores.items():
-            base_scores[name] = by_index.get(i)
-        if with_aggregate:
-            base_scores["aggregate"] = (
-                aggregate_score([base_scores[c] for c in AGGREGATE_COMPONENTS])  # type: ignore[misc]
-                if non_na[i]
-                else None
-            )
+        base_scores = scores_at.get(i) or dict.fromkeys(columns)
         composites = {
             name: composite_score(pred.corrected_sentence, gold.gold_correction, lambda *_: value)
             for name, value in base_scores.items()
         }
-
         rows.append(
             RecordScores(
                 record_id=pred.record_id,
@@ -344,19 +315,13 @@ def evaluate(
                 composites=composites,
             )
         )
-
-    r1_values = [row.base_scores["rouge1_f"] for row in rows if row.base_scores["rouge1_f"] is not None]
-    rl_values = [row.base_scores["rouge_l_f"] for row in rows if row.base_scores["rouge_l_f"] is not None]
-    composite_means = {
-        name: _mean([row.composites[name] for row in rows]) for name in rows[0].composites
-    }
     return ScoreReport(
         n_records=len(rows),
         flag_accuracy=_mean([1.0 if row.flag_correct else 0.0 for row in rows]),
         sentence_accuracy=_mean([1.0 if row.sentence_correct else 0.0 for row in rows]),
-        mean_rouge1_f=_mean(r1_values) if r1_values else None,  # type: ignore[arg-type]
-        mean_rouge_l_f=_mean(rl_values) if rl_values else None,  # type: ignore[arg-type]
-        composite_means=composite_means,
+        mean_rouge1_f=_mean(columns["rouge1_f"]) if scored else None,
+        mean_rouge_l_f=_mean(columns["rouge_l_f"]) if scored else None,
+        composite_means={name: _mean([row.composites[name] for row in rows]) for name in columns},
         unavailable=tuple(unavailable),
         per_record=tuple(rows),
     )

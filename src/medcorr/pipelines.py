@@ -574,16 +574,7 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                     "error_sentence_id": p.error_sentence_id,
                     "corrected_sentence": na_to_text(p.corrected_sentence),
                     "error": p.error,
-                    "trace": [
-                        {
-                            "stage": t.stage,
-                            "inputs": t.inputs,
-                            "raw_completion": t.raw_completion,
-                            "outputs": t.outputs,
-                            "attempts": t.attempts,
-                        }
-                        for t in p.trace
-                    ],
+                    "trace": [vars(t) for t in p.trace],
                 },
                 ensure_ascii=False,
                 sort_keys=True,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .corpus import read_document
+from .corpus import _typed, read_document
 from .errors import CompletionParseError, ValidationError
 from .gateway import LmGateway, Message
 
@@ -286,25 +286,32 @@ def program_from_json(text: str) -> Program:
     return read_document(text, "program file", (PROGRAM_FORMAT_VERSION,), _program_of)
 
 
+_STRING = (str,)
+_OPTIONAL_STRING = (str, type(None))
+_FIELD_TYPES = {"name": _STRING, "description": _STRING}
+_OPTION_TYPES = {"strategy": _STRING, "compiled_instruction": _OPTIONAL_STRING}
+
+
 def _program_of(version: int, payload: dict) -> Program:
     sig = payload["signature"]
     signature = Signature(
-        name=sig["name"],
-        instruction=sig["instruction"],
-        inputs=tuple(Field(f["name"], f["description"]) for f in sig["inputs"]),
-        outputs=tuple(Field(f["name"], f["description"]) for f in sig["outputs"]),
+        **_typed(sig, {"name": _STRING, "instruction": _STRING}),
+        inputs=tuple(Field(**_typed(f, _FIELD_TYPES)) for f in sig["inputs"]),
+        outputs=tuple(Field(**_typed(f, _FIELD_TYPES)) for f in sig["outputs"]),
     )
+    # source_record_id and compiled_instruction may be null or left out
     demos = tuple(
         Demo(
-            input_values=dict(d["input_values"]),
-            output_values=dict(d["output_values"]),
-            source_record_id=d.get("source_record_id"),
+            input_values=_strings(d["input_values"]),
+            output_values=_strings(d["output_values"]),
+            **_typed({"source_record_id": None, **d}, {"source_record_id": _OPTIONAL_STRING}),
         )
         for d in payload["demos"]
     )
-    return Program(
-        signature=signature,
-        strategy=payload["strategy"],
-        demos=demos,
-        compiled_instruction=payload.get("compiled_instruction"),
-    )
+    options = _typed({"compiled_instruction": None, **payload}, _OPTION_TYPES)
+    return Program(signature=signature, demos=demos, **options)
+
+
+def _strings(values: dict) -> dict[str, str]:
+    """``values`` as a new dict, each value a string."""
+    return _typed(values, dict.fromkeys(values, _STRING))

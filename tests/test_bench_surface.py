@@ -143,3 +143,15 @@ def test_compiles_score_every_record_through_the_predict_the_harness_wraps(monke
     assert Counter(record_id for _, record_id in scored if record_id in val_ids) == per_candidate
     assert any(record_id not in val_ids for _, record_id in scored)  # the bootstrap's records
     assert {cls for cls, _ in scored} == {expected}
+
+
+def test_evaluate_reports_the_quality_fields_the_harness_pools():
+    # pooled_quality reads flag_accuracy, sentence_accuracy and composite_means["rouge_l_f"]
+    records = synth_uw_records(6)
+    gw = gateway.LmGateway(backend=gateway.ScriptedBackend(uw_gold_responder(records)))
+    predictions = pipelines.predict_batch(pipelines.default_uw_pipeline(), records, gw)
+    assert records[1].gold_flag == 0
+    predictions[1] = pipelines.Prediction(records[1].record_id, 1, 0, "Spurious fix.")
+    report = metrics.evaluate(predictions, records)
+    quality = (report.flag_accuracy, report.sentence_accuracy, report.composite_means["rouge_l_f"])
+    assert quality == (5 / 6, 5 / 6, 5 / 6)

@@ -388,6 +388,7 @@ def assert_one_error_line(result: subprocess.CompletedProcess) -> None:
         pytest.param(report_payload().replace('"composite_means": {"rouge1_f": 1.0', '"composite_means": {"rouge1_f": "x"'),
                      id="composite-mean-a-string"),
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        pytest.param('{"format_version": ' + "1" * 5_000 + "}", id="integer-too-long"),
     ],
 )
 def test_report_of_a_non_object_file_exits_one_without_traceback(tmp_path, payload):
@@ -521,6 +522,15 @@ def test_predict_with_a_non_object_compiled_stage_exits_one_without_traceback(tm
             id="demo-input-values-a-nested-list",
         ),
         pytest.param(detect_program_payload(format_version=True), id="format-version-true"),
+        pytest.param(
+            detect_program_payload(signature={**json.loads(detect_program_payload())["signature"], "instruction": 7}),
+            id="instruction-not-a-string",
+        ),
+        pytest.param(detect_program_payload(compiled_instruction=5), id="compiled-instruction-not-a-string"),
+        pytest.param(
+            detect_program_payload(demos=[{"input_values": {"clinical_text": 5}, "output_values": {}}]),
+            id="demo-value-not-a-string",
+        ),
     ],
 )
 def test_predict_with_a_malformed_compiled_stage_exits_one_without_traceback(tmp_path, payload):

@@ -217,6 +217,36 @@ def test_json_nested_too_deep_is_a_validation_error_naming_where(parse, raw, whe
         parse(raw)
 
 
+LONG = "1" * 5_000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "parse, raw, where",
+    [
+        pytest.param(
+            lambda raw: parse_clinical_records(raw, format="json-lines"),
+            '{"record_id": "a", "sentences": ["X."]}\n{"record_id": "b", "error_flag": ' + LONG + "}\n",
+            "^line 2: invalid JSON: Exceeds the limit", id="clinical-json-lines",
+        ),
+        pytest.param(
+            parse_mcq_corpus, '\n{"question": ' + LONG + "}\n", "^line 2: invalid JSON: Exceeds the limit", id="mcq"
+        ),
+        pytest.param(
+            parse_clinical_records, csv_of(f'r1,X.,"[{LONG}]",0,-1,NA'),
+            "^record 'r1': sentences_json is not valid JSON: Exceeds the limit", id="csv-sentences_json",
+        ),
+        pytest.param(
+            lambda raw: read_document(raw, "score report", (1,), lambda version, payload: payload),
+            '{"format_version": ' + LONG + "}", "^score report is not valid JSON: Exceeds the limit",
+            id="versioned-document",
+        ),
+    ],
+)
+def test_json_integer_too_long_is_a_validation_error_naming_where(parse, raw, where):
+    with pytest.raises(ValidationError, match=where):
+        parse(raw)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

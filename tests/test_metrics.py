@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -345,6 +346,61 @@ def test_evaluate_scorer_failure_strict_raises():
                 scorers=[ExternalScorer("bertscore", f"{base_url}/score")],
                 strict_scorers=True,
             )
+
+
+def mixed_na_set():
+    """Sentence pairs, both-NA pairs, and one-NA pairs each way, in a mixed order."""
+    golds = [
+        record_with_error("m0", ["Bad zero.", "Other."], 0, "Good zero dose."),
+        record_no_error("m1", ["Fine one."]),
+        record_no_error("m2", ["Fine two."]),
+        record_with_error("m3", ["First.", "Bad three."], 1, "Left chest pain is acute."),
+        record_with_error("m4", ["Bad four."], 0, "Good four."),
+        record_with_error("m5", ["Bad five."], 0, "Renal dose of aspirin was mild."),
+        record_no_error("m6", ["Fine six."]),
+    ]
+    preds = [
+        Prediction("m0", 1, 0, "Good zero dose."),
+        Prediction("m1", 0, -1, NA),  # both NA
+        Prediction("m2", 1, 0, "Spurious fix."),  # gold NA only
+        Prediction("m3", 1, 0, "Right chest pain is mild and acute."),
+        Prediction("m4", 0, -1, NA),  # prediction NA only
+        Prediction("m5", 1, 0, "Aspirin dose was mild."),
+        Prediction("m6", 0, -1, NA),  # both NA
+    ]
+    return preds, golds
+
+
+def length_scorer_script(path, body):
+    import json
+
+    pairs = json.loads(body)["pairs"]
+    if path == "/down":
+        return 500, {"error": "down"}
+    if path == "/bertscore":
+        return 200, {"scores": [len(p["candidate"]) / (len(p["candidate"]) + len(p["reference"])) for p in pairs]}
+    return 200, {"scores": [1 / (1 + abs(len(p["candidate"]) - len(p["reference"]))) for p in pairs]}
+
+
+@pytest.mark.parametrize(
+    "bleurt_path, digest",
+    [
+        pytest.param("/bleurt", "2bdd310bad8baa8ce9ff40fb319b17a65c214ad63c6913a25e73ea6ca5a59395", id="aggregate"),
+        pytest.param(
+            "/down", "625bea93331cf2a6f4c9235a7f61495278813ef391d249696b9c775d840b08a2", id="bleurt-unavailable"
+        ),
+    ],
+)
+def test_evaluate_report_bytes_are_pinned(bleurt_path, digest):
+    # a rewrite of evaluate must keep every score, mean and key of the report
+    preds, golds = mixed_na_set()
+    with scripted_http_server(length_scorer_script) as base_url:
+        scorers = [
+            ExternalScorer("bertscore", f"{base_url}/bertscore"),
+            ExternalScorer("bleurt", base_url + bleurt_path),
+        ]
+        report = evaluate(preds, golds, scorers=scorers)
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
 
 
 # Bodies a misbehaving scorer may send: non-numeric scores, null scores,
