@@ -8,12 +8,14 @@ the library's own generation, optimization and gate constants.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Mapping
 
 import yaml
 
+from .corpus import _typed
 from .errors import ConfigError
 from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_TOP_P, LmGateway
 from .optimize import (
@@ -80,34 +82,29 @@ class EngineConfig:
 _SECTIONS = {f.name: f.default_factory for f in dataclass_fields(EngineConfig)}
 
 
+# A key's allowed types, by its default's type: no boolean is an integer.
+_ALLOWED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def _build_section(name: str, cls: type, raw: object) -> object:
     if raw is None:
         return cls()
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    known = {f.name: f.type for f in dataclass_fields(cls)}
-    unknown = set(raw) - set(known)
+    defaults = vars(cls())
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {sorted(unknown)}")
-    coerced = {}
-    defaults = cls()
-    for key, value in raw.items():
-        default = getattr(defaults, key)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}.{key} must be a boolean, got {value!r}")
-        elif isinstance(default, int):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
-        elif isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
-            value = float(value)
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{name}.{key} must be a string, got {value!r}")
-        coerced[key] = value
-    return cls(**coerced)
+    try:
+        values = _typed(raw, {key: _ALLOWED[type(defaults[key])] for key in raw})
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
+    for key, value in values.items():
+        if type(defaults[key]) is float:  # the comparison is exact for any int and false for nan
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
+            values[key] = float(value)
+    return cls(**values)
 
 
 def _validate(config: EngineConfig) -> None:

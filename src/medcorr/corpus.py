@@ -189,47 +189,35 @@ def _decode_utf8(raw: bytes | str) -> str:
 
 
 def _gold_fields(
-    record_id: str,
-    flag_text: str,
-    error_id_text: str,
-    correction_text: str,
-) -> tuple[int | None, int | None, str | NAType | None]:
-    if flag_text == "":
-        if error_id_text not in ("", "-1") or correction_text not in ("", "NA"):
-            raise ValidationError(
-                f"record {record_id!r}: gold columns present but error_flag is empty"
-            )
-        return None, None, None
-    try:
-        flag = int(flag_text)
-    except ValueError as exc:
-        raise ValidationError(f"record {record_id!r}: error_flag {flag_text!r} is not an integer") from exc
-    try:
-        error_id = int(error_id_text)
-    except ValueError as exc:
-        raise ValidationError(
-            f"record {record_id!r}: error_sentence_id {error_id_text!r} is not an integer"
-        ) from exc
-    return flag, error_id, text_to_na(correction_text)
+    record_id: str, flag_text: str, error_id_text: str, correction_text: str
+) -> tuple[int | None, int | None, str | None]:
+    """A CSV row's gold columns as typed values, an empty column being None."""
+    numbers = []
+    for name, value in (("error_flag", flag_text), ("error_sentence_id", error_id_text)):
+        try:
+            numbers.append(None if value == "" else int(value))
+        except ValueError as exc:
+            raise ValidationError(f"record {record_id!r}: {name} {value!r} is not an integer") from exc
+    return numbers[0], numbers[1], correction_text or None
 
 
 def _record_from_parts(
-    record_id: str,
-    note_text: str,
-    sentence_texts: list[str],
-    flag_text: str,
-    error_id_text: str,
-    correction_text: str,
+    record_id: str, text: str, sentences: list[str],
+    error_flag: int | None, error_sentence_id: int | None, corrected_sentence: str | None,
 ) -> ClinicalRecord:
-    if not _encodable("".join([record_id, note_text, *sentence_texts, flag_text, error_id_text, correction_text])):
+    """The record of typed fields, named as in a clinical JSON line."""
+    if not _encodable("".join([record_id, text, *sentences, corrected_sentence or ""])):
         raise ValidationError(f"record {record_id!r} holds a lone surrogate, which UTF-8 cannot encode")
-    sentences = tuple(Sentence(i, text) for i, text in enumerate(sentence_texts))
-    flag, error_id, correction = _gold_fields(record_id, flag_text, error_id_text, correction_text)
+    correction = text_to_na(corrected_sentence) if corrected_sentence else None
+    if error_flag is None:  # an id of -1 and an NA correction are dropped; any other gold field is an error
+        if error_sentence_id not in (None, -1) or correction not in (None, NA):
+            raise ValidationError(f"record {record_id!r}: gold columns present but error_flag is empty")
+        error_sentence_id = correction = None
     return ClinicalRecord(
         record_id=record_id,
-        sentences=sentences,
-        gold_flag=flag,
-        gold_error_sentence_id=error_id,
+        sentences=tuple(Sentence(i, sentence) for i, sentence in enumerate(sentences)),
+        gold_flag=error_flag,
+        gold_error_sentence_id=error_sentence_id,
         gold_correction=correction,
     )
 
@@ -264,39 +252,30 @@ def _parse_clinical_csv(text: str) -> list[ClinicalRecord]:
             raise ValidationError(f"record {record_id!r}: sentences_json is not valid JSON: {exc}") from exc
         if not isinstance(sentence_texts, list) or not all(isinstance(s, str) for s in sentence_texts):
             raise ValidationError(f"record {record_id!r}: sentences_json must be a JSON array of strings")
-        records.append(
-            _record_from_parts(record_id, note_text, sentence_texts, flag_text, error_id_text, correction_text)
-        )
+        gold = _gold_fields(record_id, flag_text, error_id_text, correction_text)
+        records.append(_record_from_parts(record_id, note_text, sentence_texts, *gold))
     return records
+
+
+_INTEGER_OR_NULL = (int, type(None))
+_JSONL_TYPES = {"record_id": (str,), "text": (str,), "sentences": (list,), "error_flag": _INTEGER_OR_NULL,
+                "error_sentence_id": _INTEGER_OR_NULL, "corrected_sentence": (str, type(None))}
+_JSONL_DEFAULTS = {**dict.fromkeys(_JSONL_TYPES), "text": ""}
 
 
 def _parse_clinical_jsonl(text: str) -> list[ClinicalRecord]:
     records = []
     for lineno, obj in json_lines(text):
-        known = {"record_id", "text", "sentences", "error_flag", "error_sentence_id", "corrected_sentence"}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(_JSONL_TYPES)
         if unknown:
             raise ValidationError(f"line {lineno}: unknown keys {sorted(unknown)}")
-        record_id = obj.get("record_id")
-        sentence_texts = obj.get("sentences")
-        if not isinstance(record_id, str):
-            raise ValidationError(f"line {lineno}: record_id must be a string")
-        if not isinstance(sentence_texts, list) or not all(isinstance(s, str) for s in sentence_texts):
-            raise ValidationError(f"record {record_id!r}: sentences must be an array of strings")
-        note_text = obj.get("text", "")
-        if not isinstance(note_text, str):
-            raise ValidationError(f"line {lineno}: text must be a string")
-        correction = obj.get("corrected_sentence")
-        if correction is not None and not isinstance(correction, str):
-            raise ValidationError(f"line {lineno}: corrected_sentence must be a string or null")
-        correction_text = "" if correction is None else correction
-        flag = obj.get("error_flag")
-        flag_text = "" if flag is None else str(flag)
-        error_id = obj.get("error_sentence_id")
-        error_id_text = "" if error_id is None else str(error_id)
-        records.append(
-            _record_from_parts(record_id, note_text, sentence_texts, flag_text, error_id_text, correction_text)
-        )
+        try:
+            fields = _typed({**_JSONL_DEFAULTS, **obj}, _JSONL_TYPES)
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        if set(map(type, fields["sentences"])) - {str}:
+            raise ValidationError(f"line {lineno}: sentences must be an array of strings")
+        records.append(_record_from_parts(**fields))
     return records
 
 
@@ -409,9 +388,10 @@ def csv_text(columns: tuple[str, ...], rows: Iterable[list[str]]) -> str:
 
 
 def json_lines(text: str) -> Iterator[tuple[int, dict]]:
-    """The JSON object on each non-blank line, with its line number. A line
+    """The JSON object on each non-blank line, with its line number. Lines
+    end at "\n" only, since a string may hold U+2028 or U+0085 raw. A line
     that is not one JSON object, or that repeats a key, is rejected."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -606,6 +606,15 @@ def surrogate_index(tmp_path: Path) -> Path:
     return path
 
 
+def string_gold_records(tmp_path: Path) -> Path:
+    # read as parsed: the strings "1" and "0" are not the integers a flagged record needs
+    path = tmp_path / "string-gold.jsonl"
+    record = {"record_id": "r1", "sentences": ["One."], "error_flag": "1", "error_sentence_id": "0",
+              "corrected_sentence": "One fixed."}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
 def predict_argv(tmp_path: Path, *extra: str, records: Path = RECORDS_CSV, config: Path | None = None) -> list[str]:
     # a later --out in extra wins
     config = config or replay_config(tmp_path, CACHE_JSONL)
@@ -655,6 +664,10 @@ _FILE_FAILURES = {
     "predict a lone surrogate": lambda t: (predict_argv(t, "--pipeline", "uw", records=surrogate_records(t)), None),
     "ingest a lone surrogate": lambda t: (
         ["ingest", "--in", str(surrogate_records(t)), "--out", str(t / "c.csv")], "surrogate.csv"
+    ),
+    "ingest json-lines with a string error_flag": lambda t: (
+        ["ingest", "--in", str(string_gold_records(t)), "--format", "json-lines", "--out", str(t / "c.csv")],
+        "string-gold.jsonl",
     ),
     "compile --val with a lone surrogate": lambda t: (
         ["compile", "--pipeline", "uw", "--train", str(RECORDS_CSV), "--val", str(surrogate_records(t)),

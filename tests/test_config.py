@@ -75,12 +75,38 @@ def test_bad_backend_rejected(tmp_path):
             load_config(path, env={})
 
 
-def test_type_errors_are_reported(tmp_path):
-    path = write(tmp_path, "gateway:\n  max_tokens: many\n")
-    with pytest.raises(ConfigError, match="max_tokens"):
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        pytest.param("gateway", "max_tokens", "many", id="integer-a-string"),
+        pytest.param("gateway", "record", '"yes"', id="boolean-a-string"),
+        pytest.param("gateway", "concurrency", "true", id="integer-a-boolean"),
+        pytest.param("gateway", "temperature", '"hot"', id="number-a-string"),
+        pytest.param("gateway", "model", "5", id="string-an-integer"),
+    ],
+)
+def test_type_errors_are_reported(tmp_path, section, key, value):
+    path = write(tmp_path, f"{section}:\n  {key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"^{section}.{key} "):
         load_config(path, env={})
+
+
+def test_range_errors_are_reported(tmp_path):
     path = write(tmp_path, "optimize:\n  n_candidates: 0\n")
     with pytest.raises(ConfigError, match="n_candidates"):
+        load_config(path, env={})
+
+
+def test_an_integer_where_a_number_belongs_loads_as_a_float(tmp_path):
+    temperature = load_config(write(tmp_path, "gateway:\n  temperature: 1\n"), env={}).gateway.temperature
+    assert type(temperature) is float and temperature == 1.0
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", pytest.param("1" + "0" * 400, id="1e400-an-integer")])
+@pytest.mark.parametrize("section, key", [("gateway", "temperature"), ("optimize", "rouge_pass_threshold")])
+def test_a_number_that_is_not_finite_is_rejected(tmp_path, section, key, value):
+    path = write(tmp_path, f"{section}:\n  {key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"^{section}.{key} must be a finite number"):
         load_config(path, env={})
 
 

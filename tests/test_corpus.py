@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -250,18 +251,24 @@ def test_json_integer_too_long_is_a_validation_error_naming_where(parse, raw, wh
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        pytest.param("text", 5, "text must be a string", id="text-a-number"),
-        pytest.param("text", None, "text must be a string", id="text-null"),
-        pytest.param("corrected_sentence", 7, "corrected_sentence must be a string or null", id="correction-a-number"),
-        pytest.param("corrected_sentence", ["Two fixed."], "corrected_sentence must be a string or null",
-                     id="correction-a-list"),
+        pytest.param("text", 5, "text 5 is not of type str", id="text-a-number"),
+        pytest.param("text", None, "text None is not of type str", id="text-null"),
+        pytest.param("corrected_sentence", 7, "corrected_sentence 7 is not of type str or NoneType",
+                     id="correction-a-number"),
+        pytest.param("corrected_sentence", ["Two fixed."],
+                     "corrected_sentence ['Two fixed.'] is not of type str or NoneType", id="correction-a-list"),
+        # read as parsed: the string "1" is not the integer 1, nor true the flag 1
+        pytest.param("error_flag", "1", "error_flag '1' is not of type int or NoneType", id="flag-a-string"),
+        pytest.param("error_sentence_id", "0", "error_sentence_id '0' is not of type int or NoneType",
+                     id="sentence-id-a-string"),
+        pytest.param("error_flag", True, "error_flag True is not of type int or NoneType", id="flag-a-boolean"),
     ],
 )
 def test_parse_jsonl_rejects_a_text_that_is_not_a_string_naming_the_line(field, value, message):
     obj = {"record_id": "a", "text": "One. Two.", "sentences": ["One.", "Two."],
            "error_flag": 1, "error_sentence_id": 1, "corrected_sentence": "Two fixed."}
     raw = '{"record_id": "z", "sentences": ["Z."]}\n' + json.dumps({**obj, field: value}) + "\n"
-    with pytest.raises(ValidationError, match=f"^line 2: {message}$"):
+    with pytest.raises(ValidationError, match=f"^line 2: {re.escape(message)}$"):
         parse_clinical_records(raw, format="json-lines")
 
 
@@ -276,6 +283,8 @@ def test_round_trip_both_formats():
         record_with_error("a", ["Alpha one.", "Alpha two."], 1, "Alpha two fixed."),
         record_no_error("b", ["Beta."]),
         unlabeled_record("c", ["Gamma.", "Delta."]),
+        # written raw by json.dumps(ensure_ascii=False), and line breaks to str.splitlines()
+        unlabeled_record("d", ["Line\u2028separator.", "Next\u0085line.", "Paragraph\u2029separator."]),
     ]
     for fmt in ("delimited-table", "json-lines"):
         text = serialize_clinical_records(records, format=fmt)
@@ -351,6 +360,7 @@ def test_mcq_round_trip():
     raw = (
         '{"question": "q1", "options": {"A": "x", "B": "y"}, "answer": "B"}\n'
         '{"question": "q2", "options": {"1": "left", "2": "right"}, "answer": "1"}\n'
+        '{"question": "q3\u2028continued", "options": {"A": "x\u0085y", "B": "z"}, "answer": "A"}\n'
     )
     mcqs = parse_mcq_corpus(raw.encode("utf-8"))
     assert serialize_mcq_corpus(mcqs) == raw
