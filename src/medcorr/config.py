@@ -94,7 +94,7 @@ def _build_section(name: str, cls: type, raw: object) -> object:
     defaults = vars(cls())
     unknown = set(raw) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown key(s) in section {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in section {name!r}: {sorted(unknown, key=repr)}")
     try:
         values = _typed(raw, {key: _ALLOWED[type(defaults[key])] for key in raw})
     except ValueError as exc:
@@ -151,13 +151,15 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             raw = yaml.safe_load(text) or {}
-        except yaml.YAMLError as exc:
+        except RecursionError:
+            raise ConfigError(f"config file {path} is nested too deeply") from None
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer or an impossible date
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping of sections")
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown config section(s): {sorted(unknown, key=repr)}")
     sections = {
         name: _build_section(name, cls, raw.get(name)) for name, cls in _SECTIONS.items()
     }

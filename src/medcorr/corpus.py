@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -350,6 +351,17 @@ def mcq_to_object(record: McqRecord) -> dict:
 # --- the three file shapes: CSV tables, JSON lines, versioned JSON documents ---
 
 
+# A line and its "\n", or an unterminated last line. Unlike str.splitlines,
+# no other character ends a line, just as when io.StringIO(text) is read.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+\Z")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` one at a time, so a reader holds one line, not a
+    second copy of the text."""
+    return map(re.Match.group, _LINE.finditer(text))
+
+
 def csv_rows(text: str, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
     """The non-empty rows of a CSV table whose header is exactly ``columns``,
     each with the number of the line it starts on, the header being line 1.
@@ -358,7 +370,7 @@ def csv_rows(text: str, columns: tuple[str, ...], what: str) -> Iterator[tuple[i
     # No field is longer than its text. The limit is process-wide and this
     # only ever raises it.
     csv.field_size_limit(max(csv.field_size_limit(), len(text)))
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     end = 0  # the last line of the row read before
     try:
         header = next(reader, None)
@@ -391,11 +403,11 @@ def json_lines(text: str) -> Iterator[tuple[int, dict]]:
     """The JSON object on each non-blank line, with its line number. Lines
     end at "\n" only, since a string may hold U+2028 or U+0085 raw. A line
     that is not one JSON object, or that repeats a key, is rejected."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
-            obj = json_loads(line, object_pairs_hook=_reject_duplicate_keys)
+            obj = json_loads(line.removesuffix("\n"), object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
         except ValidationError as exc:

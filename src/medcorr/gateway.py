@@ -124,7 +124,8 @@ class ReplayCache:
     lock and flush to disk immediately. An unterminated, unparseable final
     line, which a crash mid-append leaves, is ignored with a warning and cut
     from the file before the next append; a malformed line anywhere else is
-    an error.
+    an error. ``__init__`` loads the file one line at a time, lines ending at
+    ``b"\n"`` only, so a load holds the entries it keeps plus one line.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -139,31 +140,33 @@ class ReplayCache:
 
     def _load(self) -> None:
         assert self.path is not None
-        data = self.path.read_bytes()
-        lines = data.split(b"\n")
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json_loads(line)
-                response = entry["response"]
-                self._entries.setdefault(
-                    entry["key"],
-                    LmResponse(
-                        text=response["text"],
-                        prompt_tokens=response.get("prompt_tokens", 0),
-                        completion_tokens=response.get("completion_tokens", 0),
-                        backend_tag="replay",
-                    ),
-                )
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                if lineno < len(lines):
-                    raise ValidationError(f"cache file {self.path} line {lineno} is malformed: {exc}") from exc
-                logger.warning("cache file %s ends in a torn line %d; ignoring it: %s", self.path, lineno, exc)
-                self._tail = (len(data) - len(line), "")
-                return
-        if lines[-1]:
-            self._tail = (len(data), "\n")
+        offset = 0  # the size of the lines before this one
+        terminated = True
+        with self.path.open("rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                terminated = line.endswith(b"\n")
+                if line.strip():
+                    try:
+                        entry = json_loads(line.removesuffix(b"\n"))
+                        response = entry["response"]
+                        self._entries.setdefault(
+                            entry["key"],
+                            LmResponse(
+                                text=response["text"],
+                                prompt_tokens=response.get("prompt_tokens", 0),
+                                completion_tokens=response.get("completion_tokens", 0),
+                                backend_tag="replay",
+                            ),
+                        )
+                    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                        if terminated:
+                            raise ValidationError(f"cache file {self.path} line {lineno} is malformed: {exc}") from exc
+                        logger.warning("cache file %s ends in a torn line %d; ignoring it: %s", self.path, lineno, exc)
+                        self._tail = (offset, "")
+                        return
+                offset += len(line)
+        if not terminated:
+            self._tail = (offset, "\n")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -15,6 +15,7 @@ stage-by-stage trace.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import threading
@@ -564,9 +565,9 @@ def parse_predictions(text: str) -> list[Prediction]:
 
 
 def serialize_traces(predictions: Iterable[Prediction]) -> str:
-    lines = []
+    out = io.StringIO()
     for p in predictions:
-        lines.append(
+        out.write(
             json.dumps(
                 {
                     "record_id": p.record_id,
@@ -580,4 +581,5 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                 sort_keys=True,
             )
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+        out.write("\n")
+    return out.getvalue()

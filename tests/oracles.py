@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import base64
+import csv
+import io
 import json
 import math
 import struct
-from typing import Sequence
+from pathlib import Path
+from typing import Iterator, Sequence
 
+from medcorr.corpus import json_loads
 from medcorr.errors import ValidationError
-from medcorr.gateway import Message
+from medcorr.gateway import LmResponse, Message
 from medcorr.program import CHAIN_OF_THOUGHT, RATIONALE_DESCRIPTION, RATIONALE_FIELD, Field, field_label
 from medcorr.retrieval import tokenize
 
@@ -149,3 +153,83 @@ def render_messages_oracle(program, inputs) -> list[Message]:
     blocks = [demo_block(demo) for demo in program.demos]
     blocks.append("\n".join(live))
     return [Message("system", system), Message("user", "\n\n---\n\n".join(blocks))]
+
+
+# --- the line readers as they were before they streamed ---
+
+
+def csv_rows_oracle(text: str, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
+    """``corpus.csv_rows`` reading ``csv.reader(io.StringIO(text))``, which
+    holds a second copy of the text at four bytes a character."""
+    csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+    reader = csv.reader(io.StringIO(text))
+    end = 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{what} is empty (missing header)")
+        if tuple(header) != columns:
+            raise ValidationError(f"{what} header {header} does not match expected columns {list(columns)}")
+        end = reader.line_num
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValidationError(f"line {start}: expected {len(columns)} columns, got {len(row)}")
+            yield start, row
+    except csv.Error as exc:
+        raise ValidationError(f"{what} line {end + 1}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValidationError(f"duplicate key {key!r}")
+    return dict(pairs)
+
+
+def json_lines_oracle(text: str) -> Iterator[tuple[int, dict]]:
+    """``corpus.json_lines`` over ``text.split("\\n")``, a list of every line."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json_loads(line, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValidationError(f"line {lineno}: expected a JSON object")
+        yield lineno, obj
+
+
+def load_cache_oracle(path: Path) -> tuple[dict[str, LmResponse], tuple[int, str] | None]:
+    """``ReplayCache``'s load over the whole file split at ``b"\\n"``: the
+    entries, first line per key winning, and the ``(size, prefix)`` repair of
+    an unterminated tail, or None."""
+    entries: dict[str, LmResponse] = {}
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json_loads(line)
+            response = entry["response"]
+            entries.setdefault(
+                entry["key"],
+                LmResponse(
+                    text=response["text"],
+                    prompt_tokens=response.get("prompt_tokens", 0),
+                    completion_tokens=response.get("completion_tokens", 0),
+                    backend_tag="replay",
+                ),
+            )
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            if lineno < len(lines):
+                raise ValidationError(f"cache file {path} line {lineno} is malformed: {exc}") from exc
+            return entries, (len(data) - len(line), "")
+    return entries, ((len(data), "\n") if lines[-1] else None)

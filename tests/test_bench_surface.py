@@ -66,6 +66,17 @@ def test_names_the_harness_looks_up_exist():
         assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
 
 
+def test_replay_cache_init_itself_loads_the_file(tmp_path):
+    # The traced gateway.cache_load_s times ReplayCache.__init__; a load
+    # moved out of it, say deferred to the first get, would read 0 there.
+    path = tmp_path / "cache.jsonl"
+    request = gateway.LmRequest(model="m", messages=(gateway.Message("user", "Say hi."),))
+    gateway.ReplayCache(path).append(request, gateway.LmResponse(text="hi"))
+    cache = gateway.ReplayCache(path)
+    path.unlink()
+    assert len(cache) == 1 and cache.get(gateway.canonical_key(request)).text == "hi"
+
+
 def test_compile_entry_points_accept_the_benchmark_keywords():
     positional = (None, None, None, None)  # pipeline, trainset, valset, gateway
     thresholds = {"rouge_pass_threshold": 0.8, "binary_pass_threshold": 1.0}

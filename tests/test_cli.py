@@ -94,6 +94,45 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def config_fails_with_one_error_line(tmp_path: Path, capsys, text: str) -> str:
+    config = tmp_path / "bad.yaml"
+    config.write_text(text, encoding="utf-8")
+    code = run_command(
+        ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV),
+         "--out", str(tmp_path / "p.csv"), "--config", str(config)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def test_config_unknown_int_and_str_keys_in_a_section_exit_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "gateway:\n  1: x\n  a: y\n")
+    assert line == "error: unknown key(s) in section 'gateway': ['a', 1]"
+
+
+def test_config_unknown_int_and_str_sections_exit_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "1: x\nb: y\n")
+    assert line == "error: unknown config section(s): ['b', 1]"
+
+
+def test_config_integer_of_5000_digits_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "gateway:\n  max_tokens: 1" + "0" * 5000 + "\n")
+    assert "bad.yaml is not valid YAML" in line and "4300 digits" in line
+
+
+def test_config_impossible_date_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "paths:\n  records: 2020-13-45\n")
+    assert line.endswith("bad.yaml is not valid YAML: month must be in 1..12")
+
+
+def test_config_nested_5000_deep_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "[" * 5000 + "]" * 5000 + "\n")
+    assert line.endswith("bad.yaml is nested too deeply")
+
+
 # --- ingest ------------------------------------------------------------------------
 
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import io
 import json
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from medcorr import corpus
 from medcorr.corpus import (
+    CLINICAL_CSV_COLUMNS,
     ClinicalRecord,
     Sentence,
+    csv_rows,
+    json_lines,
     parse_clinical_records,
     parse_mcq_corpus,
     read_document,
@@ -20,6 +26,7 @@ from medcorr.errors import ValidationError
 from medcorr.na import NA, is_na
 
 from helpers import record_no_error, record_with_error, unlabeled_record
+from oracles import csv_rows_oracle, json_lines_oracle
 
 CSV_HEADER = "record_id,text,sentences_json,error_flag,error_sentence_id,corrected_sentence"
 
@@ -364,6 +371,72 @@ def test_mcq_round_trip():
     )
     mcqs = parse_mcq_corpus(raw.encode("utf-8"))
     assert serialize_mcq_corpus(mcqs) == raw
+
+
+# --- the streaming line readers against the readers that held every line ----------------
+
+# Pieces whose concatenations reach every line-reading path: "\r" alone and
+# in "\r\n", characters str.splitlines also breaks at ("\x0c", "\x85",
+# U+2028), quoted fields spanning lines, an unterminated quote, and texts
+# ending with or without "\n".
+_CSV_PIECES = ["x,y", "x,y", "x", ",", '"', '""', "\n", "\r", "\r\n", "\x0c", "\x85", "\u2028", " ", "y,z\n",
+               '"p\nq",r\n', '"p\u2028q\x85",r', '"open', "x,\"a\rb\"\r\n"]
+_CSV_HEADS = ["a,b\n", "a,b\n", "a,b\n", "a,b\r\n", "a,b", "a,b\u2028\n", "a\n", ""]
+_JSONL_PIECES = ['{"a": 1}', '{"a": "x\u2028y"}', '{"a": "\x85"}', '{"a": 1, "a": 2}', "[1]", "{", '"s"',
+                 "\n", "\r", "\r\n", " ", "\x0c", "\x85", "\u2028", '{"b": [{"c": {}}]}']
+_BOUNDED = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def lines_of(pieces: list[str]):
+    """Texts of up to 8 lines, joined by "\\n", each of up to 3 pieces."""
+    return st.lists(st.lists(st.sampled_from(pieces), max_size=3).map("".join), max_size=8).map("\n".join)
+
+
+def read_all(items) -> tuple[list, str | None]:
+    """What a reader yields before it stops, and the error it stops with."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except ValidationError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@_BOUNDED
+@given(
+    head=st.sampled_from(_CSV_HEADS),
+    body=lines_of(_CSV_PIECES),
+    final_newline=st.booleans(),
+)
+def test_csv_rows_reads_what_a_string_io_reader_read(head, body, final_newline):
+    text = head + body + ("\n" if final_newline else "")
+    assert list(corpus._lines(text)) == list(io.StringIO(text))
+    assert read_all(csv_rows(text, ("a", "b"), "table")) == read_all(csv_rows_oracle(text, ("a", "b"), "table"))
+
+
+@_BOUNDED
+@given(lines=lines_of(_JSONL_PIECES), final_newline=st.booleans())
+def test_json_lines_reads_what_splitting_at_newline_read(lines, final_newline):
+    text = lines + ("\n" if final_newline else "")
+    assert read_all(json_lines(text)) == read_all(json_lines_oracle(text))
+
+
+def test_csv_rows_peaks_below_the_size_of_the_text():
+    # A note of 40 sentences per row, about 4 MB in all: the reader holds a
+    # row at a time, where csv.reader(io.StringIO(text)) held the text again
+    # at four bytes a character.
+    note = "\n".join(f"Sentence {i} of the note, with words enough to fill a line." for i in range(40))
+    row = f'r,"{note}","[]",0,-1,NA\n'
+    text = ",".join(CLINICAL_CSV_COLUMNS) + "\n" + row * (4_000_000 // len(row))
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in csv_rows(text, CLINICAL_CSV_COLUMNS, "table"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 4_000_000 // len(row)
+    assert peak < len(text), f"peak {peak} bytes for a {len(text)}-character text"
 
 
 # --- split_dataset ----------------------------------------------------------------------

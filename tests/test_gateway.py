@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from medcorr.errors import CacheMissError, LiveRequestError, ValidationError
 from medcorr.gateway import (
@@ -24,6 +27,7 @@ from medcorr.gateway import (
 )
 
 from helpers import SamplingBackend, chat_completion_payload, scripted_http_server
+from oracles import load_cache_oracle
 
 # Computed once from the documented canonicalization, then frozen.
 GOLDEN_KEY = "42550cf1c49e78b8355a7c9555166435df51fe07274df86ab00a3a092c15eaa2"
@@ -338,6 +342,64 @@ def test_cache_appends_after_an_unterminated_complete_line(tmp_path):
     cache.append(second, ScriptedBackend(lambda r: "two").complete(second))
     reloaded = ReplayCache(path)
     assert [reloaded.get(canonical_key(r)).text for r in (first, second)] == ["one", "two"]
+
+
+def entry_line(key: str, text: str, prompt_tokens: int | None) -> bytes:
+    response = {"text": text} if prompt_tokens is None else {"text": text, "prompt_tokens": prompt_tokens}
+    return json.dumps({"key": key, "request": {}, "response": response}, ensure_ascii=False).encode("utf-8")
+
+
+# Keys repeat, so the first line per key must win; texts hold characters that
+# str.splitlines would break at, raw in the line (U+0085, U+2028) or escaped.
+_ENTRIES = st.builds(
+    entry_line, st.sampled_from("abc"), st.text(st.sampled_from("ok\r\x0c\x85\u2028 "), max_size=4),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+_CACHE_LINES = st.one_of(
+    _ENTRIES,
+    _ENTRIES.map(lambda line: line + b"\r"),  # a CRLF file
+    st.sampled_from([b"", b" \t", b"\r", b"\x0b", b"\x0c", b"{", b'{"key": "a"}', b"[1]"]),
+    st.builds(lambda line, cut: line[:cut], _ENTRIES, st.integers(1, 30)),  # a torn append
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(_CACHE_LINES, max_size=8), final_newline=st.booleans())
+def test_cache_loads_what_splitting_the_whole_file_loaded(lines, final_newline):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "cache.jsonl"
+        path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
+        try:
+            expected = load_cache_oracle(path)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                ReplayCache(path)
+            assert str(raised.value) == str(exc)
+            return
+        cache = ReplayCache(path)
+        assert (cache._entries, cache._tail) == expected
+        assert list(cache._entries) == list(expected[0])
+
+
+def test_cache_load_peaks_at_the_entries_it_keeps_plus_a_line(tmp_path):
+    # About 4 MB of 2,000 entries whose requests hold 2 kB prompts: a load
+    # keeps only the responses, where reading the whole file and a list of
+    # its lines held the file twice over.
+    path = tmp_path / "cache.jsonl"
+    prompt = "word " * 400
+    with path.open("w", encoding="utf-8") as handle:
+        for i in range(2000):
+            request = {"messages": [{"role": "user", "content": f"{i} {prompt}"}]}
+            handle.write(json.dumps({"key": f"k{i}", "request": request, "response": {"text": f"Flag: {i % 2}"}}) + "\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        cache = ReplayCache(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 2000
+    assert peak - kept < size / 4, f"peak {peak} bytes, {kept} kept, for a {size}-byte file"
 
 
 # --- live backend -----------------------------------------------------------------
