@@ -1,8 +1,9 @@
 """Engine configuration: one YAML file, strict schema, env overrides.
 
-Unknown keys are rejected. ``MEDCORR_API_KEY`` and ``MEDCORR_BASE_URL``
-override the corresponding file values (environment wins). Defaults are
-the library's own generation, optimization and gate constants.
+Unknown and repeated keys are rejected. ``MEDCORR_API_KEY`` and
+``MEDCORR_BASE_URL`` override the corresponding file values (environment
+wins). Defaults are the library's own generation, optimization and gate
+constants.
 """
 
 from __future__ import annotations
@@ -82,6 +83,27 @@ class EngineConfig:
 _SECTIONS = {f.name: f.default_factory for f in dataclass_fields(EngineConfig)}
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` refusing a mapping that repeats a key, as every
+    JSON reader does, where the safe loader would keep the last value. A
+    merge key (``<<``) is left to the loader, so its entries may be
+    overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                if key in seen:
+                    raise yaml.YAMLError(f"key {key!r} is repeated on line {key_node.start_mark.line + 1}")
+                seen.add(key)
+            except TypeError:  # an unhashable key, which the loader rejects itself
+                pass
+        return super().construct_mapping(node, deep=deep)
+
+
 # A key's allowed types, by its default's type: no boolean is an integer.
 _ALLOWED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
@@ -150,7 +172,7 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
-            raw = yaml.safe_load(text) or {}
+            raw = yaml.load(text, Loader=_UniqueKeyLoader) or {}
         except RecursionError:
             raise ConfigError(f"config file {path} is nested too deeply") from None
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer or an impossible date

@@ -19,7 +19,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice, repeat
 from pathlib import Path
 
 from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document
@@ -32,7 +32,7 @@ _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 def tokenize(text: str) -> list[str]:
     """Lowercased maximal runs of Unicode alphanumerics."""
-    return [m.group(0) for m in _TOKEN.finditer(text.lower())]
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,24 @@ class RetrievalHit:
 
 @dataclass(frozen=True)
 class TfidfIndex:
-    """A TF-IDF index held as postings: term id -> (ascending doc ids, their
-    weights), one posting per vocabulary term. A term's document frequency
-    is its posting length.
+    """A TF-IDF index held as postings grouped by count: term id ->
+    ``((weight, doc ids), ...)``, one posting per vocabulary term and one
+    group per distinct raw count of the term, in ascending count order. A
+    group's weight is ``count * idf`` and its doc ids, strictly ascending,
+    are the documents carrying the term that many times; a document is in at
+    most one group of a term, so a term's document frequency is the sum of
+    its group lengths.
 
-    Both halves of a posting are tuples of shared objects: every posting
-    holds the same ``int`` for a document, and a term's posting holds one
-    ``float`` per distinct count. So ``query`` reads objects that already
-    exist, where packed arrays would box a new ``int`` and ``float`` per
-    entry read. Tuples rather than lists, because the garbage collector
-    stops tracking a tuple of ints or floats, so its collections do not
-    walk the postings. On a 10,000-question index (358k entries, 9.3k
-    distinct weights) this holds about 1.2 MB more than arrays would."""
+    The doc ids are tuples of shared objects: every group holds the same
+    ``int`` for a document, so ``query`` reads objects that already exist,
+    where packed arrays would box a new ``int`` per entry read. Tuples rather
+    than lists, because the garbage collector stops tracking a tuple of ints,
+    so its collections do not walk the postings. A 10,000-question index
+    holds 358k doc ids in 9.3k groups: one ``float`` per group in place of
+    a weight reference per doc id, about 2.6 MB less."""
 
     vocabulary: dict[str, int]
-    postings: dict[int, tuple[tuple[int, ...], tuple[float, ...]]]
+    postings: dict[int, tuple[tuple[float, tuple[int, ...]], ...]]
     doc_norms: tuple[float, ...]
     corpus: tuple[McqRecord, ...]
 
@@ -67,7 +70,7 @@ class TfidfIndex:
         return len(self.corpus)
 
     def idf(self, term_id: int) -> float:
-        return _idf(self.n_documents, len(self.postings[term_id][0]))
+        return _idf(self.n_documents, sum(len(ids) for _, ids in self.postings[term_id]))
 
 
 def _idf(n_documents: int, document_frequency: int) -> float:
@@ -95,19 +98,19 @@ def build_index(corpus: list[McqRecord]) -> TfidfIndex:
             document_frequency[term_id] = document_frequency.get(term_id, 0) + 1
     n = len(corpus)
     idf = {term_id: _idf(n, df) for term_id, df in document_frequency.items()}
-    postings = {term_id: ([], []) for term_id in idf}
-    # One weight object per (term, count); enumerate binds one doc id object
-    # per document. Every posting shares them (see TfidfIndex).
-    weight_of: dict[int, dict[int, float]] = {term_id: {} for term_id in idf}
+    # term id -> count -> ascending doc ids; enumerate binds one doc id
+    # object per document, which every group shares (see TfidfIndex).
+    groups: dict[int, dict[int, list[int]]] = {term_id: {} for term_id in idf}
     doc_norms = []
     for doc_id, counts in enumerate(term_counts):
-        weights = [weight_of[term_id].setdefault(tf, tf * idf[term_id]) for term_id, tf in counts.items()]
-        for term_id, weight in zip(counts, weights):
-            ids, term_weights = postings[term_id]
-            ids.append(doc_id)
-            term_weights.append(weight)
+        for term_id, tf in counts.items():
+            groups[term_id].setdefault(tf, []).append(doc_id)
+        weights = [tf * idf[term_id] for term_id, tf in counts.items()]
         doc_norms.append(math.sqrt(sum(w * w for w in weights)))
-    postings = {term_id: (tuple(ids), tuple(term_weights)) for term_id, (ids, term_weights) in postings.items()}
+    postings = {
+        term_id: tuple((tf * idf[term_id], tuple(by_count[tf])) for tf in sorted(by_count))
+        for term_id, by_count in groups.items()
+    }
     return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=tuple(doc_norms), corpus=tuple(corpus))
 
 
@@ -116,7 +119,10 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
     zero-score documents included.
 
     Query terms absent from the index vocabulary are dropped. Ties break by
-    ascending doc_id.
+    ascending doc_id. Each posting group adds one product, computed once, to
+    each of its documents: on a 10,000-question index a note-length query
+    walks about 160k doc ids in about 7.3 ms, against 10.6 ms with a product
+    per entry (2 vCPUs, Python 3.11.7).
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -132,15 +138,16 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
         # Term by term in q_vector order, each document's products are added
         # in the order of a per-document sum over the query terms, and a term
         # a document lacks would add an exact 0.0: every score equals a full
-        # scan's bit for bit (tests/oracles.py keeps that scan).
+        # scan's bit for bit (tests/oracles.py keeps that scan). A document is
+        # in one group of a term, so one product per group is the same float
+        # each of its documents' own product would be.
         dots = [0.0] * len(scores)
         postings = index.postings
         for term_id, weight in q_vector.items():
-            entry = postings.get(term_id)
-            if entry is None:
-                continue
-            for doc_id, w in zip(*entry):
-                dots[doc_id] += weight * w
+            for w, ids in postings.get(term_id, ()):
+                product = weight * w
+                for doc_id in ids:
+                    dots[doc_id] += product
         scores = []
         for dot, norm in zip(dots, index.doc_norms):
             cosine = 0.0 if norm == 0.0 else dot / (q_norm * norm)
@@ -160,13 +167,16 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
     packed little-endian values (int32, norms float64)."""
     lengths, ids, counts = array("i"), array("i"), array("i")
     for term_id in range(len(index.vocabulary)):
-        term_ids, weights = index.postings[term_id]
+        groups = index.postings[term_id]
         try:
-            counts.extend(_counts(term_id, weights, index.idf(term_id)))
+            group_counts = _counts(term_id, [w for w, _ in groups], index.idf(term_id))
         except (ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot write index file {path}: {exc}") from exc
-        lengths.append(len(term_ids))
-        ids.extend(term_ids)
+        # The groups merged back into one posting of ascending doc ids.
+        entries = sorted((doc_id, tf) for tf, (_, term_ids) in zip(group_counts, groups) for doc_id in term_ids)
+        lengths.append(len(entries))
+        ids.extend(doc_id for doc_id, _ in entries)
+        counts.extend(tf for _, tf in entries)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "vocabulary": index.vocabulary,
@@ -235,10 +245,18 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
             raise ValueError(f"term {term_id} has a doc id outside [0, {n_documents})")
         idf = _idf(n_documents, length)
         term_counts = counts[start:end]
-        weight_of = {tf: tf * idf for tf in set(term_counts)}
         # Only after the range check: a list index would wrap a negative id.
         shared_ids = tuple(map(doc_objects.__getitem__, term_ids))
-        postings[term_id] = (shared_ids, tuple(map(weight_of.__getitem__, term_counts)))
+        distinct = set(term_counts)
+        # 97% of a 10,000-question index's terms have one count; taking their
+        # ids as they are, without a compress pass, makes the load 15% faster.
+        if len(distinct) == 1:
+            postings[term_id] = ((term_counts[0] * idf, shared_ids),)
+        else:
+            postings[term_id] = tuple(
+                (tf * idf, tuple(compress(shared_ids, map(operator.eq, term_counts, repeat(tf)))))
+                for tf in sorted(distinct)
+            )
     return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=doc_norms, corpus=corpus)
 
 
@@ -267,7 +285,7 @@ def _unpacked(payload: dict, name: str, typecode: str) -> array:
 
 def _counts(term_id: int, weights, idf: float) -> list[int]:
     """The raw counts whose ``tf * idf`` are exactly ``weights``, the term's
-    weights in an index that ``build_index`` or ``load_index`` made."""
+    group weights in an index that ``build_index`` or ``load_index`` made."""
     counts = [round(w / idf) for w in weights]
     if any(tf * idf != w for tf, w in zip(counts, weights)):
         raise ValueError(f"term {term_id}'s weights are not whole counts times its idf")

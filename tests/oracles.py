@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import re
 import struct
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -90,12 +91,19 @@ def scan_query(index, text: str, k: int = 1) -> list[tuple[int, float]]:
 
 
 def document_vectors(index) -> list[dict[int, float]]:
-    """Each document's ``{term id: weight}``, rebuilt from ``index.postings``."""
+    """Each document's ``{term id: weight}``, rebuilt from ``index.postings``,
+    whose groups give one weight to each of their doc ids."""
     vectors: list[dict[int, float]] = [{} for _ in index.doc_norms]
-    for term_id, (ids, weights) in index.postings.items():
-        for doc_id, weight in zip(ids, weights):
-            vectors[doc_id][term_id] = weight
+    for term_id, groups in index.postings.items():
+        for weight, ids in groups:
+            for doc_id in ids:
+                vectors[doc_id][term_id] = weight
     return vectors
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """``retrieval.tokenize`` as a ``finditer`` comprehension over its pattern."""
+    return [m.group(0) for m in re.finditer(r"[^\W_]+", text.lower())]
 
 
 def packed(code: str, values) -> str:

@@ -133,6 +133,16 @@ def test_config_nested_5000_deep_exits_one(tmp_path, capsys):
     assert line.endswith("bad.yaml is nested too deeply")
 
 
+def test_config_repeated_section_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "gateway:\n  model: a\ngateway:\n  model: b\n")
+    assert line.endswith("bad.yaml is not valid YAML: key 'gateway' is repeated on line 3")
+
+
+def test_config_repeated_key_in_a_section_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "gateway:\n  model: a\n  model: b\n")
+    assert line.endswith("bad.yaml is not valid YAML: key 'model' is repeated on line 3")
+
+
 # --- ingest ------------------------------------------------------------------------
 
 

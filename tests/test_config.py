@@ -119,3 +119,16 @@ def test_malformed_yaml_is_config_error(tmp_path):
     path = write(tmp_path, "gateway: [unclosed\n")
     with pytest.raises(ConfigError, match="YAML"):
         load_config(path, env={})
+
+
+def test_a_merge_key_may_be_overridden(tmp_path):
+    path = write(tmp_path, "gateway:\n  <<: {model: a, max_tokens: 7}\n  model: b\n")
+    config = load_config(path, env={})
+    assert (config.gateway.model, config.gateway.max_tokens) == ("b", 7)
+
+
+def test_an_unhashable_key_is_a_config_error(tmp_path):
+    # the repeated-key check skips a key it cannot hash; the loader rejects it
+    path = write(tmp_path, "gateway: {[1]: 2}\n")
+    with pytest.raises(ConfigError, match="unhashable key"):
+        load_config(path, env={})

@@ -12,7 +12,7 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from medcorr.corpus import parse_mcq_corpus
 from medcorr.errors import ValidationError
@@ -27,7 +27,7 @@ from medcorr.retrieval import (
 )
 
 from helpers import make_mcq
-from oracles import document_vectors, index_document, packed, scan_query
+from oracles import document_vectors, index_document, packed, scan_query, tokenize_oracle
 
 MCQ_CORPUS = Path(__file__).parent / "fixtures" / "mcq_corpus.jsonl"
 
@@ -87,17 +87,33 @@ def test_tokenize_unicode():
     assert tokenize("Déjà vu 2024") == ["déjà", "vu", "2024"]
 
 
+# Separators and letters the pattern must tell apart: underscore, digits, a
+# combining acute, non-BMP letters (mathematical bold A, Deseret) and U+2028.
+_TOKEN_EDGES = st.sampled_from(["_", "0", "9", "\u0301", "\U0001d400", "\U00010400", "\u2028", "É", "ß", "-", " "])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=st.text(st.one_of(_TOKEN_EDGES, st.characters())))
+def test_tokenize_equals_the_finditer_form_property(text):
+    assert tokenize(text) == tokenize_oracle(text)
+
+
 # --- build_index ------------------------------------------------------------------
+
+
+def doc_ids(groups) -> list[int]:
+    """A term's doc ids, its groups merged in ascending order."""
+    return sorted(doc_id for _, ids in groups for doc_id in ids)
 
 
 def test_single_document_weights_are_raw_counts():
     index = build_index(corpus_of(["apple banana apple"]))
-    assert all(list(ids) == [0] for ids, _ in index.postings.values())
+    assert all(doc_ids(groups) == [0] for groups in index.postings.values())
     # idf = ln(1/1) + 1 = 1, so weights equal raw term counts
     apple = index.vocabulary["apple"]
     banana = index.vocabulary["banana"]
-    assert index.postings[apple][1][0] == pytest.approx(2.0)
-    assert index.postings[banana][1][0] == pytest.approx(1.0)
+    assert [w for w, _ in index.postings[apple]] == pytest.approx([2.0])
+    assert [w for w, _ in index.postings[banana]] == pytest.approx([1.0])
 
 
 def test_two_document_idf_hand_computed():
@@ -105,9 +121,9 @@ def test_two_document_idf_hand_computed():
         [make_mcq("a b", {"X": "opt1", "Y": "opt2"}, "X"), make_mcq("a c", {"X": "opt1", "Y": "opt2"}, "X")]
     )
     a, b, c = (index.vocabulary[t] for t in ("a", "b", "c"))
-    assert list(index.postings[a][0]) == [0, 1]
-    assert list(index.postings[b][0]) == [0]
-    assert list(index.postings[c][0]) == [1]
+    assert doc_ids(index.postings[a]) == [0, 1]
+    assert doc_ids(index.postings[b]) == [0]
+    assert doc_ids(index.postings[c]) == [1]
     assert index.idf(a) == pytest.approx(1.0)
     assert index.idf(b) == pytest.approx(math.log(2.0) + 1.0)  # ~1.6931
     assert index.idf(c) == pytest.approx(math.log(2.0) + 1.0)
@@ -144,9 +160,47 @@ def test_doc_norms_match_vectors():
 def test_index_internal_invariants():
     index = build_index(corpus_of(["alpha beta beta", "beta gamma", "delta"]))
     assert set(index.postings) == set(index.vocabulary.values())
-    for ids, weights in index.postings.values():
-        assert list(ids) == sorted(set(ids)) and 0 <= ids[0] and ids[-1] < index.n_documents
-        assert 1 <= len(ids) == len(weights) <= index.n_documents
+    for groups in index.postings.values():
+        ids = doc_ids(groups)
+        assert ids == sorted(set(ids)) and 0 <= ids[0] and ids[-1] < index.n_documents
+        assert 1 <= len(ids) <= index.n_documents
+        assert all(type(weight) is float and len(group_ids) >= 1 for weight, group_ids in groups)
+
+
+def assert_postings_group_by_count(index: TfidfIndex) -> None:
+    """Per term, from each document's tokens: one group per distinct count,
+    counts ascending, each weight exactly ``count * idf``, ids strictly
+    ascending within a group, and the groups disjoint with sizes summing to
+    the term's document frequency."""
+    tokens = [tokenize(document_text(r)) for r in index.corpus]
+    for term, term_id in index.vocabulary.items():
+        groups = index.postings[term_id]
+        group_counts = []
+        for weight, ids in groups:
+            (count,) = {tokens[doc_id].count(term) for doc_id in ids}
+            group_counts.append(count)
+            assert weight == count * index.idf(term_id)
+            assert list(ids) == sorted(set(ids))
+        assert group_counts == sorted(set(group_counts)) and group_counts[0] >= 1
+        carrying = [doc_id for doc_id, doc in enumerate(tokens) if term in doc]
+        assert doc_ids(groups) == carrying and sum(len(ids) for _, ids in groups) == len(carrying)
+
+
+@pytest.mark.parametrize("corpus_name", ["skewed", "fixture", "repeats"])
+def test_postings_group_invariants(tmp_path, corpus_name):
+    if corpus_name == "skewed":
+        corpus = corpus_of(skewed_corpus(2000, seed=5))
+    elif corpus_name == "fixture":
+        corpus = parse_mcq_corpus(MCQ_CORPUS.read_text(encoding="utf-8"))
+    else:
+        # "d" carries counts 2 and 8, which a set of ints iterates as 8, 2
+        corpus = corpus_of(["a b a", "a a a b", "b a", "a a a", "c", "d d", " ".join(["d"] * 8)])
+    built = build_index(corpus)
+    assert_postings_group_by_count(built)
+    save_index(built, tmp_path / "index.json")
+    assert_postings_group_by_count(load_index(tmp_path / "index.json"))
+    if corpus_name == "repeats":
+        assert [len(groups) for groups in built.postings.values()] == [3, 1, 1, 1, 1, 2]
 
 
 # --- query ----------------------------------------------------------------------------
@@ -235,6 +289,22 @@ def test_postings_equal_the_linear_scan_exactly_property(docs, query_text):
         assert pairs(query(index, query_text, k=k)) == scan_query(index, query_text, k=k)
 
 
+_FEW_WORDS = st.sampled_from("pain fever cough rash".split())
+# Each word repeated 1 to 5 times, so terms carry several distinct counts.
+_REPEATING_DOC = st.lists(st.tuples(_FEW_WORDS, st.integers(1, 5)), min_size=1, max_size=5).map(
+    lambda runs: " ".join(" ".join([word] * times) for word, times in runs)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(docs=st.lists(_REPEATING_DOC, min_size=3, max_size=12), query_text=_REPEATING_DOC)
+def test_grouped_postings_equal_the_linear_scan_exactly_property(docs, query_text):
+    index = build_index(corpus_of(docs))
+    assume(max(len(groups) for groups in index.postings.values()) >= 3)
+    for k in (1, 2, 5, len(docs) + 2):
+        assert pairs(query(index, query_text, k=k)) == scan_query(index, query_text, k=k)
+
+
 def skewed_corpus(n_docs: int, seed: int) -> list[str]:
     """Zipf-like word draws, so the common words' postings are long."""
     rng = random.Random(seed)
@@ -246,7 +316,7 @@ def skewed_corpus(n_docs: int, seed: int) -> list[str]:
 def test_postings_equal_the_linear_scan_exactly_on_a_skewed_corpus():
     docs = skewed_corpus(2000, seed=5)
     index = build_index(corpus_of(docs))
-    assert max(len(ids) for ids, _ in index.postings.values()) > 1000
+    assert max(len(doc_ids(groups)) for groups in index.postings.values()) > 1000
     queries = skewed_corpus(8, seed=6) + [docs[17], docs[1999], "zzz unseen", "alpha"]
     for query_text in queries:
         for k in (1, 5, 50, len(docs), len(docs) + 2):
@@ -262,9 +332,9 @@ def test_postings_skip_zero_norm_documents_and_terms_only_they_carry():
     index = TfidfIndex(
         vocabulary=vocabulary,
         postings={
-            0: (array("i", [0, 2, 3, 4, 5]), array("d", [1.5, 1.5, 3.0, -2.0, 3.0])),
-            1: (array("i", [0]), array("d", [2.25])),
-            2: (array("i", [2]), array("d", [1.0])),
+            0: ((-2.0, (4,)), (1.5, (0, 2)), (3.0, (3, 5))),
+            1: ((2.25, (0,)),),
+            2: ((1.0, (2,)),),
         },
         doc_norms=(math.hypot(1.5, 2.25), 0.0, 0.0, 3.0, 2.0, 1.0),
         corpus=tuple(corpus_of(["fever cough", "empty", "fever ghost", "fever fever", "anti", "loud"])),
@@ -294,7 +364,7 @@ def test_unrelated_document_with_frozen_idf_leaves_scores_unchanged(monkeypatch)
         term_id = len(vocabulary)
         vocabulary[term] = term_id
         weights.append(math.log(frozen_n) + 1.0)
-        postings[term_id] = (array("i", [frozen_n]), array("d", weights[-1:]))
+        postings[term_id] = ((weights[-1], (frozen_n,)),)
     extended = TfidfIndex(
         vocabulary=vocabulary,
         postings=postings,
@@ -356,14 +426,17 @@ def test_the_fixture_corpus_index_round_trips(tmp_path):
 
 
 def assert_postings_share_their_objects(index: TfidfIndex) -> None:
-    """Each posting is a pair of tuples that hold one int object per document
-    and, within the term, one float object per count."""
+    """Each posting is a tuple of (float, tuple of ids) groups: the ids hold
+    one int object per document and, within the term, there is one float
+    per count."""
     doc_objects: dict[int, int] = {}
-    for ids, weights in index.postings.values():
-        assert type(ids) is tuple and type(weights) is tuple
-        assert all(doc_objects.setdefault(doc_id, doc_id) is doc_id for doc_id in ids)
-        weight_objects: dict[float, float] = {}
-        assert all(weight_objects.setdefault(weight, weight) is weight for weight in weights)
+    for groups in index.postings.values():
+        assert type(groups) is tuple
+        for weight, ids in groups:
+            assert type(weight) is float and type(ids) is tuple
+            assert all(doc_objects.setdefault(doc_id, doc_id) is doc_id for doc_id in ids)
+        weights = [weight for weight, _ in groups]
+        assert len(set(weights)) == len(weights)
 
 
 @pytest.mark.parametrize("corpus_name", ["skewed", "fixture"])
@@ -490,8 +563,8 @@ def test_load_rejects_an_option_text_that_is_not_a_string_naming_the_file(tmp_pa
 
 def test_save_rejects_weights_that_are_not_counts_times_idf(tmp_path):
     index = build_index(corpus_of(["syncope workup", "orthostatic hypotension"]))
-    ids, weights = index.postings[0]
-    index.postings[0] = (ids, array("d", [weights[0] * 1.5]))
+    ((weight, ids),) = index.postings[0]
+    index.postings[0] = ((weight * 1.5, ids),)
     path = tmp_path / "index.json"
     with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*term 0"):
         save_index(index, path)
