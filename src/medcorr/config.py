@@ -175,6 +175,10 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
             raw = yaml.load(text, Loader=_UniqueKeyLoader) or {}
         except RecursionError:
             raise ConfigError(f"config file {path} is nested too deeply") from None
+        except yaml.MarkedYAMLError as exc:  # its str spans lines: context, snippet, caret
+            mark = exc.problem_mark or exc.context_mark
+            where = f" on line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ConfigError(f"config file {path} is not valid YAML: {exc.problem or exc.context}{where}") from exc
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer or an impossible date
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

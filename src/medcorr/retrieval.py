@@ -18,14 +18,14 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
 
 from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document
 from .errors import ValidationError
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -45,25 +45,38 @@ class RetrievalHit:
 @dataclass(frozen=True)
 class TfidfIndex:
     """A TF-IDF index held as postings grouped by count: term id ->
-    ``((weight, doc ids), ...)``, one posting per vocabulary term and one
+    ``((count, doc ids), ...)``, one posting per vocabulary term and one
     group per distinct raw count of the term, in ascending count order. A
-    group's weight is ``count * idf`` and its doc ids, strictly ascending,
-    are the documents carrying the term that many times; a document is in at
-    most one group of a term, so a term's document frequency is the sum of
-    its group lengths.
+    group's doc ids, strictly ascending, are the documents carrying the term
+    that many times; a document is in at most one group of a term, so a
+    term's document frequency is the sum of its group lengths. The raw
+    counts are the index's only data: weights (``count * idf``) and
+    ``doc_norms`` are derived from them, the norms once, on construction.
 
     The doc ids are tuples of shared objects: every group holds the same
     ``int`` for a document, so ``query`` reads objects that already exist,
     where packed arrays would box a new ``int`` per entry read. Tuples rather
     than lists, because the garbage collector stops tracking a tuple of ints,
     so its collections do not walk the postings. A 10,000-question index
-    holds 358k doc ids in 9.3k groups: one ``float`` per group in place of
-    a weight reference per doc id, about 2.6 MB less."""
+    holds 358k doc ids in 9.3k groups."""
 
     vocabulary: dict[str, int]
-    postings: dict[int, tuple[tuple[float, tuple[int, ...]], ...]]
-    doc_norms: tuple[float, ...]
+    postings: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
+    doc_norms: tuple[float, ...] = field(init=False)
     corpus: tuple[McqRecord, ...]
+
+    def __post_init__(self) -> None:
+        # Term by term in term-id order, each group adds one square to each
+        # of its documents: on a 10,000-question index about 25 ms.
+        squares = [0.0] * len(self.corpus)
+        for term_id in sorted(self.postings):
+            idf = self.idf(term_id)
+            for count, ids in self.postings[term_id]:
+                weight = count * idf
+                square = weight * weight
+                for doc_id in ids:
+                    squares[doc_id] += square
+        object.__setattr__(self, "doc_norms", tuple(map(math.sqrt, squares)))
 
     @property
     def n_documents(self) -> int:
@@ -92,26 +105,16 @@ def build_index(corpus: list[McqRecord]) -> TfidfIndex:
             term_id = vocabulary.setdefault(term, len(vocabulary))
             counts[term_id] = counts.get(term_id, 0) + 1
         term_counts.append(counts)
-    document_frequency: dict[int, int] = {}
-    for counts in term_counts:
-        for term_id in counts:
-            document_frequency[term_id] = document_frequency.get(term_id, 0) + 1
-    n = len(corpus)
-    idf = {term_id: _idf(n, df) for term_id, df in document_frequency.items()}
     # term id -> count -> ascending doc ids; enumerate binds one doc id
     # object per document, which every group shares (see TfidfIndex).
-    groups: dict[int, dict[int, list[int]]] = {term_id: {} for term_id in idf}
-    doc_norms = []
+    groups: dict[int, dict[int, list[int]]] = {term_id: {} for term_id in range(len(vocabulary))}
     for doc_id, counts in enumerate(term_counts):
         for term_id, tf in counts.items():
             groups[term_id].setdefault(tf, []).append(doc_id)
-        weights = [tf * idf[term_id] for term_id, tf in counts.items()]
-        doc_norms.append(math.sqrt(sum(w * w for w in weights)))
     postings = {
-        term_id: tuple((tf * idf[term_id], tuple(by_count[tf])) for tf in sorted(by_count))
-        for term_id, by_count in groups.items()
+        term_id: tuple((tf, tuple(by_count[tf])) for tf in sorted(by_count)) for term_id, by_count in groups.items()
     }
-    return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=tuple(doc_norms), corpus=tuple(corpus))
+    return TfidfIndex(vocabulary=vocabulary, postings=postings, corpus=tuple(corpus))
 
 
 def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
@@ -131,7 +134,8 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
         term_id = index.vocabulary.get(term)
         if term_id is not None:
             counts[term_id] = counts.get(term_id, 0) + 1
-    q_vector = {term_id: tf * index.idf(term_id) for term_id, tf in counts.items()}
+    idf = {term_id: index.idf(term_id) for term_id in counts}
+    q_vector = {term_id: tf * idf[term_id] for term_id, tf in counts.items()}
     q_norm = math.sqrt(sum(w * w for w in q_vector.values()))
     scores = [0.0] * len(index.doc_norms)
     if q_norm > 0.0:
@@ -144,8 +148,9 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
         dots = [0.0] * len(scores)
         postings = index.postings
         for term_id, weight in q_vector.items():
-            for w, ids in postings.get(term_id, ()):
-                product = weight * w
+            term_idf = idf[term_id]
+            for count, ids in postings.get(term_id, ()):
+                product = weight * (count * term_idf)
                 for doc_id in ids:
                     dots[doc_id] += product
         scores = []
@@ -161,19 +166,13 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
 
 
 def save_index(index: TfidfIndex, path: str | Path) -> None:
-    """Write ``index`` in format 3: per vocabulary term, in term-id order, its
-    posting length, ascending doc ids and raw term counts, from which
-    ``load_index`` derives the weights. The numeric arrays are base64 of
-    packed little-endian values (int32, norms float64)."""
+    """Write ``index`` in format 4: per vocabulary term, in term-id order, its
+    posting length, ascending doc ids and raw term counts, the index's only
+    data. The numeric arrays are base64 of packed little-endian int32."""
     lengths, ids, counts = array("i"), array("i"), array("i")
     for term_id in range(len(index.vocabulary)):
-        groups = index.postings[term_id]
-        try:
-            group_counts = _counts(term_id, [w for w, _ in groups], index.idf(term_id))
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"cannot write index file {path}: {exc}") from exc
         # The groups merged back into one posting of ascending doc ids.
-        entries = sorted((doc_id, tf) for tf, (_, term_ids) in zip(group_counts, groups) for doc_id in term_ids)
+        entries = sorted((doc_id, tf) for tf, term_ids in index.postings[term_id] for doc_id in term_ids)
         lengths.append(len(entries))
         ids.extend(doc_id for doc_id, _ in entries)
         counts.extend(tf for _, tf in entries)
@@ -183,7 +182,6 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
         "posting_lengths": _packed(lengths),
         "doc_ids": _packed(ids),
         "counts": _packed(counts),
-        "doc_norms": _packed(array("d", index.doc_norms)),
         "corpus": [mcq_to_object(r) for r in index.corpus],
     }
     # Encoded before the file is opened: a text UTF-8 cannot carry fails
@@ -196,12 +194,12 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> TfidfIndex:
-    """Read an index file of format 3. A file of format 1 or 2 is rejected
+    """Read an index file of format 4. A file of format 1 to 3 is rejected
     with a request to rebuild it, which ``index build`` does from the MCQ
     corpus deterministically."""
     what = f"index file {path}"
     try:
-        index = read_document(Path(path).read_text(encoding="utf-8"), what, (1, 2, INDEX_FORMAT_VERSION), _index_of)
+        index = read_document(Path(path).read_text(encoding="utf-8"), what, (1, 2, 3, INDEX_FORMAT_VERSION), _index_of)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what}: {exc}") from exc
     if index is None:
@@ -219,7 +217,6 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
     if set(map(type, vocabulary.values())) - {int} or sorted(vocabulary.values()) != list(range(n_terms)):
         raise ValueError("the vocabulary's term ids are not the integers 0 to its size - 1")
     lengths, ids, counts = (_unpacked(payload, name, "i") for name in ("posting_lengths", "doc_ids", "counts"))
-    doc_norms = tuple(_unpacked(payload, "doc_norms", "d"))
     if len(lengths) != n_terms:
         raise ValueError(f"{len(lengths)} posting lengths for {n_terms} vocabulary terms")
     if min(lengths, default=1) < 1:
@@ -228,11 +225,6 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
         raise ValueError(f"posting lengths sum to {sum(lengths)} for {len(ids)} doc ids and {len(counts)} counts")
     if min(counts, default=1) < 1:
         raise ValueError("a count is below 1")
-    if len(doc_norms) != n_documents:
-        raise ValueError("corpus and doc_norms differ in length")
-    # 0.0 <= nan is false, so with no NaN left max finds any infinity.
-    if not all(map((0.0).__le__, doc_norms)) or max(doc_norms, default=0.0) == math.inf:
-        raise ValueError("a doc norm is negative, infinite or not a number")
     doc_objects = list(range(n_documents))
     postings = {}
     end = 0
@@ -243,7 +235,6 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
             raise ValueError(f"term {term_id}'s doc ids are not strictly ascending")
         if term_ids[0] < 0 or term_ids[-1] >= n_documents:
             raise ValueError(f"term {term_id} has a doc id outside [0, {n_documents})")
-        idf = _idf(n_documents, length)
         term_counts = counts[start:end]
         # Only after the range check: a list index would wrap a negative id.
         shared_ids = tuple(map(doc_objects.__getitem__, term_ids))
@@ -251,13 +242,13 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
         # 97% of a 10,000-question index's terms have one count; taking their
         # ids as they are, without a compress pass, makes the load 15% faster.
         if len(distinct) == 1:
-            postings[term_id] = ((term_counts[0] * idf, shared_ids),)
+            postings[term_id] = ((term_counts[0], shared_ids),)
         else:
             postings[term_id] = tuple(
-                (tf * idf, tuple(compress(shared_ids, map(operator.eq, term_counts, repeat(tf)))))
+                (tf, tuple(compress(shared_ids, map(operator.eq, term_counts, repeat(tf)))))
                 for tf in sorted(distinct)
             )
-    return TfidfIndex(vocabulary=vocabulary, postings=postings, doc_norms=doc_norms, corpus=corpus)
+    return TfidfIndex(vocabulary=vocabulary, postings=postings, corpus=corpus)
 
 
 def _packed(values: array) -> str:
@@ -281,12 +272,3 @@ def _unpacked(payload: dict, name: str, typecode: str) -> array:
     if sys.byteorder == "big":
         values.byteswap()
     return values
-
-
-def _counts(term_id: int, weights, idf: float) -> list[int]:
-    """The raw counts whose ``tf * idf`` are exactly ``weights``, the term's
-    group weights in an index that ``build_index`` or ``load_index`` made."""
-    counts = [round(w / idf) for w in weights]
-    if any(tf * idf != w for tf, w in zip(counts, weights)):
-        raise ValueError(f"term {term_id}'s weights are not whole counts times its idf")
-    return counts

@@ -92,12 +92,12 @@ def scan_query(index, text: str, k: int = 1) -> list[tuple[int, float]]:
 
 def document_vectors(index) -> list[dict[int, float]]:
     """Each document's ``{term id: weight}``, rebuilt from ``index.postings``,
-    whose groups give one weight to each of their doc ids."""
-    vectors: list[dict[int, float]] = [{} for _ in index.doc_norms]
+    whose groups give the weight ``count * idf`` to each of their doc ids."""
+    vectors: list[dict[int, float]] = [{} for _ in index.corpus]
     for term_id, groups in index.postings.items():
-        for weight, ids in groups:
+        for count, ids in groups:
             for doc_id in ids:
-                vectors[doc_id][term_id] = weight
+                vectors[doc_id][term_id] = count * index.idf(term_id)
     return vectors
 
 
@@ -111,18 +111,18 @@ def packed(code: str, values) -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
 
-def index_document(vocabulary: dict, postings: list, doc_norms: list, corpus: list, /, **fields) -> str:
-    """The JSON text of an index file of format 3, packed with ``struct``
-    rather than ``retrieval``'s arrays. ``postings`` holds one ``[doc ids,
-    raw counts]`` pair per term in term-id order, each term's length being
-    its number of ids; ``fields`` replace or add top-level fields."""
+def index_document(version: int, vocabulary: dict, postings: list, corpus: list, /, **fields) -> str:
+    """The JSON text of an index file of format ``version``, packed with
+    ``struct`` rather than ``retrieval``'s arrays. ``postings`` holds one
+    ``[doc ids, raw counts]`` pair per term in term-id order, each term's
+    length being its number of ids; ``fields`` replace or add top-level
+    fields (format 3 also held ``doc_norms``, packed float64)."""
     payload = {
-        "format_version": 3,
+        "format_version": version,
         "vocabulary": vocabulary,
         "posting_lengths": packed("i", [len(ids) for ids, _ in postings]),
         "doc_ids": packed("i", [doc_id for ids, _ in postings for doc_id in ids]),
         "counts": packed("i", [count for _, counts in postings for count in counts]),
-        "doc_norms": packed("d", doc_norms),
         "corpus": corpus,
     }
     return json.dumps({**payload, **fields})

@@ -143,6 +143,16 @@ def test_config_repeated_key_in_a_section_exits_one(tmp_path, capsys):
     assert line.endswith("bad.yaml is not valid YAML: key 'model' is repeated on line 3")
 
 
+def test_config_unclosed_flow_sequence_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "gateway: [unclosed\n")
+    assert line.endswith("bad.yaml is not valid YAML: expected ',' or ']', but got '<stream end>' on line 2, column 1")
+
+
+def test_config_unhashable_key_exits_one(tmp_path, capsys):
+    line = config_fails_with_one_error_line(tmp_path, capsys, "gateway: {[1]: 2}\n")
+    assert line.endswith("bad.yaml is not valid YAML: found unhashable key on line 1, column 11")
+
+
 # --- ingest ------------------------------------------------------------------------
 
 
@@ -265,6 +275,61 @@ def test_predict_ms_without_index_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "index" in capsys.readouterr().err
+
+
+def test_predict_ms_with_the_gate_enabled_keeps_the_original_sentence(tmp_path):
+    from medcorr.corpus import serialize_clinical_records
+    from medcorr.pipelines import predict_batch
+    from medcorr.retrieval import load_index
+    from helpers import stage_of
+
+    # Every ms record is flagged and its first sentence replaced by one that
+    # shares no word with it: ROUGE-L 0.0, below the 0.7 gate.
+    replacement = "Zzz qqq."
+    responses = {
+        "extract_choice": "Rationale: the note asserts it.\nExtracted Choice: none of these",
+        "compare_answer": "Rationale: they differ.\nVerdict: mismatch",
+        "localize": "Error Line: 0",
+        "correct": f"Rationale: rewritten.\nCorrected Sentence: {replacement}",
+    }
+    records = parse_clinical_records(RECORDS_CSV.read_bytes())[:2]
+    records_csv = tmp_path / "subset.csv"
+    records_csv.write_text(serialize_clinical_records(records), encoding="utf-8")
+    index_path = tmp_path / "index.json"
+    assert run_command(["index", "build", "--corpus", str(MCQ_JSONL), "--out", str(index_path)]) == 0
+    cache_path = tmp_path / "ms_cache.jsonl"
+    recorder = LmGateway(
+        backend=ScriptedBackend(lambda request: responses[stage_of(request)]),
+        cache=ReplayCache(cache_path),
+        record=True,
+    )
+    predict_batch(default_ms_pipeline(load_index(index_path)), records, recorder, strict=True)
+
+    def predict(gate: str) -> tuple[list[Prediction], list[dict]]:
+        config = tmp_path / f"gate-{gate}.yaml"
+        config.write_text(
+            f"gateway:\n  backend: replay\n  cache_path: {cache_path}\npipeline:\n  ms_gate_enabled: {gate}\n",
+            encoding="utf-8",
+        )
+        out, trace_out = tmp_path / f"p-{gate}.csv", tmp_path / f"t-{gate}.jsonl"
+        assert run_command(
+            ["predict", "--pipeline", "ms", "--records", str(records_csv), "--index", str(index_path), "--strict",
+             "--out", str(out), "--trace-out", str(trace_out), "--config", str(config)]
+        ) == 0
+        traces = [json.loads(line) for line in trace_out.read_text(encoding="utf-8").splitlines()]
+        return parse_predictions(out.read_text(encoding="utf-8")), traces
+
+    ungated, ungated_traces = predict("false")
+    assert [p.corrected_sentence for p in ungated] == [replacement] * len(records)
+    assert all("quality_gate" not in [s["stage"] for s in t["trace"]] for t in ungated_traces)
+    gated, traces = predict("true")
+    originals = [r.sentence_text(0) for r in records]
+    assert [(p.flag, p.error_sentence_id, p.corrected_sentence) for p in gated] == [(1, 0, s) for s in originals]
+    for trace, original in zip(traces, originals):
+        assert trace["corrected_sentence"] == original
+        (gate,) = [s for s in trace["trace"] if s["stage"] == "quality_gate"]
+        assert gate["inputs"] == {"original": original, "candidate": replacement}
+        assert gate["outputs"] == {"gated": "true", "final": original}
 
 
 def test_predict_records_path_falls_back_to_config(tmp_path):
@@ -454,30 +519,28 @@ _MCQ = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, 
 _VOCABULARY = {"of": 0, "the": 1, "with": 2}
 
 
-def index_payload(postings=([[0], [1]],) * 3, norms=(1.7,), **fields) -> str:
-    """A one-document index file of format 3 over three terms; ``fields``
-    replace top-level fields, the corpus among them."""
-    return index_document(_VOCABULARY, list(postings), list(norms), [_MCQ], **fields)
+def index_payload(postings=([[0], [1]],) * 3, version=4, **fields) -> str:
+    """A one-document index file of format ``version`` over three terms;
+    ``fields`` replace top-level fields, the corpus among them."""
+    return index_document(version, _VOCABULARY, list(postings), [_MCQ], **fields)
 
 
 def two_document_index_payload(first_posting: list) -> str:
-    return index_payload(postings=[first_posting, [[0], [1]], [[1], [1]]], norms=[1.7, 1.7], corpus=[_MCQ, _MCQ])
+    return index_payload(postings=[first_posting, [[0], [1]], [[1], [1]]], corpus=[_MCQ, _MCQ])
 
 
 @pytest.mark.parametrize(
     "payload",
     [
         "[1, 2]",
-        '{"format_version": 3}',
-        '{"format_version": 3, "corpus": [1]}',
+        '{"format_version": 4}',
+        '{"format_version": 4, "corpus": [1]}',
         pytest.param(index_payload(format_version=True), id="format-version-true"),
-        pytest.param(index_payload(format_version=3.0), id="format-version-a-float"),
+        pytest.param(index_payload(format_version=4.0), id="format-version-a-float"),
         pytest.param(index_payload(vocabulary={"of": 0, "the": "1", "with": 2}), id="vocabulary-id-a-string"),
-        pytest.param(index_payload(doc_norms=[1.7]), id="norms-a-json-list"),
         pytest.param(index_payload(counts=1), id="counts-a-number"),
         pytest.param(index_payload(doc_ids="AAAA!AAA"), id="doc-ids-invalid-base64"),
         pytest.param(index_payload(doc_ids="AAAA"), id="doc-ids-not-whole-items"),
-        pytest.param(index_payload(doc_norms=packed("i", [1])), id="norms-not-whole-items"),
         pytest.param(index_payload(posting_lengths=packed("i", [1, 1, 2])), id="lengths-do-not-sum-to-the-ids"),
         pytest.param(index_payload(counts=packed("d", [1.0, 1.0, 1.0])), id="counts-packed-as-doubles"),
         pytest.param(index_payload(postings=[[[1], [1]], [[0], [1]], [[0], [1]]]), id="doc-id-out-of-range"),
@@ -485,12 +548,10 @@ def two_document_index_payload(first_posting: list) -> str:
         pytest.param(two_document_index_payload([[1, 0], [1, 1]]), id="doc-ids-not-ascending"),
         pytest.param(two_document_index_payload([[0, 0], [1, 1]]), id="doc-id-repeated"),
         pytest.param(index_payload(postings=[[[0], [0]], [[0], [1]], [[0], [1]]]), id="count-below-one"),
+        pytest.param(index_payload(postings=[[[0], [-1]], [[0], [1]], [[0], [1]]]), id="count-negative"),
         pytest.param(two_document_index_payload([[0, 1], [1]]), id="ids-and-counts-differ-in-length"),
         pytest.param(index_payload(postings=[[[], []], [[0], [1]], [[0], [1]]]), id="empty-posting"),
         pytest.param(index_payload(postings=[[[0], [1]], [[0], [1]]]), id="postings-fewer-than-terms"),
-        pytest.param(index_payload(norms=[1.7, 1.7]), id="norms-longer-than-corpus"),
-        pytest.param(index_payload(corpus=[_MCQ, _MCQ]), id="corpus-longer-than-norms"),
-        pytest.param(index_payload(norms=[float("nan")]), id="norm-not-a-number"),
         pytest.param(index_payload(corpus=[{**_MCQ, "options": {"A": "aspirin", "B": None}}]), id="option-text-null"),
     ],
 )
@@ -521,8 +582,10 @@ def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, pa
             "doc_norms": [1.7],
             "corpus": [_MCQ],
         },
+        json.loads(index_payload(version=3, doc_norms=packed("d", [3**0.5]))),
+        {"format_version": 3},
     ],
-    ids=["format-1", "format-2"],
+    ids=["format-1", "format-2", "format-3", "format-3-without-fields"],
 )
 def test_predict_with_an_index_of_an_older_format_asks_to_rebuild_it(tmp_path, payload):
     index = tmp_path / "index.json"
