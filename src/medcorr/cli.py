@@ -55,21 +55,24 @@ def _say(message: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="medcorr", description="Clinical text error correction engine")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse, validate, and normalize a clinical dataset")
+    p_ingest.set_defaults(handler=cmd_ingest)
     p_ingest.add_argument("--in", dest="input", required=True, help="input dataset file")
     p_ingest.add_argument("--format", default="delimited-table", choices=["delimited-table", "json-lines"])
     p_ingest.add_argument("--out", required=True, help="normalized output file")
     p_ingest.add_argument("--out-format", default="delimited-table", choices=["delimited-table", "json-lines"])
 
     p_index = sub.add_parser("index", help="TF-IDF index operations")
-    index_sub = p_index.add_subparsers(dest="index_command", metavar="ACTION")
+    index_sub = p_index.add_subparsers(metavar="ACTION", required=True)
     p_build = index_sub.add_parser("build", help="build an index from an MCQ corpus")
+    p_build.set_defaults(handler=cmd_index_build)
     p_build.add_argument("--corpus", required=True, help="MCQ json-lines corpus")
     p_build.add_argument("--out", required=True, help="index output file")
 
     p_compile = sub.add_parser("compile", help="optimize pipeline prompts and demos")
+    p_compile.set_defaults(handler=cmd_compile)
     p_compile.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_compile.add_argument("--train", required=True, help="training records (delimited-table)")
     p_compile.add_argument("--val", required=True, help="validation records (delimited-table)")
@@ -79,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--seed", type=int, help="override optimize.seed")
 
     p_predict = sub.add_parser("predict", help="run a pipeline over records")
+    p_predict.set_defaults(handler=cmd_predict)
     p_predict.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_predict.add_argument("--records", help="records file (delimited-table); default paths.records")
     p_predict.add_argument("--out", required=True, help="predictions CSV output")
@@ -89,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--strict", action="store_true", help="abort on the first failed record")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against gold records")
+    p_eval.set_defaults(handler=cmd_evaluate)
     p_eval.add_argument("--pred", required=True, help="predictions CSV")
     p_eval.add_argument("--gold", required=True, help="gold records (delimited-table)")
     p_eval.add_argument("--out", required=True, help="score report JSON output")
@@ -102,11 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--strict-scorers", action="store_true", help="abort if an external scorer fails")
 
     p_report = sub.add_parser("report", help="render a score report")
+    p_report.set_defaults(handler=cmd_report)
     p_report.add_argument("--in", dest="input", required=True, help="score report JSON")
     p_report.add_argument("--format", default="table", choices=["table", "json", "markdown"])
     p_report.add_argument("--out", help="write rendering here instead of stdout")
 
     p_verify = sub.add_parser("replay-verify", help="re-run predictions against the cache and compare bytes")
+    p_verify.set_defaults(handler=cmd_replay_verify)
     p_verify.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_verify.add_argument("--records", help="records file (delimited-table); default paths.records")
     p_verify.add_argument("--pred", required=True, help="predictions CSV to verify")
@@ -358,24 +365,7 @@ def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USER
-        if args.command == "index":
-            if getattr(args, "index_command", None) != "build":
-                parser.print_usage(sys.stderr)
-                _say("the index command requires the 'build' action")
-                return EXIT_USER
-            return cmd_index_build(args)
-        handlers = {
-            "ingest": cmd_ingest,
-            "compile": cmd_compile,
-            "predict": cmd_predict,
-            "evaluate": cmd_evaluate,
-            "report": cmd_report,
-            "replay-verify": cmd_replay_verify,
-        }
-        return handlers[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         _say(f"error: {exc}")
         return EXIT_USER

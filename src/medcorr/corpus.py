@@ -27,9 +27,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ValidationError
-from .na import NA, NAType, is_na, na_to_text, text_to_na
 
 _T = TypeVar("_T")
+
+# "No correction": an error-free record's corrected sentence, in files and in
+# memory alike. Only this exact text has that meaning.
+NA = "NA"
 
 CLINICAL_CSV_COLUMNS = (
     "record_id",
@@ -60,7 +63,7 @@ class ClinicalRecord:
     sentences: tuple[Sentence, ...]
     gold_flag: int | None = None
     gold_error_sentence_id: int | None = None
-    gold_correction: str | NAType | None = None
+    gold_correction: str | None = None
 
     def __post_init__(self) -> None:
         if not self.record_id:
@@ -94,7 +97,7 @@ class ClinicalRecord:
                     f"record {rid!r}: flag 0 requires error_sentence_id -1, "
                     f"got {self.gold_error_sentence_id}"
                 )
-            if not is_na(self.gold_correction):
+            if self.gold_correction != NA:
                 raise ValidationError(f"record {rid!r}: flag 0 requires an NA correction")
         else:
             ids = {s.sentence_id for s in self.sentences}
@@ -103,7 +106,7 @@ class ClinicalRecord:
                     f"record {rid!r}: error_sentence_id {self.gold_error_sentence_id} "
                     "does not reference an existing sentence"
                 )
-            if is_na(self.gold_correction) or not self.gold_correction:
+            if not self.gold_correction or self.gold_correction == NA:
                 raise ValidationError(
                     f"record {rid!r}: flag 1 requires a non-empty corrected sentence"
                 )
@@ -209,7 +212,7 @@ def _record_from_parts(
     """The record of typed fields, named as in a clinical JSON line."""
     if not _encodable("".join([record_id, text, *sentences, corrected_sentence or ""])):
         raise ValidationError(f"record {record_id!r} holds a lone surrogate, which UTF-8 cannot encode")
-    correction = text_to_na(corrected_sentence) if corrected_sentence else None
+    correction = corrected_sentence or None
     if error_flag is None:  # an id of -1 and an NA correction are dropped; any other gold field is an error
         if error_sentence_id not in (None, -1) or correction not in (None, NA):
             raise ValidationError(f"record {record_id!r}: gold columns present but error_flag is empty")
@@ -292,7 +295,7 @@ def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = 
                     json.dumps([s.text for s in r.sentences], ensure_ascii=False),
                     "" if r.gold_flag is None else str(r.gold_flag),
                     "" if r.gold_error_sentence_id is None else str(r.gold_error_sentence_id),
-                    "" if r.gold_correction is None else na_to_text(r.gold_correction),
+                    r.gold_correction or "",
                 ]
                 for r in records
             ),
@@ -308,7 +311,7 @@ def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = 
             if r.gold_flag is not None:
                 obj["error_flag"] = r.gold_flag
                 obj["error_sentence_id"] = r.gold_error_sentence_id
-                obj["corrected_sentence"] = na_to_text(r.gold_correction)  # type: ignore[arg-type]
+                obj["corrected_sentence"] = r.gold_correction
             lines.append(json.dumps(obj, ensure_ascii=False))
         return "\n".join(lines) + ("\n" if lines else "")
     raise ValidationError(f"unknown clinical format {format!r}")

@@ -6,8 +6,8 @@ LCS F1 (beta = 1). Neural scorers (BERTScore, BLEURT) are never computed
 natively; they plug in over HTTP via :class:`ExternalScorer`, and the
 aggregate column appears only when all three of its components are present.
 
-Composite scoring per corrected sentence: 1.0 when both sides are NA, 0.0
-when exactly one side is NA, otherwise the base metric on the pair.
+Composite scoring per corrected sentence: 1.0 when both sides are the text
+``NA``, 0.0 when exactly one is, otherwise the base metric on the pair.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
-from .corpus import ClinicalRecord, _typed, json_loads, read_document
+from .corpus import NA, ClinicalRecord, _typed, json_loads, read_document
 from .errors import ValidationError
-from .na import NAType, is_na
 from .retrieval import tokenize
 
 logger = logging.getLogger(__name__)
@@ -35,7 +34,7 @@ class PredictionLike(Protocol):
     record_id: str
     flag: int
     error_sentence_id: int
-    corrected_sentence: str | NAType
+    corrected_sentence: str
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -88,17 +87,17 @@ def rouge1_f(candidate: str, reference: str) -> float:
 
 
 def composite_score(
-    pred_correction: str | NAType,
-    gold_correction: str | NAType,
+    pred_correction: str,
+    gold_correction: str,
     base: Callable[[str, str], float],
 ) -> float:
-    pred_na = is_na(pred_correction)
-    gold_na = is_na(gold_correction)
+    pred_na = pred_correction == NA
+    gold_na = gold_correction == NA
     if pred_na and gold_na:
         return 1.0
     if pred_na != gold_na:
         return 0.0
-    return base(str(pred_correction), str(gold_correction))
+    return base(pred_correction, gold_correction)
 
 
 def aggregate_score(components: Iterable[float]) -> float:
@@ -273,10 +272,8 @@ def evaluate(
     if not pairs:
         raise ValidationError("cannot evaluate an empty record set")
 
-    scored = [
-        i for i, (pred, gold) in enumerate(pairs) if not (is_na(pred.corrected_sentence) or is_na(gold.gold_correction))
-    ]
-    texts = [(str(pairs[i][0].corrected_sentence), str(pairs[i][1].gold_correction)) for i in scored]
+    scored = [i for i, (pred, gold) in enumerate(pairs) if NA not in (pred.corrected_sentence, gold.gold_correction)]
+    texts = [(pairs[i][0].corrected_sentence, pairs[i][1].gold_correction) for i in scored]
     columns: dict[str, list[float]] = {
         "rouge1_f": [rouge1_f(c, r) for c, r in texts],
         "rouge_l_f": [rouge_l_f(c, r) for c, r in texts],

@@ -9,7 +9,7 @@ directly on the text and guards corrections with a ROUGE-L quality gate
 that falls back to the original sentence below threshold 0.7.
 
 Both produce :class:`Prediction` values whose flag, sentence id, and
-correction are mutually consistent (flag 0 <=> id -1 <=> NA), with a full
+correction are mutually consistent (flag 0 <=> id -1 <=> ``NA``), with a full
 stage-by-stage trace.
 """
 
@@ -22,11 +22,10 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
-from .corpus import ClinicalRecord, McqRecord, csv_rows, csv_text
+from .corpus import NA, ClinicalRecord, McqRecord, csv_rows, csv_text
 from .errors import MedcorrError, PipelineStageError, ValidationError
 from .gateway import BatchStopped, LmGateway, batch_stop
 from .metrics import rouge_l_f
-from .na import NA, NAType, is_na, na_to_text, text_to_na
 from .program import (
     CHAIN_OF_THOUGHT,
     PREDICT,
@@ -56,7 +55,7 @@ class Prediction:
     record_id: str
     flag: int
     error_sentence_id: int
-    corrected_sentence: str | NAType
+    corrected_sentence: str
     trace: tuple[StageTrace, ...] = ()
     error: str | None = None
 
@@ -64,7 +63,7 @@ class Prediction:
         if self.flag not in (0, 1):
             raise ValidationError(f"prediction {self.record_id!r}: flag must be 0 or 1")
         no_error = self.flag == 0
-        if no_error != (self.error_sentence_id == -1) or no_error != is_na(self.corrected_sentence):
+        if no_error != (self.error_sentence_id == -1) or no_error != (self.corrected_sentence == NA):
             raise ValidationError(
                 f"prediction {self.record_id!r}: flag/error_sentence_id/correction are inconsistent"
             )
@@ -322,7 +321,7 @@ class Pipeline:
         trace: list[StageTrace],
     ) -> Prediction:
         """The flag-1 tail: rewrite the error line's sentence (``correct_inputs``
-        plus the sentence) and gate the rewrite."""
+        plus the sentence) and gate the rewrite, which must not end as ``NA``."""
         error_sentence = record.sentence_text(error_line)
         correct_inputs = {"error_sentence": error_sentence, **correct_inputs}
         corrected = _run_stage("correct", self.correct, correct_inputs, gateway, trace)["corrected_sentence"]
@@ -337,6 +336,8 @@ class Pipeline:
                 )
             )
             corrected = final
+        if corrected == NA:
+            raise PipelineStageError("correct", f"the corrected sentence {NA!r} reads as no correction")
         return Prediction(record.record_id, 1, error_line, corrected, trace=tuple(trace))
 
 
@@ -542,7 +543,7 @@ def predict_batch(
 def serialize_predictions(predictions: Iterable[Prediction]) -> str:
     return csv_text(
         PREDICTIONS_CSV_COLUMNS,
-        ([p.record_id, str(p.flag), str(p.error_sentence_id), na_to_text(p.corrected_sentence)] for p in predictions),
+        ([p.record_id, str(p.flag), str(p.error_sentence_id), p.corrected_sentence] for p in predictions),
     )
 
 
@@ -556,9 +557,7 @@ def parse_predictions(text: str) -> list[Prediction]:
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: non-integer flag or sentence id") from exc
         try:
-            predictions.append(
-                Prediction(record_id, flag, error_id, text_to_na(correction_text))
-            )
+            predictions.append(Prediction(record_id, flag, error_id, correction_text))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
     return predictions
@@ -573,7 +572,7 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                     "record_id": p.record_id,
                     "error_flag": p.flag,
                     "error_sentence_id": p.error_sentence_id,
-                    "corrected_sentence": na_to_text(p.corrected_sentence),
+                    "corrected_sentence": p.corrected_sentence,
                     "error": p.error,
                     "trace": [vars(t) for t in p.trace],
                 },

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 
 from medcorr.corpus import ClinicalRecord, McqRecord, Sentence
 from medcorr.gateway import LmRequest, LmResponse
-from medcorr.na import NA
+from medcorr.corpus import NA
 from medcorr.program import field_label
 
 # --- record factories ---------------------------------------------------------

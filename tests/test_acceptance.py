@@ -23,7 +23,7 @@ from medcorr.metrics import (
     rouge_l_f,
     sentence_accuracy,
 )
-from medcorr.na import NA
+from medcorr.corpus import NA
 from medcorr.optimize import (
     bootstrap_demos,
     compile_ms_pipeline,

@@ -76,6 +76,10 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_no_subcommand_exits_one(capsys):
     assert run_command([]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: medcorr [-h] COMMAND ...",
+        "error: the following arguments are required: COMMAND",
+    ]
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):
@@ -208,6 +212,10 @@ def test_index_build_and_reload(tmp_path):
 
 def test_index_requires_build_action(capsys):
     assert run_command(["index"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: medcorr index [-h] ACTION ...",
+        "error: the following arguments are required: ACTION",
+    ]
 
 
 # --- predict against the committed replay cache ------------------------------------------
@@ -330,6 +338,46 @@ def test_predict_ms_with_the_gate_enabled_keeps_the_original_sentence(tmp_path):
         (gate,) = [s for s in trace["trace"] if s["stage"] == "quality_gate"]
         assert gate["inputs"] == {"original": original, "candidate": replacement}
         assert gate["outputs"] == {"gated": "true", "final": original}
+
+
+def test_predict_with_an_na_rewrite_writes_a_file_that_evaluate_reads(tmp_path, capsys):
+    from medcorr.corpus import serialize_clinical_records
+    from medcorr.pipelines import predict_batch
+    from medcorr.retrieval import load_index
+    from helpers import stage_of
+
+    # Every ms record is flagged and, with the gate off, rewritten to exactly "NA".
+    responses = {
+        "extract_choice": "Rationale: the note asserts it.\nExtracted Choice: none of these",
+        "compare_answer": "Rationale: they differ.\nVerdict: mismatch",
+        "localize": "Error Line: 0",
+        "correct": "Rationale: nothing to change.\nCorrected Sentence: NA",
+    }
+    records = parse_clinical_records(RECORDS_CSV.read_bytes())[:2]
+    records_csv = tmp_path / "subset.csv"
+    records_csv.write_text(serialize_clinical_records(records), encoding="utf-8")
+    index_path = tmp_path / "index.json"
+    assert run_command(["index", "build", "--corpus", str(MCQ_JSONL), "--out", str(index_path)]) == 0
+    cache_path = tmp_path / "ms_cache.jsonl"
+    recorder = LmGateway(
+        backend=ScriptedBackend(lambda request: responses[stage_of(request)]),
+        cache=ReplayCache(cache_path),
+        record=True,
+    )
+    predict_batch(default_ms_pipeline(load_index(index_path)), records, recorder)
+    config = replay_config(tmp_path, cache_path)
+    out = tmp_path / "preds.csv"
+    predict = ["predict", "--pipeline", "ms", "--records", str(records_csv), "--index", str(index_path),
+               "--out", str(out), "--config", str(config)]
+    assert run_command(predict) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == [f"{r.record_id},0,-1,NA" for r in records]
+    assert run_command(["evaluate", "--pred", str(out), "--gold", str(records_csv),
+                        "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert run_command([*predict, "--strict"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "internal error: stage 'correct': the corrected sentence 'NA' reads as no correction"
+    ]
 
 
 def test_predict_records_path_falls_back_to_config(tmp_path):

@@ -91,10 +91,39 @@ def test_type_errors_are_reported(tmp_path, section, key, value):
         load_config(path, env={})
 
 
-def test_range_errors_are_reported(tmp_path):
-    path = write(tmp_path, "optimize:\n  n_candidates: 0\n")
-    with pytest.raises(ConfigError, match="n_candidates"):
+@pytest.mark.parametrize(
+    ("section", "key", "bad", "boundary"),
+    [
+        ("gateway", "temperature", -0.5, 0),
+        ("gateway", "top_p", -0.1, 0),
+        ("gateway", "top_p", 1.5, 1),
+        ("gateway", "max_tokens", 0, 1),
+        ("gateway", "concurrency", 0, 1),
+        ("optimize", "n_candidates", 0, 1),
+        ("optimize", "demos_per_stage", 0, 1),
+        ("optimize", "instruction_proposals", 0, 1),
+        ("optimize", "binary_pass_threshold", 1.5, 1),
+        ("optimize", "binary_pass_threshold", -0.1, 0),
+        ("optimize", "rouge_pass_threshold", 1.5, 1),
+        ("optimize", "rouge_pass_threshold", -0.1, 0),
+    ],
+)
+def test_range_errors_are_reported(tmp_path, section, key, bad, boundary):
+    path = write(tmp_path, f"{section}:\n  {key}: {bad}\n")
+    with pytest.raises(ConfigError, match=f"^{section}.{key} must be "):
         load_config(path, env={})
+    config = load_config(write(tmp_path, f"{section}:\n  {key}: {boundary}\n"), env={})
+    assert getattr(getattr(config, section), key) == boundary
+
+
+def test_a_section_that_is_not_a_mapping_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="^section 'gateway' must be a mapping$"):
+        load_config(write(tmp_path, "gateway: 5\n"), env={})
+
+
+def test_a_config_file_must_hold_a_mapping_of_sections(tmp_path):
+    with pytest.raises(ConfigError, match="^config file must contain a mapping of sections$"):
+        load_config(write(tmp_path, "- gateway\n- optimize\n"), env={})
 
 
 def test_an_integer_where_a_number_belongs_loads_as_a_float(tmp_path):

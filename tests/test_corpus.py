@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from medcorr import corpus
 from medcorr.corpus import (
     CLINICAL_CSV_COLUMNS,
+    NA,
     ClinicalRecord,
     Sentence,
     csv_rows,
@@ -23,7 +24,6 @@ from medcorr.corpus import (
     split_dataset,
 )
 from medcorr.errors import ValidationError
-from medcorr.na import NA, is_na
 
 from helpers import record_no_error, record_with_error, unlabeled_record
 from oracles import csv_rows_oracle, json_lines_oracle
@@ -44,7 +44,7 @@ def test_parse_no_error_row():
     assert record.record_id == "r1"
     assert record.gold_flag == 0
     assert record.gold_error_sentence_id == -1
-    assert is_na(record.gold_correction)
+    assert record.gold_correction == NA
 
 
 def test_parse_error_row_carries_pathogen_sentences_verbatim():
@@ -69,6 +69,13 @@ def test_parse_flag1_without_correction_is_invalid():
     raw = csv_of('r4,Text.,"[""Text.""]",1,0,NA')
     with pytest.raises(ValidationError, match="r4"):
         parse_clinical_records(raw)
+
+
+def test_a_flag_one_record_whose_correction_reads_na_is_rejected_in_memory():
+    with pytest.raises(ValidationError, match="^record 'r4': flag 1 requires a non-empty corrected sentence$"):
+        ClinicalRecord(
+            "r4", (Sentence(0, "Text."),), gold_flag=1, gold_error_sentence_id=0, gold_correction="NA"
+        )
 
 
 def test_parse_flag0_with_real_correction_is_invalid():
@@ -307,7 +314,7 @@ def test_gold_consistency_invariant_on_parsed_records():
         record_no_error("b", ["Z."]),
     ]
     for r in records:
-        assert (r.gold_flag == 0) == (r.gold_error_sentence_id == -1) == is_na(r.gold_correction)
+        assert (r.gold_flag == 0) == (r.gold_error_sentence_id == -1) == (r.gold_correction == NA)
 
 
 # --- parse_mcq_corpus ----------------------------------------------------------------

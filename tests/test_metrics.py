@@ -18,7 +18,7 @@ from medcorr.metrics import (
     rouge_l_f,
     sentence_accuracy,
 )
-from medcorr.na import NA
+from medcorr.corpus import NA
 from medcorr.pipelines import Prediction
 from medcorr.retrieval import tokenize
 

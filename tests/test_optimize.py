@@ -54,7 +54,7 @@ def gold_gateway(records):
 
 def test_metric_factories_score_and_threshold():
     records = synth_uw_records(2)
-    from medcorr.na import NA
+    from medcorr.corpus import NA
     from medcorr.pipelines import Prediction
 
     gold = records[0]  # has an error at sentence 2
@@ -73,7 +73,7 @@ def test_metric_factories_score_and_threshold():
 
 def test_metric_requires_gold_labels():
     from helpers import unlabeled_record
-    from medcorr.na import NA
+    from medcorr.corpus import NA
     from medcorr.pipelines import Prediction
 
     record = unlabeled_record("u", ["Text."])

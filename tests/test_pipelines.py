@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from medcorr.errors import PipelineStageError, ValidationError
 from medcorr.gateway import BatchStopped, LmGateway, Message, ScriptedBackend, batch_stop
 from medcorr.metrics import rouge_l_f
-from medcorr.na import NA, is_na
+from medcorr.corpus import NA
 from medcorr import pipelines
 from medcorr.pipelines import (
     MsPipeline,
@@ -193,7 +193,7 @@ def test_ms_predict_match_short_circuits_with_three_stage_trace():
 
     prediction = pipeline.predict(record, LmGateway(backend=ScriptedBackend(respond)))
     assert (prediction.flag, prediction.error_sentence_id) == (0, -1)
-    assert is_na(prediction.corrected_sentence)
+    assert prediction.corrected_sentence == NA
     assert [t.stage for t in prediction.trace] == ["retrieve", "extract_choice", "compare_answer"]
 
 
@@ -203,6 +203,40 @@ def test_ms_predict_out_of_range_line_is_stage_error():
     with pytest.raises(PipelineStageError, match="localize") as exc_info:
         pipeline.predict(record, gateway)
     assert exc_info.value.stage == "localize"
+
+
+def na_rewrite_responder(request):
+    """The pathogen answers, except that the rewrite reads exactly "NA"."""
+    if stage_of(request) == "correct":
+        return "Rationale: nothing to change.\nCorrected Sentence: NA"
+    return pathogen_responder()(request)
+
+
+def test_a_flag_one_rewrite_of_na_is_a_failed_record():
+    record, pipeline = pathogen_fixture()
+    assert pipeline.gate_threshold is None
+    gateway = LmGateway(backend=ScriptedBackend(na_rewrite_responder))
+    [prediction] = predict_batch(pipeline, [record], gateway)
+    assert (prediction.flag, prediction.error_sentence_id, prediction.corrected_sentence) == (0, -1, NA)
+    assert prediction.error.startswith("stage 'correct': ")
+
+
+def test_a_batch_with_an_na_rewrite_reads_back_from_its_predictions_file():
+    record, pipeline = pathogen_fixture()
+    gateway = LmGateway(backend=ScriptedBackend(na_rewrite_responder))
+    predictions = predict_batch(pipeline, [record], gateway)
+    parsed = parse_predictions(serialize_predictions(predictions))
+    assert [(p.record_id, p.flag, p.error_sentence_id, p.corrected_sentence) for p in parsed] == [
+        ("case1", 0, -1, NA)
+    ]
+
+
+def test_a_flag_one_rewrite_of_na_aborts_a_strict_batch():
+    record, pipeline = pathogen_fixture()
+    gateway = LmGateway(backend=ScriptedBackend(na_rewrite_responder))
+    with pytest.raises(PipelineStageError, match="^stage 'correct': ") as exc_info:
+        predict_batch(pipeline, [record], gateway, strict=True)
+    assert exc_info.value.stage == "correct"
 
 
 def test_ms_localize_must_stay_demo_free():
@@ -284,7 +318,7 @@ def test_uw_detect_zero_short_circuits_with_one_stage_trace():
     gateway = LmGateway(backend=ScriptedBackend(uw_gold_responder([record])))
     prediction = pipeline.predict(record, gateway)
     assert (prediction.flag, prediction.error_sentence_id) == (0, -1)
-    assert is_na(prediction.corrected_sentence)
+    assert prediction.corrected_sentence == NA
     assert [t.stage for t in prediction.trace] == ["detect"]
 
 
@@ -304,6 +338,21 @@ def test_uw_gate_rejects_disjoint_correction():
     prediction = pipeline.predict(record, LmGateway(backend=ScriptedBackend(respond)))
     assert prediction.corrected_sentence == HYPO_ERROR  # original kept
     assert prediction.trace[-1].outputs["gated"] == "true"
+
+
+def test_uw_gate_turns_an_na_rewrite_back_into_the_original_sentence():
+    record, pipeline = hypo_fixture()
+
+    def respond(request):
+        stage = stage_of(request)
+        if stage == "correct":
+            return "Rationale: r.\nCorrected Sentence: NA"
+        return uw_gold_responder([record])(request)
+
+    [prediction] = predict_batch(pipeline, [record], LmGateway(backend=ScriptedBackend(respond)), strict=True)
+    assert (prediction.flag, prediction.error_sentence_id, prediction.corrected_sentence) == (1, 1, HYPO_ERROR)
+    assert prediction.error is None
+    assert prediction.trace[-1].outputs == {"gated": "true", "final": HYPO_ERROR}
 
 
 def test_verdict_phrasings_map_to_flags():
@@ -393,9 +442,9 @@ def test_fallback_predictions_keep_invariant():
     failed = predictions[1]
     assert failed.error is not None
     assert (failed.flag, failed.error_sentence_id) == (0, -1)
-    assert is_na(failed.corrected_sentence)
+    assert failed.corrected_sentence == NA
     for p in predictions:
-        assert (p.flag == 0) == (p.error_sentence_id == -1) == is_na(p.corrected_sentence)
+        assert (p.flag == 0) == (p.error_sentence_id == -1) == (p.corrected_sentence == NA)
 
 
 def test_predict_batch_strict_aborts_on_failure():
@@ -664,7 +713,7 @@ def test_predictions_csv_round_trip():
         ("b", 0, -1),
     ]
     assert parsed[0].corrected_sentence == 'A corrected, quoted "sentence".'
-    assert is_na(parsed[1].corrected_sentence)
+    assert parsed[1].corrected_sentence == NA
 
 
 def test_parse_predictions_rejects_inconsistent_row():

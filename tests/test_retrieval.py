@@ -597,6 +597,32 @@ def test_load_rejects_a_doc_id_outside_the_corpus(tmp_path, doc_ids, term_id):
         load_index(path)
 
 
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        # TWO_DOCUMENTS' lengths are 2, 1, 2, 2, 1 and its counts 2 1, 1, 1 1, 1 1, 1.
+        pytest.param({"posting_lengths": packed("i", [2, 1, 2, 3])}, "4 posting lengths for 5 vocabulary terms",
+                     id="length-count"),
+        pytest.param({"posting_lengths": packed("i", [2, 1, 2, 0, 3])}, "term 3 has an empty posting",
+                     id="empty-posting"),
+        pytest.param({"posting_lengths": packed("i", [2, 1, 2, 2, 2])},
+                     "posting lengths sum to 9 for 8 doc ids and 8 counts", id="length-sum"),
+        pytest.param({"counts": packed("i", [2, 1, 1, 1, 1, 0, 1, 1])}, "a count is below 1", id="count-below-one"),
+        pytest.param({"doc_ids": packed("i", [0, 1, 0, 0, 1, 1, 0, 1])}, "term 3's doc ids are not strictly ascending",
+                     id="doc-ids-not-ascending"),
+        pytest.param({"counts": [2, 1, 1, 1, 1, 1, 1, 1]}, "counts is not a base64 string", id="array-not-a-string"),
+        pytest.param({"doc_ids": "AAAA*AAA"}, "doc_ids is not base64 of 4-byte values: ", id="not-base64"),
+        pytest.param({"doc_ids": base64.b64encode(bytes(30)).decode("ascii")},
+                     "doc_ids is not base64 of 4-byte values: ", id="partial-item"),
+    ],
+)
+def test_load_rejects_a_malformed_posting_array_naming_the_file(tmp_path, fields, message):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(two_document_payload(**fields)), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: {re.escape(message)}"):
+        load_index(path)
+
+
 def test_load_names_the_vocabulary_when_a_term_id_is_a_string(tmp_path):
     path = tmp_path / "index.json"
     vocabulary = {"syncope": 0, "workup": "1", "alpha": 2, "beta": 3, "orthostatic": 4}
