@@ -9,21 +9,24 @@ UTF-8, no insignificant whitespace), so any content change is a new key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
 from concurrent.futures import Future
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Protocol
 
 import requests
 
-from .corpus import json_loads
+from .corpus import _encodable, json_loads
 from .errors import CacheMissError, LiveRequestError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -72,9 +75,11 @@ class LmRequest:
             raise ValidationError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.temperature < 0:
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
-        for message in self.messages:
+        for i, message in enumerate(self.messages):
             if message.role not in VALID_ROLES:
                 raise ValidationError(f"unknown message role {message.role!r}")
+            if not isinstance(message.content, str):
+                raise ValidationError(f"message {i} content is {type(message.content).__name__}, not a string")
 
     def payload(self) -> dict:
         return {
@@ -89,8 +94,8 @@ class LmRequest:
 @dataclass(frozen=True)
 class LmResponse:
     """A completion. Live, scripted and cached responses are all built here,
-    so none with a non-string text or a usage count that is not an
-    integer >= 0 gets in."""
+    so none with a non-string text, a text holding a lone surrogate or a
+    usage count that is not an integer >= 0 gets in."""
 
     text: str
     prompt_tokens: int = 0
@@ -100,19 +105,56 @@ class LmResponse:
     def __post_init__(self) -> None:
         if not isinstance(self.text, str):
             raise ValidationError(f"response text is {type(self.text).__name__}, not a string")
+        if not _encodable(self.text):
+            raise ValidationError("response text holds a lone surrogate, which UTF-8 cannot encode")
         for name in ("prompt_tokens", "completion_tokens"):
             count = getattr(self, name)
             if type(count) is not int or count < 0:
                 raise ValidationError(f"{name} is {count!r}, not an integer >= 0")
 
 
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_request_json(request: LmRequest) -> str:
     """Stable serialization: sorted keys, in-order messages, no extra spaces."""
-    return json.dumps(request.payload(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _dumps(request.payload())
+
+
+def _json(value: object) -> str:
+    """``value`` as ``canonical_request_json`` writes it: exact strs, ints and
+    finite floats directly, as the json encoder does, anything else by it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _dumps(value)
+
+
+@functools.lru_cache(maxsize=256)
+def _key_head(max_tokens: str, leading: tuple[Message, ...]) -> str:
+    """The canonical JSON up to the last message's content, memoized on the
+    JSON text of ``max_tokens`` (``1`` and ``true`` differ) and on the leading
+    messages, whose contents are strings, so equal values write equal JSON: a
+    program's system prompt is escaped once, not once per call."""
+    messages = "".join(f'{{"content":{_json(m.content)},"role":{_json(m.role)}}},' for m in leading)
+    return f'{{"max_tokens":{max_tokens},"messages":[{messages}{{"content":'
 
 
 def canonical_key(request: LmRequest) -> str:
-    return hashlib.sha256(canonical_request_json(request).encode("utf-8")).hexdigest()
+    """``sha256(canonical_request_json(request))``, the same text built as a
+    memoized head, the last message's escaped content and a tail."""
+    last = request.messages[-1]
+    text = (
+        _key_head(_json(request.max_tokens), tuple(request.messages[:-1]))
+        + _json(last.content)
+        + f',"role":{_json(last.role)}}}],"model":{_json(request.model)},'
+        f'"temperature":{_json(request.temperature)},"top_p":{_json(request.top_p)}}}'
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ReplayCache:
@@ -347,9 +389,9 @@ class LmGateway:
     ``record`` is set it is also appended to the cache file. Errors are not
     cached: waiters get the exception and a later call retries. Without a
     configured cache the gateway keeps an in-memory one. A replay backend is
-    called directly, since it is itself the cache lookup. Any other backend
-    request that gets a slot after its batch tree stopped (``batch_stop``)
-    raises :class:`BatchStopped` unsent.
+    called directly and, like a cache hit, takes no slot: it is itself the
+    cache lookup. Any other backend request that gets a slot after its batch
+    tree stopped (``batch_stop``) raises :class:`BatchStopped` unsent.
     """
 
     backend: Backend
@@ -385,8 +427,7 @@ class LmGateway:
     def complete(self, request: LmRequest) -> LmResponse:
         backend = self.backend
         if backend.tag == "replay":
-            with self._semaphore:
-                return backend.complete(request)
+            return backend.complete(request)
         key = canonical_key(request)
         with self._lock:
             cached = self.cache.get(key)

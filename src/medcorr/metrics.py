@@ -2,9 +2,11 @@
 
 Tokenization is shared with retrieval (lowercased alphanumeric runs) so the
 quality gate and the evaluation suite always agree. ROUGE-L is the plain
-LCS F1 (beta = 1). Neural scorers (BERTScore, BLEURT) are never computed
-natively; they plug in over HTTP via :class:`ExternalScorer`, and the
-aggregate column appears only when all three of its components are present.
+LCS F1 (beta = 1); its LCS is exact and runs bit-parallel, a few integer
+operations per token of one side. Neural scorers (BERTScore, BLEURT) are
+never computed natively; they plug in over HTTP via :class:`ExternalScorer`,
+and the aggregate column appears only when all three of its components are
+present.
 
 Composite scoring per corrected sentence: 1.0 when both sides are the text
 ``NA``, 0.0 when exactly one is, otherwise the base metric on the pair.
@@ -38,20 +40,17 @@ class PredictionLike(Protocol):
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Single-row dynamic program, O(len(a) * len(b)) time, O(len(b)) space.
-    if not a or not b:
-        return 0
-    row = [0] * (len(b) + 1)
+    # Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004): bit j of v is 0 iff the
+    # LCS of a's tokens read so far with b[: j + 1] is one longer than with b[:j].
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        prev_diag = 0
-        for j, y in enumerate(b, start=1):
-            prev_row = row[j]
-            if x == y:
-                row[j] = prev_diag + 1
-            elif row[j - 1] > row[j]:
-                row[j] = row[j - 1]
-            prev_diag = prev_row
-    return row[len(b)]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _f1(precision: float, recall: float) -> float:

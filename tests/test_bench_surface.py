@@ -77,6 +77,33 @@ def test_replay_cache_init_itself_loads_the_file(tmp_path):
     assert len(cache) == 1 and cache.get(gateway.canonical_key(request)).text == "hi"
 
 
+def test_every_key_lookup_calls_the_module_canonical_key_the_tracer_wraps(monkeypatch, tmp_path):
+    # gateway.key_us samples one span per call of gateway.canonical_key, so it
+    # reads 8,200 samples on uw-replay only while every lookup, a replayed one
+    # included, looks the key function up as a module attribute
+    keyed = []
+
+    def counted(request, _original=gateway.canonical_key):
+        keyed.append(request)
+        return _original(request)
+
+    monkeypatch.setattr(gateway, "canonical_key", counted)
+    requests = [gateway.LmRequest(model="m", messages=(gateway.Message("user", f"Call {i}."),)) for i in range(3)]
+    lookups = [*requests, requests[0]]  # the last is a cache hit
+    path = tmp_path / "cache.jsonl"
+    scripted = gateway.LmGateway(
+        backend=gateway.ScriptedBackend(lambda request: "ok"), cache=gateway.ReplayCache(path), record=True
+    )
+    for request in lookups:
+        scripted.complete(request)
+    assert keyed == lookups
+    keyed.clear()
+    replay = gateway.LmGateway(backend=gateway.ReplayBackend(gateway.ReplayCache(path)))
+    for request in lookups:
+        replay.complete(request)
+    assert keyed == lookups
+
+
 def test_compile_entry_points_accept_the_benchmark_keywords():
     positional = (None, None, None, None)  # pipeline, trainset, valset, gateway
     thresholds = {"rouge_pass_threshold": 0.8, "binary_pass_threshold": 1.0}

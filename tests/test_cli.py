@@ -854,7 +854,7 @@ def test_unreadable_undecodable_or_unwritable_file_exits_one_without_traceback(t
 
 def surrogate_in_corrections(tmp_path: Path) -> Path:
     # The cache file is valid UTF-8; its JSON escape decodes to a lone
-    # surrogate in every corrected sentence, which the predictions carry.
+    # surrogate in every corrected sentence, so its first line is malformed.
     lines = []
     for line in CACHE_JSONL.read_text(encoding="utf-8").splitlines():
         entry = json.loads(line)
@@ -868,13 +868,13 @@ def surrogate_in_corrections(tmp_path: Path) -> Path:
 
 
 # Each case builds (argv, the file the error line names, the output files) in
-# tmp_path. A corpus holding a lone surrogate is now rejected when it is read,
-# so the index build case names its input and never reaches the encoder.
+# tmp_path. A corpus or a cache line holding a lone surrogate is now rejected
+# when it is read, so each case names its input and never reaches the encoder.
 _ENCODE_FAILURES = {
     "predict --out and --trace-out": lambda t: (
         predict_argv(t, "--pipeline", "uw", "--trace-out", str(t / "trace.jsonl"),
                      config=replay_config(t, surrogate_in_corrections(t))),
-        "p.csv",
+        "cache.jsonl",
         ["p.csv", "trace.jsonl"],
     ),
     "index build --out": lambda t: (
@@ -895,6 +895,20 @@ def test_an_output_that_cannot_be_encoded_leaves_existing_files_unchanged(tmp_pa
     assert named in result.stderr
     for name in outputs:
         assert (tmp_path / name).read_bytes() == b"earlier output\n"
+
+
+def test_outputs_are_all_encoded_before_any_file_is_opened(tmp_path):
+    # No input reaches this through the CLI any more: every text a run writes
+    # comes from a file or a response that rejects a lone surrogate on read.
+    from medcorr.cli import _write_outputs
+    from medcorr.errors import ValidationError
+
+    first, second = tmp_path / "p.csv", tmp_path / "trace.jsonl"
+    for path in (first, second):
+        path.write_bytes(b"earlier output\n")
+    with pytest.raises(ValidationError, match="^cannot write .*trace.jsonl"):
+        _write_outputs((first, "fine\n"), (second, "caf\ud800e\n"))
+    assert first.read_bytes() == second.read_bytes() == b"earlier output\n"
 
 
 def test_evaluate_scorer_flag_validation(tmp_path, capsys):
@@ -975,6 +989,51 @@ def test_predict_live_null_content_exits_two_and_records_nothing(tmp_path, monke
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["gateway error: malformed chat completion response: response text is NoneType, not a string"]
     assert not cache_path.exists()
+
+
+def test_predict_live_lone_surrogate_exits_two_and_records_only_the_calls_before_it(tmp_path, monkeypatch, capsys):
+    from medcorr.corpus import serialize_clinical_records
+    from medcorr.gateway import LmRequest, Message
+    from helpers import chat_completion_payload, scripted_http_server, stage_of
+
+    records = [r for r in parse_clinical_records(RECORDS_CSV.read_bytes()) if r.gold_flag == 1][:1]
+    records_csv = tmp_path / "one.csv"
+    records_csv.write_text(serialize_clinical_records(records), encoding="utf-8")
+    responder = uw_gold_responder(records)
+    stages, answered = [], []
+
+    def script(path, body):
+        payload = json.loads(body)
+        request = LmRequest(
+            model=payload["model"], messages=tuple(Message(m["role"], m["content"]) for m in payload["messages"]),
+            temperature=payload["temperature"], top_p=payload["top_p"], max_tokens=payload["max_tokens"],
+        )
+        stages.append(stage_of(request))
+        if stages[-1] == "correct":  # the JSON escape decodes to a lone surrogate
+            return 200, chat_completion_payload("Rationale: none.\nCorrected Sentence: caf\ud800e")
+        answered.append(responder(request))
+        return 200, chat_completion_payload(answered[-1])
+
+    cache_path = tmp_path / "live_cache.jsonl"
+    live_config = tmp_path / "live.yaml"
+    live_config.write_text(
+        f"gateway:\n  backend: live\n  cache_path: {cache_path}\n  record: true\n", encoding="utf-8"
+    )
+    with scripted_http_server(script) as base_url:
+        monkeypatch.setenv("MEDCORR_BASE_URL", base_url)
+        code = run_command(
+            ["predict", "--pipeline", "uw", "--records", str(records_csv), "--strict",
+             "--out", str(tmp_path / "preds.csv"), "--config", str(live_config)]
+        )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [
+        "gateway error: malformed chat completion response: "
+        "response text holds a lone surrogate, which UTF-8 cannot encode"
+    ]
+    assert stages == ["detect", "localize", "correct"]
+    recorded = [json.loads(line) for line in cache_path.read_text(encoding="utf-8").splitlines()]
+    assert [entry["response"]["text"] for entry in recorded] == answered
 
 
 def test_evaluate_with_external_scorers_via_cli(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import tempfile
@@ -65,6 +66,14 @@ def test_request_rejects_bad_role():
 def test_request_rejects_nonpositive_max_tokens():
     with pytest.raises(ValidationError):
         fixture_request(max_tokens=0)
+
+
+@pytest.mark.parametrize("content", [1, True, None, b"hi", ["hi"]])
+def test_request_rejects_a_message_content_that_is_not_a_string(content):
+    # the canonical key memoizes on leading Message values, and
+    # Message("system", 1) == Message("system", True) while their JSON differs
+    with pytest.raises(ValidationError, match="^message 1 content is .*, not a string$"):
+        fixture_request(messages=(Message("system", "You are helpful."), Message("user", content)))
 
 
 # --- canonical keys ------------------------------------------------------------
@@ -145,6 +154,74 @@ def test_canonical_key_is_stable_and_sees_every_field(model, messages, temperatu
         key(max_tokens=max_tokens + 1),
     ]
     assert reference not in changed
+
+
+def reference_key(request: LmRequest) -> str:
+    return hashlib.sha256(canonical_request_json(request).encode("utf-8")).hexdigest()
+
+
+# Quotes, backslashes, control characters, non-ASCII text and U+2028, which
+# the JSON escaping of a content must treat exactly as json.dumps does.
+_ESCAPED_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u96ea", "\u2028", "a", " "]), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    messages=st.lists(st.tuples(st.sampled_from(VALID_ROLES), _ESCAPED_TEXT), min_size=1, max_size=4),
+    model=_ESCAPED_TEXT,
+    max_tokens=st.sampled_from([1, 64, 4096]),
+)
+def test_canonical_key_is_the_sha256_of_the_canonical_json(messages, model, max_tokens):
+    request = LmRequest(model=model, messages=tuple(Message(*m) for m in messages), max_tokens=max_tokens)
+    assert canonical_key(request) == reference_key(request)
+
+
+class _Model(str):
+    pass
+
+
+# (request fields to prime the key's memo with, request fields to key next):
+# each pair is equal in Python and differs, or may differ, in JSON.
+_PRIMED_CASES = {
+    "temperature -0.0 after 0.0": ({"temperature": 0.0}, {"temperature": -0.0}),
+    "max_tokens True after 1": ({"max_tokens": 1}, {"max_tokens": True}),
+    "max_tokens 1 after True": ({"max_tokens": True}, {"max_tokens": 1}),
+    "top_p 1 after 1.0": ({"top_p": 1.0}, {"top_p": 1}),
+    "top_p 1.0 after 1": ({"top_p": 1}, {"top_p": 1.0}),
+    "top_p nan after 1.0": ({"top_p": 1.0}, {"top_p": float("nan")}),
+    "top_p inf after 1.0": ({"top_p": 1.0}, {"top_p": float("inf")}),
+    "str-subclass model after str": ({"model": "m"}, {"model": _Model("m")}),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRIMED_CASES))
+def test_canonical_key_after_an_equal_valued_request_follows_its_own_json(case):
+    primer, fields = (fixture_request(**overrides) for overrides in _PRIMED_CASES[case])
+    assert canonical_key(primer) == reference_key(primer)
+    assert canonical_key(fields) == reference_key(fields)
+
+
+def test_canonical_key_from_two_threads_sharing_a_system_message():
+    # a system message no other test keys, so both threads start on a memo miss
+    system = Message("system", f"Shared by two threads {time.monotonic_ns()}.")
+    requests_by_thread = [
+        [fixture_request(messages=(system, Message("user", f"thread {t} call {i}"))) for i in range(200)]
+        for t in range(2)
+    ]
+    barrier = threading.Barrier(2)
+    keys: list[list[str]] = [[], []]
+
+    def key_all(t: int) -> None:
+        barrier.wait()
+        keys[t] = [canonical_key(r) for r in requests_by_thread[t]]
+
+    threads = [threading.Thread(target=key_all, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    join_all(threads)
+    assert keys == [[reference_key(r) for r in batch] for batch in requests_by_thread]
 
 
 # --- scripted backend ------------------------------------------------------------
@@ -263,6 +340,14 @@ def test_cache_rejects_a_line_nested_too_deep_naming_the_file_and_line(tmp_path)
     good = cache_line(fixture_request(), "one")
     path.write_text(f'{good}\n{"[" * 100_000}{"]" * 100_000}\n{good}\n', encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^cache file {re.escape(str(path))} line 2 is malformed: nesting too deep"):
+        ReplayCache(path)
+
+
+def test_cache_rejects_a_response_text_holding_a_lone_surrogate_naming_its_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good, bad = cache_line(fixture_request(), "one"), cache_line(fixture_request(max_tokens=16), "caf\ud800e")
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^cache file {re.escape(str(path))} line 2 is malformed: .*lone surrogate"):
         ReplayCache(path)
 
 
@@ -484,6 +569,7 @@ def test_live_malformed_response_is_a_live_request_error(payload):
         pytest.param(chat_completion_payload("ok", prompt_tokens="7"), id="string-count"),
         pytest.param(chat_completion_payload("ok", completion_tokens=-1), id="negative-count"),
         pytest.param({**chat_completion_payload("ok"), "usage": None}, id="null-usage"),
+        pytest.param(chat_completion_payload("caf\ud800e"), id="lone-surrogate"),
     ],
 )
 def test_live_response_failing_the_response_check_is_a_live_request_error_and_is_not_recorded(tmp_path, payload):
@@ -660,6 +746,29 @@ def test_gateway_single_flight_calls_backend_once_and_waiters_hold_no_slot():
     assert backend.calls.count("slow") == 1
     assert gateway.complete(slow).text == "echo slow"
     assert backend.calls.count("slow") == 1
+
+
+def test_a_replay_lookup_takes_no_backend_slot():
+    # at concurrency 1, two replay lookups can only meet inside the backend
+    # when neither holds the one slot, as no cache hit does
+    requests = [fixture_request(messages=(Message("user", f"call {i}"),)) for i in range(2)]
+    cache = ReplayCache()
+    for request in requests:
+        cache.append(request, LmResponse(text="hit"))
+    both_inside = threading.Barrier(2, timeout=5)
+
+    class MeetingReplayBackend(ReplayBackend):
+        def complete(self, request: LmRequest) -> LmResponse:
+            both_inside.wait()
+            return super().complete(request)
+
+    gateway = LmGateway(backend=MeetingReplayBackend(cache), cache=cache, concurrency=1)
+    texts: list[str] = []
+    threads = [threading.Thread(target=lambda r=r: texts.append(gateway.complete(r).text)) for r in requests]
+    for thread in threads:
+        thread.start()
+    join_all(threads)
+    assert texts == ["hit", "hit"]
 
 
 def test_gateway_does_not_cache_errors():

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from medcorr.errors import ValidationError
 from medcorr.metrics import (
     ExternalScorer,
+    _lcs_length,
     ScoreReport,
     aggregate_score,
     composite_score,
@@ -23,7 +25,7 @@ from medcorr.pipelines import Prediction
 from medcorr.retrieval import tokenize
 
 from helpers import record_no_error, record_with_error, report_payload, scripted_http_server
-from oracles import rouge1_oracle, rouge_l_oracle
+from oracles import lcs_table_length, rouge1_oracle, rouge_l_oracle
 
 _VOCAB = "pain chest aspirin fever cough dose renal note left right acute mild".split()
 
@@ -63,6 +65,32 @@ def test_rouge_l_matches_oracle_on_random_pairs():
     for cand, ref in random_pairs(200):
         expected = rouge_l_oracle(tokenize(cand), tokenize(ref))
         assert abs(rouge_l_f(cand, ref) - expected) <= 1e-9
+
+
+# two token sequences of up to 60 tokens each over one alphabet of 1 to 6 tokens
+_SEQUENCE_PAIRS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda size: st.tuples(*[st.lists(st.sampled_from("abcdef"[:size]), max_size=60)] * 2)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=_SEQUENCE_PAIRS)
+def test_bit_parallel_lcs_matches_the_table_oracle(pair):
+    a, b = pair
+    assert _lcs_length(a, b) == lcs_table_length(a, b)
+
+
+def test_bit_parallel_lcs_of_two_3000_token_sequences_is_exact_and_fast():
+    # b holds a random half of a, in order, among 1,500 tokens a never holds,
+    # so its LCS with a is exactly that half: no other token of b can match
+    rng = random.Random(25)
+    a = [rng.choice("abcd") for _ in range(3000)]
+    kept = iter([a[i] for i in sorted(rng.sample(range(3000), 1500))])
+    absent = set(rng.sample(range(3000), 1500))
+    b = ["z" if i in absent else next(kept) for i in range(3000)]
+    start = time.perf_counter()
+    assert _lcs_length(a, b) == _lcs_length(b, a) == 1500
+    assert time.perf_counter() - start < 1.0
 
 
 # --- rouge1_f ---------------------------------------------------------------------
