@@ -328,11 +328,6 @@ def parse_mcq_corpus(raw: bytes | str) -> list[McqRecord]:
     return records
 
 
-def serialize_mcq_corpus(records: Iterable[McqRecord]) -> str:
-    lines = [json.dumps(mcq_to_object(r), ensure_ascii=False) for r in records]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def mcq_from_object(obj: dict) -> McqRecord:
     """The MCQ that one ``{"question", "options", "answer"}`` object holds."""
     missing = {"question", "options", "answer"} - set(obj)

@@ -62,6 +62,10 @@ class Message:
 
 @dataclass(frozen=True)
 class LmRequest:
+    """One chat-completion request. Its cache key is computed on first use
+    and kept, so the gateway, a replay lookup and the trace of the call that
+    sent it share one computation."""
+
     model: str
     messages: tuple[Message, ...]
     temperature: float = DEFAULT_TEMPERATURE
@@ -80,6 +84,16 @@ class LmRequest:
                 raise ValidationError(f"unknown message role {message.role!r}")
             if not isinstance(message.content, str):
                 raise ValidationError(f"message {i} content is {type(message.content).__name__}, not a string")
+
+    @property
+    def key(self) -> str:
+        """``canonical_key(self)``, kept in the instance ``__dict__``. Not a
+        ``functools.cached_property``: on Python 3.11 that takes one
+        class-wide lock on every first access."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = canonical_key(self)
+        return key
 
     def payload(self) -> dict:
         return {
@@ -216,14 +230,10 @@ class ReplayCache:
     def get(self, key: str) -> LmResponse | None:
         return self._entries.get(key)
 
-    def append(
-        self, request: LmRequest, response: LmResponse, key: str | None = None, write: bool = True
-    ) -> None:
-        """Store ``response`` under the request's canonical key (``key`` when the
-        caller already computed it) unless the key is present; with ``write``
-        and a path, also append it to the file."""
-        if key is None:
-            key = canonical_key(request)
+    def append(self, request: LmRequest, response: LmResponse, write: bool = True) -> None:
+        """Store ``response`` under ``request.key`` unless the key is present;
+        with ``write`` and a path, also append it to the file."""
+        key = request.key
         line = None
         if write and self.path is not None:
             line = json.dumps(
@@ -296,10 +306,9 @@ class ReplayBackend:
         self.cache = cache
 
     def complete(self, request: LmRequest) -> LmResponse:
-        key = canonical_key(request)
-        response = self.cache.get(key)
+        response = self.cache.get(request.key)
         if response is None:
-            raise CacheMissError(key)
+            raise CacheMissError(request.key)
         return response
 
 
@@ -390,8 +399,10 @@ class LmGateway:
     cached: waiters get the exception and a later call retries. Without a
     configured cache the gateway keeps an in-memory one. A replay backend is
     called directly and, like a cache hit, takes no slot: it is itself the
-    cache lookup. Any other backend request that gets a slot after its batch
-    tree stopped (``batch_stop``) raises :class:`BatchStopped` unsent.
+    cache lookup. Either way a request's key is computed once, on first use
+    (``LmRequest.key``), and the caller reads the same key back to name the
+    call. Any other backend request that gets a slot after its batch tree
+    stopped (``batch_stop``) raises :class:`BatchStopped` unsent.
     """
 
     backend: Backend
@@ -428,7 +439,7 @@ class LmGateway:
         backend = self.backend
         if backend.tag == "replay":
             return backend.complete(request)
-        key = canonical_key(request)
+        key = request.key
         with self._lock:
             cached = self.cache.get(key)
             if cached is not None:
@@ -445,7 +456,7 @@ class LmGateway:
                 if stop is not None and stop.is_set():
                     raise BatchStopped
                 response = backend.complete(request)
-            self.cache.append(request, response, key=key, write=self.record)
+            self.cache.append(request, response, write=self.record)
         except BaseException as exc:
             flight.set_exception(exc)
             raise

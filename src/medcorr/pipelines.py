@@ -9,8 +9,8 @@ directly on the text and guards corrections with a ROUGE-L quality gate
 that falls back to the original sentence below threshold 0.7.
 
 Both produce :class:`Prediction` values whose flag, sentence id, and
-correction are mutually consistent (flag 0 <=> id -1 <=> ``NA``), with a full
-stage-by-stage trace.
+correction are mutually consistent (flag 0 <=> id -1 <=> ``NA``), with a
+stage-by-stage trace that names each model call by its cache key.
 """
 
 from __future__ import annotations
@@ -43,11 +43,16 @@ PREDICTIONS_CSV_COLUMNS = ("record_id", "error_flag", "error_sentence_id", "corr
 
 @dataclass(frozen=True)
 class StageTrace:
+    """One stage of a prediction. ``keys`` names each attempt's request by its
+    cache key; a stage that calls no model has none. ``inputs`` stays in
+    memory for bootstrapping demos, but trace files leave it out."""
+
     stage: str
     inputs: dict[str, str]
     raw_completion: str
     outputs: dict[str, str]
     attempts: int = 1
+    keys: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -260,10 +265,11 @@ def _run_stage(
     trace.append(
         StageTrace(
             stage=stage,
-            inputs=dict(inputs),
+            inputs=inputs,
             raw_completion=program_run.raw_completion,
-            outputs=dict(program_run.outputs),
+            outputs=program_run.outputs,
             attempts=program_run.attempts,
+            keys=program_run.keys,
         )
     )
     return program_run.outputs
@@ -564,6 +570,9 @@ def parse_predictions(text: str) -> list[Prediction]:
 
 
 def serialize_traces(predictions: Iterable[Prediction]) -> str:
+    """One json line per prediction. A trace entry holds no ``inputs``: each
+    is a render of the record, the stage program and the earlier entries'
+    ``outputs``, and ``keys`` name the cache lines holding the full requests."""
     out = io.StringIO()
     for p in predictions:
         out.write(
@@ -574,7 +583,11 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                     "error_sentence_id": p.error_sentence_id,
                     "corrected_sentence": p.corrected_sentence,
                     "error": p.error,
-                    "trace": [vars(t) for t in p.trace],
+                    "trace": [
+                        {"stage": t.stage, "keys": t.keys, "raw_completion": t.raw_completion,
+                         "outputs": t.outputs, "attempts": t.attempts}
+                        for t in p.trace
+                    ],
                 },
                 ensure_ascii=False,
                 sort_keys=True,

@@ -229,6 +229,7 @@ class ProgramRun:
     outputs: dict[str, str]
     raw_completion: str
     attempts: int
+    keys: tuple[str, ...]  # one request key per attempt
 
 
 def _reminder(program: Program) -> str:
@@ -239,17 +240,19 @@ def _reminder(program: Program) -> str:
 def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway) -> ProgramRun:
     """Render, complete, parse; one retry with a format reminder on parse failure."""
     messages = render_messages(program, inputs)
-    response = gateway.complete_messages(messages)
+    request = gateway.request(messages)
+    response = gateway.complete(request)
     try:
-        return ProgramRun(parse_completion(program, response.text), response.text, attempts=1)
+        return ProgramRun(parse_completion(program, response.text), response.text, 1, (request.key,))
     except CompletionParseError:
         pass
-    retry_messages = messages[:-1] + [
-        Message(messages[-1].role, messages[-1].content + "\n\n" + _reminder(program))
-    ]
-    retry_response = gateway.complete_messages(retry_messages)
+    retry = gateway.request(
+        messages[:-1] + [Message(messages[-1].role, messages[-1].content + "\n\n" + _reminder(program))]
+    )
+    retry_response = gateway.complete(retry)
     try:
-        return ProgramRun(parse_completion(program, retry_response.text), retry_response.text, attempts=2)
+        keys = (request.key, retry.key)
+        return ProgramRun(parse_completion(program, retry_response.text), retry_response.text, 2, keys)
     except CompletionParseError as exc:
         raise CompletionParseError(
             f"program {program.signature.name!r}: completion unparseable after 2 attempts: {exc}",

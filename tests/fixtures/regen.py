@@ -22,9 +22,9 @@ from pathlib import Path
 FIXTURES_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(FIXTURES_DIR.parent))  # for helpers
 
-from helpers import record_no_error, record_with_error, uw_gold_responder  # noqa: E402
+from helpers import record_no_error, record_with_error, serialize_mcq_corpus, uw_gold_responder  # noqa: E402
 
-from medcorr.corpus import serialize_clinical_records, serialize_mcq_corpus, McqRecord  # noqa: E402
+from medcorr.corpus import serialize_clinical_records, McqRecord  # noqa: E402
 from medcorr.gateway import LmGateway, ReplayCache, ScriptedBackend  # noqa: E402
 from medcorr.pipelines import default_uw_pipeline, predict_batch, serialize_predictions  # noqa: E402
 

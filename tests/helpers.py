@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable, Sequence
 
-from medcorr.corpus import ClinicalRecord, McqRecord, Sentence
+from medcorr.corpus import ClinicalRecord, McqRecord, Sentence, mcq_to_object
 from medcorr.gateway import LmRequest, LmResponse
 from medcorr.corpus import NA
 from medcorr.program import field_label
@@ -350,6 +350,12 @@ def synth_ms_dataset(n: int = 20) -> tuple[list[ClinicalRecord], list[McqRecord]
             )
         )
     return records, corpus, asserted
+
+
+def serialize_mcq_corpus(records: Iterable[McqRecord]) -> str:
+    """The MCQ json-lines text that ``corpus.parse_mcq_corpus`` reads back."""
+    lines = [json.dumps(mcq_to_object(r), ensure_ascii=False) for r in records]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --- local scripted HTTP server -----------------------------------------------------

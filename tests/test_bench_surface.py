@@ -80,28 +80,38 @@ def test_replay_cache_init_itself_loads_the_file(tmp_path):
 def test_every_key_lookup_calls_the_module_canonical_key_the_tracer_wraps(monkeypatch, tmp_path):
     # gateway.key_us samples one span per call of gateway.canonical_key, so it
     # reads 8,200 samples on uw-replay only while every lookup, a replayed one
-    # included, looks the key function up as a module attribute
+    # included, looks the key function up as a module attribute, once per
+    # request object
     keyed = []
 
     def counted(request, _original=gateway.canonical_key):
         keyed.append(request)
         return _original(request)
 
+    def build(i):
+        return gateway.LmRequest(model="m", messages=(gateway.Message("user", f"Call {i}."),))
+
     monkeypatch.setattr(gateway, "canonical_key", counted)
-    requests = [gateway.LmRequest(model="m", messages=(gateway.Message("user", f"Call {i}."),)) for i in range(3)]
-    lookups = [*requests, requests[0]]  # the last is a cache hit
+
+    def check(gw):
+        # built anew per call, as program.run builds them; the last is a cache hit
+        lookups = [build(0), build(1), build(2), build(0)]
+        keyed.clear()
+        for request in lookups:
+            gw.complete(request)
+        assert keyed == lookups
+        # the same request object completed twice is keyed once
+        keyed.clear()
+        request = build(1)
+        gw.complete(request)
+        gw.complete(request)
+        assert keyed == [request]
+
     path = tmp_path / "cache.jsonl"
-    scripted = gateway.LmGateway(
+    check(gateway.LmGateway(
         backend=gateway.ScriptedBackend(lambda request: "ok"), cache=gateway.ReplayCache(path), record=True
-    )
-    for request in lookups:
-        scripted.complete(request)
-    assert keyed == lookups
-    keyed.clear()
-    replay = gateway.LmGateway(backend=gateway.ReplayBackend(gateway.ReplayCache(path)))
-    for request in lookups:
-        replay.complete(request)
-    assert keyed == lookups
+    ))
+    check(gateway.LmGateway(backend=gateway.ReplayBackend(gateway.ReplayCache(path))))
 
 
 def test_compile_entry_points_accept_the_benchmark_keywords():

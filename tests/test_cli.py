@@ -335,8 +335,10 @@ def test_predict_ms_with_the_gate_enabled_keeps_the_original_sentence(tmp_path):
     assert [(p.flag, p.error_sentence_id, p.corrected_sentence) for p in gated] == [(1, 0, s) for s in originals]
     for trace, original in zip(traces, originals):
         assert trace["corrected_sentence"] == original
+        # The gate's inputs are the record's sentence and the correct stage's output.
+        (correct,) = [s for s in trace["trace"] if s["stage"] == "correct"]
+        assert correct["outputs"]["corrected_sentence"] == replacement
         (gate,) = [s for s in trace["trace"] if s["stage"] == "quality_gate"]
-        assert gate["inputs"] == {"original": original, "candidate": replacement}
         assert gate["outputs"] == {"gated": "true", "final": original}
 
 
@@ -1111,11 +1113,11 @@ def compile_config(tmp_path: Path, cache_path: Path) -> Path:
 
 
 def test_compile_ms_pipeline_via_cli(tmp_path):
-    from medcorr.corpus import serialize_clinical_records, serialize_mcq_corpus
+    from medcorr.corpus import serialize_clinical_records
     from medcorr.optimize import compile_ms_pipeline
     from medcorr.pipelines import default_ms_pipeline
     from medcorr.retrieval import build_index, save_index
-    from helpers import ms_gold_responder, synth_ms_dataset
+    from helpers import ms_gold_responder, serialize_mcq_corpus, synth_ms_dataset
 
     records, corpus, asserted = synth_ms_dataset(10)
     train, val = records[:6], records[6:]

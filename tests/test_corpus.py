@@ -20,12 +20,11 @@ from medcorr.corpus import (
     parse_mcq_corpus,
     read_document,
     serialize_clinical_records,
-    serialize_mcq_corpus,
     split_dataset,
 )
 from medcorr.errors import ValidationError
 
-from helpers import record_no_error, record_with_error, unlabeled_record
+from helpers import record_no_error, record_with_error, serialize_mcq_corpus, unlabeled_record
 from oracles import csv_rows_oracle, json_lines_oracle
 
 CSV_HEADER = "record_id,text,sentences_json,error_flag,error_sentence_id,corrected_sentence"

@@ -1,18 +1,29 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from medcorr.errors import PipelineStageError, ValidationError
-from medcorr.gateway import BatchStopped, LmGateway, Message, ScriptedBackend, batch_stop
+from medcorr.gateway import (
+    BatchStopped,
+    LmGateway,
+    Message,
+    ReplayBackend,
+    ReplayCache,
+    ScriptedBackend,
+    batch_stop,
+    canonical_key,
+)
 from medcorr.metrics import rouge_l_f
-from medcorr.corpus import NA
+from medcorr.corpus import NA, parse_clinical_records
 from medcorr import pipelines
 from medcorr.pipelines import (
     MsPipeline,
@@ -26,7 +37,7 @@ from medcorr.pipelines import (
     serialize_predictions,
     serialize_traces,
 )
-from medcorr.program import Demo, program_to_json
+from medcorr.program import Demo, _reminder, program_to_json, render_messages
 from medcorr.retrieval import build_index
 
 from helpers import (
@@ -729,8 +740,6 @@ def test_parse_predictions_names_the_line_a_row_starts_on_after_a_multi_line_cor
 
 
 def test_trace_file_shape():
-    import json
-
     record, pipeline = hypo_fixture()
     gateway = LmGateway(backend=ScriptedBackend(uw_gold_responder([record])))
     prediction = pipeline.predict(record, gateway)
@@ -742,4 +751,70 @@ def test_trace_file_shape():
     assert obj["corrected_sentence"] == HYPO_FIXED
     stages = [t["stage"] for t in obj["trace"]]
     assert stages == ["detect", "localize", "correct", "quality_gate"]
-    assert all({"inputs", "raw_completion", "outputs", "attempts"} <= set(t) for t in obj["trace"])
+    # Inputs are rebuilt from the record and earlier outputs, never stored.
+    assert all(set(t) == {"stage", "keys", "raw_completion", "outputs", "attempts"} for t in obj["trace"])
+    assert [len(t["keys"]) for t in obj["trace"]] == [1, 1, 1, 0]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def assert_traces_rebuild_their_requests(pipeline, records, gateway) -> int:
+    """Replay ``records``, then rebuild every attempt's request of every
+    model-calling trace entry from the record, the stage program and the
+    earlier entries' outputs, and check it against the entry's keys and the
+    cache. Returns the number of retried entries."""
+    predictions = predict_batch(pipeline, records, gateway, strict=True)
+    retries = 0
+    for record, line in zip(records, serialize_traces(predictions).splitlines()):
+        known = {"clinical_text": pipelines.render_numbered_text(record)}
+        for entry in json.loads(line)["trace"]:
+            program = pipeline.stages.get(entry["stage"])
+            if program is None:
+                assert entry["keys"] == [], entry["stage"]
+            else:
+                messages = render_messages(program, {name: known[name] for name in program.signature.input_names()})
+                requests = [gateway.request(messages)]
+                if entry["attempts"] == 2:
+                    *leading, last = messages
+                    reminded = Message(last.role, last.content + "\n\n" + _reminder(program))
+                    requests.append(gateway.request([*leading, reminded]))
+                    retries += 1
+                assert len(entry["keys"]) == entry["attempts"]
+                assert [canonical_key(request) for request in requests] == entry["keys"]
+                assert all(gateway.cache.get(key) is not None for key in entry["keys"])
+            if entry["stage"] == "quality_gate":
+                final, gated = quality_gate(known["error_sentence"], known["corrected_sentence"], pipeline.gate_threshold)
+                assert entry["outputs"] == {"gated": str(gated).lower(), "final": final}
+            known.update(entry["outputs"])  # retrieve gives similar_question and correct_answer
+            if entry["stage"] == "localize":
+                error_line = pipelines.parse_line_value("localize", entry["outputs"]["error_line"], record)
+                known["error_sentence"] = record.sentence_text(error_line)
+    return retries
+
+
+def test_replayed_uw_fixture_traces_rebuild_every_request_from_the_record_and_earlier_outputs():
+    records = parse_clinical_records((FIXTURES / "clinical_10.csv").read_bytes())
+    cache = ReplayCache(FIXTURES / "replay_cache.jsonl")
+    gateway = LmGateway(backend=ReplayBackend(cache), cache=cache)
+    assert assert_traces_rebuild_their_requests(default_uw_pipeline(), records, gateway) == 0
+
+
+def test_replayed_ms_traces_rebuild_every_request_and_retry_from_the_record_and_earlier_outputs(tmp_path):
+    records, corpus, asserted = synth_ms_dataset(6)
+    pipeline = default_ms_pipeline(build_index(corpus), gate_threshold=0.7)
+    gold = ms_gold_responder(records, asserted)
+    reminder = _reminder(pipeline.compare_answer)
+
+    def responder(request):
+        # compare_answer answers only once reminded, so every record retries it
+        if stage_of(request) == "compare_answer" and reminder not in request.messages[-1].content:
+            return "I cannot tell."
+        return gold(request)
+
+    cache_path = tmp_path / "cache.jsonl"
+    recorder = LmGateway(backend=ScriptedBackend(responder), cache=ReplayCache(cache_path), record=True)
+    predict_batch(pipeline, records, recorder, strict=True)
+    cache = ReplayCache(cache_path)
+    replay = LmGateway(backend=ReplayBackend(cache), cache=cache)
+    assert assert_traces_rebuild_their_requests(pipeline, records, replay) == len(records)
