@@ -22,12 +22,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .corpus import _encodable, json_loads
 from .errors import CacheMissError, LiveRequestError, ValidationError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -317,7 +318,9 @@ class LiveBackend:
 
     Transient failures (HTTP 429/5xx, timeouts, connection errors) are
     retried up to 5 attempts with capped exponential backoff; the request
-    is never mutated between retries.
+    is never mutated between retries. An injected ``session`` is used as it
+    is; otherwise one is made on the first ``complete``, once however many
+    threads call first, so a run served from its cache never loads requests.
     """
 
     tag = "live"
@@ -334,9 +337,15 @@ class LiveBackend:
         self.api_key = api_key
         self.timeout = timeout
         self._sleep = sleeper
-        self._session = session or requests.Session()
+        self._session = session
+        self._session_lock = threading.Lock()
 
     def complete(self, request: LmRequest) -> LmResponse:
+        import requests  # not at module top: with urllib3 and ssl it costs ~9 MB a run without HTTP never uses
+        with self._session_lock:
+            if self._session is None:
+                self._session = requests.Session()
+            session = self._session
         url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -347,7 +356,7 @@ class LiveBackend:
             if attempt:
                 self._sleep(min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1)))
             try:
-                http = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
+                http = session.post(url, json=payload, headers=headers, timeout=self.timeout)
             except requests.Timeout:
                 last_error = "request timed out"
                 continue

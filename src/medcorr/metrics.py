@@ -19,8 +19,6 @@ import logging
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence
 
-import requests
-
 from .corpus import NA, ClinicalRecord, _typed, json_loads, read_document
 from .errors import ValidationError
 from .retrieval import tokenize
@@ -158,6 +156,7 @@ class ExternalScorer:
     timeout: float = 60.0
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        import requests  # not at module top, as in gateway.LiveBackend.complete
         scores: list[float] = []
         for start in range(0, len(pairs), self.batch_size):
             batch = pairs[start : start + self.batch_size]
@@ -172,7 +171,10 @@ class ExternalScorer:
             except ValueError as exc:
                 raise ValidationError(f"external scorer {self.name!r} returned invalid JSON: {exc}") from None
             batch_scores = payload.get("scores") if isinstance(payload, dict) else None
-            if not isinstance(batch_scores, list) or len(batch_scores) != len(batch):
+            if batch_scores is not None and not isinstance(batch_scores, list):
+                kind = type(batch_scores).__name__
+                raise ValidationError(f"external scorer {self.name!r} returned scores of type {kind}, not a list")
+            if batch_scores is None or len(batch_scores) != len(batch):
                 raise ValidationError(
                     f"external scorer {self.name!r} returned {len(batch_scores or [])} scores "
                     f"for {len(batch)} pairs"
@@ -264,9 +266,17 @@ def evaluate(
     """Score predictions against gold records across every subtask.
 
     External scorer failures mark that column unavailable (or abort when
-    ``strict_scorers`` is set). The aggregate column is computed only when
-    rouge1_f, bertscore, and bleurt are all present.
+    ``strict_scorers`` is set). A scorer may not take the name of another
+    column. The aggregate column is computed only when rouge1_f, bertscore,
+    and bleurt are all present.
     """
+    taken = {"rouge1_f", "rouge_l_f", "aggregate"}
+    for scorer in scorers:
+        if scorer.name in taken:
+            raise ValidationError(f"external scorer name {scorer.name!r} already names a report column")
+        taken.add(scorer.name)
+    if scorers:
+        import requests  # for its exceptions; not at module top, as in gateway.LiveBackend.complete
     pairs = _align(predictions, golds)
     if not pairs:
         raise ValidationError("cannot evaluate an empty record set")

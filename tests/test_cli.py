@@ -1078,6 +1078,105 @@ def test_evaluate_with_non_numeric_scorer_scores_exits_by_contract(tmp_path, cap
     assert "non-numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scores", [5, 0.5, "ab"], ids=["int", "float", "string"])
+def test_evaluate_with_scores_not_a_list_exits_by_contract(tmp_path, scores):
+    from helpers import scripted_http_server
+
+    report_json = tmp_path / "report.json"
+    with scripted_http_server(lambda path, body: (200, {"scores": scores})) as base_url:
+        argv = ["evaluate", "--pred", str(perfect_predictions_csv(tmp_path)), "--gold", str(RECORDS_CSV),
+                "--out", str(report_json), "--scorer", f"bertscore={base_url}/score"]
+        lenient = run_cli_process(argv)
+        strict = run_cli_process([*argv, "--strict-scorers"])
+    assert lenient.returncode == 0 and "Traceback" not in lenient.stderr, lenient.stderr
+    assert ScoreReport.from_json(report_json.read_text(encoding="utf-8")).unavailable == ("bertscore",)
+    assert_one_error_line(strict)
+    assert f"returned scores of type {type(scores).__name__}, not a list" in strict.stderr
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["rouge1_f"], ["rouge_l_f"], ["aggregate"], ["bertscore", "bertscore"]],
+    ids=["rouge1_f", "rouge_l_f", "aggregate", "repeated"],
+)
+def test_evaluate_rejects_a_scorer_that_would_overwrite_a_column(tmp_path, names):
+    from helpers import scripted_http_server
+
+    calls = []
+
+    def scorer(path, body):
+        calls.append(path)
+        return 200, {"scores": [0.0] * len(json.loads(body)["pairs"])}
+
+    report_json = tmp_path / "report.json"
+    with scripted_http_server(scorer) as base_url:
+        result = run_cli_process(
+            ["evaluate", "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(RECORDS_CSV), "--out", str(report_json),
+             *(arg for name in names for arg in ("--scorer", f"{name}={base_url}/score"))]
+        )
+    assert_one_error_line(result)
+    assert f"external scorer name {names[-1]!r} already names a report column" in result.stderr
+    assert calls == [] and not report_json.exists()
+
+
+# Runs in a fresh interpreter, since other tests load requests into this one,
+# and prints which HTTP client modules are loaded after each step.
+NO_HTTP_UNTIL_A_REQUEST = r"""
+import json
+import sys
+
+records, golden, replay, live, tmp = sys.argv[1:]
+http_modules = ("requests", "urllib3", "ssl", "charset_normalizer", "idna", "http.client")
+loaded = {}
+
+
+def step(name, result=0):
+    assert result == 0, (name, result)
+    loaded[name] = [module for module in http_modules if module in sys.modules]
+
+
+import medcorr.cli
+step("import medcorr.cli")
+from medcorr.cli import build_gateway, run_command
+from medcorr.config import load_config
+
+step("replay-verify", run_command(["replay-verify", "--pipeline", "uw", "--records", records,
+                                   "--pred", golden, "--config", replay]))
+step("evaluate", run_command(["evaluate", "--pred", golden, "--gold", records, "--out", f"{tmp}/report.json"]))
+build_gateway(load_config(live))
+step("build_gateway")
+step("live predict", run_command(["predict", "--pipeline", "uw", "--records", records,
+                                  "--out", f"{tmp}/preds.csv", "--config", live, "--strict"]))
+print(json.dumps(loaded))
+"""
+
+
+def test_http_client_is_imported_only_when_a_request_is_sent(tmp_path):
+    from helpers import chat_completion_payload, scripted_http_server
+
+    calls = []
+
+    def script(path, body):
+        calls.append(path)
+        return 200, chat_completion_payload("Rationale: reviewed the note.\nError Flag: 0")
+
+    src = str(Path(__file__).parents[1] / "src")
+    with scripted_http_server(script) as base_url:
+        live = tmp_path / "live.yaml"
+        live.write_text(f"gateway:\n  backend: live\n  base_url: {base_url}\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-c", NO_HTTP_UNTIL_A_REQUEST, str(RECORDS_CSV), str(GOLDEN_PREDICTIONS),
+             str(replay_config(tmp_path, CACHE_JSONL)), str(live), str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    after_request = loaded.pop("live predict")
+    assert loaded == dict.fromkeys(["import medcorr.cli", "replay-verify", "evaluate", "build_gateway"], [])
+    assert {"requests", "urllib3"} <= set(after_request)
+    assert len(calls) == 10
+
+
 # --- compile ---------------------------------------------------------------------------------
 
 

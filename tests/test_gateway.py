@@ -620,6 +620,39 @@ def test_live_timeout_retries_then_errors():
     assert session.calls == 5
 
 
+def test_live_first_calls_from_many_threads_make_one_session(monkeypatch):
+    import sys
+
+    import requests as requests_lib
+
+    made = []
+
+    class SlowSession(requests_lib.Session):
+        def __init__(self):
+            made.append(self)
+            time.sleep(0.02)  # every first caller is inside complete before the first session exists
+            super().__init__()
+
+    monkeypatch.setattr(requests_lib, "Session", SlowSession)
+    texts = []
+    with scripted_http_server(lambda path, body: (200, chat_completion_payload("ok"))) as base_url:
+        backend = LiveBackend(base_url, sleeper=no_sleep)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: texts.append(backend.complete(fixture_request()).text))
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            join_all(threads)
+        finally:
+            sys.setswitchinterval(previous)
+    assert texts == ["ok"] * 8
+    assert len(made) == 1
+
+
 def test_live_backoff_is_capped_exponential():
     sleeps = []
 

@@ -376,6 +376,15 @@ def test_evaluate_scorer_failure_strict_raises():
             )
 
 
+@pytest.mark.parametrize("names", [["rouge1_f"], ["rouge_l_f"], ["aggregate"], ["bleurt", "bleurt"]])
+def test_evaluate_rejects_scorer_names_that_overwrite_a_column(names):
+    golds = five_golds()
+    # Nothing listens on port 1: a request sent would mark the column unavailable instead.
+    scorers = [ExternalScorer(name, "http://127.0.0.1:1/score") for name in names]
+    with pytest.raises(ValidationError, match=f"name '{names[-1]}' already names a report column"):
+        evaluate(perfect_predictions(golds), golds, scorers=scorers)
+
+
 def mixed_na_set():
     """Sentence pairs, both-NA pairs, and one-NA pairs each way, in a mixed order."""
     golds = [
