@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
@@ -137,16 +138,19 @@ def _read_text(path: str | Path) -> str:
 
 
 def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
-    """Write each (path, text) as UTF-8, encoding every text before opening
-    any file, so a text that cannot be encoded fails the run with every
-    existing output file as it was."""
-    encoded = []
+    """Write each (path, text) as UTF-8, encoding every text and refusing two
+    paths that name one file before opening any, so a run that fails here
+    leaves every existing output file as it was."""
+    encoded: dict[str, tuple[Path, bytes]] = {}  # by the resolved path
     for path, text in outputs:
+        target = os.path.realpath(path)
+        if target in encoded:
+            raise ValidationError(f"two outputs name one file: {path}")
         try:
-            encoded.append((Path(path), text.encode("utf-8")))
+            encoded[target] = (Path(path), text.encode("utf-8"))
         except UnicodeEncodeError as exc:
             raise ValidationError(f"cannot write {path}: {exc}") from exc
-    for path, data in encoded:
+    for path, data in encoded.values():
         path.write_bytes(data)
 
 
@@ -196,6 +200,8 @@ def _load_pipeline(
         pipeline = pipelines.default_ms_pipeline(index, gate_threshold=gate)
     if not compiled_dir:
         return pipeline
+    if not Path(compiled_dir).is_dir():
+        raise ValidationError(f"compiled programs path {compiled_dir} is not a directory")
     # Each {stage}.json found replaces its stage; one whose fields do not fit
     # the stage is rejected naming the file.
     for stage in pipeline.stage_names:

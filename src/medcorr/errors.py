@@ -47,11 +47,10 @@ class LiveRequestError(GatewayError):
 class CompletionParseError(MedcorrError):
     """A completion could not be parsed into the expected output fields."""
 
-    def __init__(self, message: str, missing_fields: tuple[str, ...] = (), raw_text: str = "", attempts: int = 1):
+    def __init__(self, message: str, missing_fields: tuple[str, ...] = (), raw_text: str = ""):
         super().__init__(message)
         self.missing_fields = missing_fields
         self.raw_text = raw_text
-        self.attempts = attempts
 
 
 class PipelineStageError(MedcorrError):

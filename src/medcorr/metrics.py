@@ -127,20 +127,6 @@ def _align(
     return [(p, gold_by_id[p.record_id]) for p in predictions]
 
 
-def flag_accuracy(predictions: Sequence[PredictionLike], golds: Sequence[ClinicalRecord]) -> float:
-    pairs = _align(predictions, golds)
-    if not pairs:
-        raise ValidationError("cannot score an empty record set")
-    return sum(1 for p, g in pairs if p.flag == g.gold_flag) / len(pairs)
-
-
-def sentence_accuracy(predictions: Sequence[PredictionLike], golds: Sequence[ClinicalRecord]) -> float:
-    pairs = _align(predictions, golds)
-    if not pairs:
-        raise ValidationError("cannot score an empty record set")
-    return sum(1 for p, g in pairs if p.error_sentence_id == g.gold_error_sentence_id) / len(pairs)
-
-
 @dataclass(frozen=True)
 class ExternalScorer:
     """HTTP plug-in returning one score in [0, 1] per (candidate, reference) pair.

@@ -32,6 +32,7 @@ from .program import (
     Field,
     Program,
     Signature,
+    StageTrace,
     run,
 )
 from .retrieval import TfidfIndex, query
@@ -39,20 +40,6 @@ from .retrieval import TfidfIndex, query
 DEFAULT_GATE_THRESHOLD = 0.7
 
 PREDICTIONS_CSV_COLUMNS = ("record_id", "error_flag", "error_sentence_id", "corrected_sentence")
-
-
-@dataclass(frozen=True)
-class StageTrace:
-    """One stage of a prediction. ``keys`` names each attempt's request by its
-    cache key; a stage that calls no model has none. ``inputs`` stays in
-    memory for bootstrapping demos, but trace files leave it out."""
-
-    stage: str
-    inputs: dict[str, str]
-    raw_completion: str
-    outputs: dict[str, str]
-    attempts: int = 1
-    keys: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -261,18 +248,8 @@ def _run_stage(
     trace: list[StageTrace],
 ) -> dict[str, str]:
     """Run one LM stage, append its trace entry and return its outputs."""
-    program_run = run(program, inputs, gateway)
-    trace.append(
-        StageTrace(
-            stage=stage,
-            inputs=inputs,
-            raw_completion=program_run.raw_completion,
-            outputs=program_run.outputs,
-            attempts=program_run.attempts,
-            keys=program_run.keys,
-        )
-    )
-    return program_run.outputs
+    trace.append(run(program, inputs, gateway, stage))
+    return trace[-1].outputs
 
 
 class Pipeline:
@@ -333,14 +310,7 @@ class Pipeline:
         corrected = _run_stage("correct", self.correct, correct_inputs, gateway, trace)["corrected_sentence"]
         if self.gate_threshold is not None:
             final, gated = quality_gate(error_sentence, corrected, self.gate_threshold)
-            trace.append(
-                StageTrace(
-                    stage="quality_gate",
-                    inputs={"original": error_sentence, "candidate": corrected},
-                    raw_completion="",
-                    outputs={"gated": str(gated).lower(), "final": final},
-                )
-            )
+            trace.append(StageTrace("quality_gate", outputs={"gated": str(gated).lower(), "final": final}))
             corrected = final
         if corrected == NA:
             raise PipelineStageError("correct", f"the corrected sentence {NA!r} reads as no correction")
@@ -369,15 +339,12 @@ class MsPipeline(Pipeline):
 
     def predict(self, record: ClinicalRecord, gateway: LmGateway) -> Prediction:
         """Retrieve -> extract -> compare; on a mismatch, localize and correct."""
-        text = record.full_text()
-        hit = query(self.index, text, k=1)[0]
+        hit = query(self.index, record.full_text(), k=1)[0]
         mcq_rendered = render_mcq(hit.record)
         correct_answer = hit.record.correct_text
         trace: list[StageTrace] = [
             StageTrace(
-                stage="retrieve",
-                inputs={"query": text},
-                raw_completion="",
+                "retrieve",
                 outputs={
                     "doc_id": str(hit.doc_id),
                     "score": f"{hit.score:.6f}",
@@ -584,8 +551,7 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                     "corrected_sentence": p.corrected_sentence,
                     "error": p.error,
                     "trace": [
-                        {"stage": t.stage, "keys": t.keys, "raw_completion": t.raw_completion,
-                         "outputs": t.outputs, "attempts": t.attempts}
+                        {"stage": t.stage, "keys": t.keys, "raw_completion": t.raw_completion, "outputs": t.outputs}
                         for t in p.trace
                     ],
                 },

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -225,11 +225,17 @@ def parse_completion(program: Program, completion_text: str) -> dict[str, str]:
 
 
 @dataclass(frozen=True)
-class ProgramRun:
+class StageTrace:
+    """One stage of a prediction. ``keys`` names each attempt's request by its
+    cache key, so ``len(keys)`` counts the attempts; a stage that calls no
+    model has none. ``inputs`` stays in memory for bootstrapping demos, but
+    trace files leave it out."""
+
+    stage: str
     outputs: dict[str, str]
-    raw_completion: str
-    attempts: int
-    keys: tuple[str, ...]  # one request key per attempt
+    inputs: Mapping[str, str] = field(default_factory=dict)
+    raw_completion: str = ""
+    keys: tuple[str, ...] = ()
 
 
 def _reminder(program: Program) -> str:
@@ -237,13 +243,14 @@ def _reminder(program: Program) -> str:
     return f"Your response must contain exactly these labeled fields: {labels}."
 
 
-def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway) -> ProgramRun:
-    """Render, complete, parse; one retry with a format reminder on parse failure."""
+def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway, stage: str) -> StageTrace:
+    """Render, complete, parse; one retry with a format reminder on parse
+    failure. Returns the trace entry of ``stage``, which names each attempt."""
     messages = render_messages(program, inputs)
     request = gateway.request(messages)
     response = gateway.complete(request)
     try:
-        return ProgramRun(parse_completion(program, response.text), response.text, 1, (request.key,))
+        return StageTrace(stage, parse_completion(program, response.text), inputs, response.text, (request.key,))
     except CompletionParseError:
         pass
     retry = gateway.request(
@@ -252,13 +259,12 @@ def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway) -> Prog
     retry_response = gateway.complete(retry)
     try:
         keys = (request.key, retry.key)
-        return ProgramRun(parse_completion(program, retry_response.text), retry_response.text, 2, keys)
+        return StageTrace(stage, parse_completion(program, retry_response.text), inputs, retry_response.text, keys)
     except CompletionParseError as exc:
         raise CompletionParseError(
             f"program {program.signature.name!r}: completion unparseable after 2 attempts: {exc}",
             missing_fields=exc.missing_fields,
             raw_text=retry_response.text,
-            attempts=2,
         ) from None
 
 

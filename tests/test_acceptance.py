@@ -15,14 +15,7 @@ from pathlib import Path
 from medcorr.cli import run_command
 from medcorr.corpus import parse_clinical_records, split_dataset
 from medcorr.gateway import LmGateway, ScriptedBackend
-from medcorr.metrics import (
-    aggregate_score,
-    composite_score,
-    flag_accuracy,
-    rouge1_f,
-    rouge_l_f,
-    sentence_accuracy,
-)
+from medcorr.metrics import aggregate_score, composite_score, evaluate, rouge1_f, rouge_l_f
 from medcorr.corpus import NA
 from medcorr.optimize import (
     bootstrap_demos,
@@ -180,15 +173,17 @@ def test_criterion_06_oracle_lm_pipeline_sanity():
         uw_records = synth_uw_records(20)
         uw_gateway = LmGateway(backend=ScriptedBackend(uw_gold_responder(uw_records)))
         uw_predictions = predict_batch(default_uw_pipeline(), uw_records, uw_gateway, concurrency=4)
-        assert flag_accuracy(uw_predictions, uw_records) == 1.0
-        assert sentence_accuracy(uw_predictions, uw_records) == 1.0
+        uw_report = evaluate(uw_predictions, uw_records)
+        assert uw_report.flag_accuracy == 1.0
+        assert uw_report.sentence_accuracy == 1.0
 
         ms_records, corpus, asserted = synth_ms_dataset(20)
         ms_pipeline = default_ms_pipeline(build_index(corpus))
         ms_gateway = LmGateway(backend=ScriptedBackend(ms_gold_responder(ms_records, asserted)))
         ms_predictions = predict_batch(ms_pipeline, ms_records, ms_gateway, concurrency=4)
-        assert flag_accuracy(ms_predictions, ms_records) == 1.0
-        assert sentence_accuracy(ms_predictions, ms_records) == 1.0
+        ms_report = evaluate(ms_predictions, ms_records)
+        assert ms_report.flag_accuracy == 1.0
+        assert ms_report.sentence_accuracy == 1.0
 
         assert time.monotonic() - started < 10.0
 

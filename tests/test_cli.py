@@ -422,6 +422,18 @@ def test_predict_writes_only_out_paths(tmp_path, monkeypatch):
     assert list(workdir.iterdir()) == []  # nothing stray in the cwd
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_predict_refuses_out_and_trace_out_naming_one_file(tmp_path, capsys, spelling):
+    out = tmp_path / "p.csv"
+    out.write_bytes(b"earlier output\n")
+    trace_out = out if spelling == "same" else tmp_path / "sub" / ".." / "p.csv"
+    (tmp_path / "sub").mkdir()
+    code = run_command(predict_argv(tmp_path, "--pipeline", "uw", "--out", str(out), "--trace-out", str(trace_out)))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: two outputs name one file: {trace_out}"]
+    assert out.read_bytes() == b"earlier output\n"
+
+
 # --- replay-verify --------------------------------------------------------------------------
 
 
@@ -783,6 +795,16 @@ def predict_argv(tmp_path: Path, *extra: str, records: Path = RECORDS_CSV, confi
     return ["predict", "--records", str(records), "--out", str(tmp_path / "p.csv"), "--config", str(config), *extra]
 
 
+def no_model_config(tmp_path: Path, compiled_dir: Path | None = None) -> Path:
+    """A replay config under which any model call misses and fails the run (exit 2)."""
+    cache = tmp_path / "empty.jsonl"
+    cache.write_bytes(b"")
+    config = tmp_path / "no-model.yaml"
+    paths = f"paths:\n  compiled_dir: {compiled_dir}\n" if compiled_dir else ""
+    config.write_text(f"gateway:\n  cache_path: {cache}\npipeline:\n  strict: true\n{paths}", encoding="utf-8")
+    return config
+
+
 def compiled_with_detect(tmp_path: Path, make) -> str:
     compiled = directory(tmp_path / "compiled")
     make(compiled / "detect.json")
@@ -813,6 +835,21 @@ _FILE_FAILURES = {
     ),
     "compiled detect.json is a directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", "--compiled", compiled_with_detect(t, directory)), "detect.json"
+    ),
+    "--compiled missing": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--compiled", str(t / "missing"), config=no_model_config(t)), "missing"
+    ),
+    "--compiled a CSV file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--compiled", str(RECORDS_CSV), config=no_model_config(t)),
+        str(RECORDS_CSV),
+    ),
+    "paths.compiled_dir missing": lambda t: (
+        predict_argv(t, "--pipeline", "uw", config=no_model_config(t, t / "missing")), "missing"
+    ),
+    "replay-verify --compiled missing": lambda t: (
+        ["replay-verify", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--pred", str(GOLDEN_PREDICTIONS),
+         "--compiled", str(t / "missing"), "--config", str(no_model_config(t))],
+        "missing",
     ),
     "cache_path is a directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", config=replay_config(t, directory(t / "cache"))), "cache"

@@ -75,6 +75,14 @@ def test_bad_backend_rejected(tmp_path):
             load_config(path, env={})
 
 
+def test_an_empty_cache_path_is_rejected_for_replay_and_means_in_memory_for_live(tmp_path):
+    path = write(tmp_path, 'gateway:\n  backend: replay\n  cache_path: ""\n')
+    with pytest.raises(ConfigError, match="^gateway.cache_path must name a file for the replay backend$"):
+        load_config(path, env={})
+    config = load_config(write(tmp_path, 'gateway:\n  backend: live\n  cache_path: ""\n'), env={})
+    assert config.gateway.cache_path == ""
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

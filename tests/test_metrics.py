@@ -15,10 +15,8 @@ from medcorr.metrics import (
     aggregate_score,
     composite_score,
     evaluate,
-    flag_accuracy,
     rouge1_f,
     rouge_l_f,
-    sentence_accuracy,
 )
 from medcorr.corpus import NA
 from medcorr.pipelines import Prediction
@@ -214,7 +212,7 @@ def perfect_predictions(golds):
 
 def test_flag_accuracy_all_correct():
     golds = five_golds()
-    assert flag_accuracy(perfect_predictions(golds), golds) == 1.0
+    assert evaluate(perfect_predictions(golds), golds).flag_accuracy == 1.0
 
 
 def test_flag_accuracy_three_of_five():
@@ -222,27 +220,28 @@ def test_flag_accuracy_three_of_five():
     preds = perfect_predictions(golds)
     preds[0] = Prediction("g0", 0, -1, NA)  # wrong: gold has an error
     preds[2] = Prediction("g2", 1, 0, "Spurious fix.")  # wrong: gold is clean
-    assert flag_accuracy(preds, golds) == pytest.approx(0.6)
+    assert evaluate(preds, golds).flag_accuracy == pytest.approx(0.6)
 
 
 def test_sentence_accuracy_counts_minus_one_as_matchable():
     golds = [record_no_error("a", ["Fine."])]
     preds = [Prediction("a", 0, -1, NA)]
-    assert sentence_accuracy(preds, golds) == 1.0
+    assert evaluate(preds, golds).sentence_accuracy == 1.0
 
 
 def test_sentence_accuracy_right_flag_wrong_sentence():
     golds = [record_with_error("a", ["S0.", "S1."], 1, "Fixed.")]
     preds = [Prediction("a", 1, 0, "Fixed.")]
-    assert flag_accuracy(preds, golds) == 1.0
-    assert sentence_accuracy(preds, golds) == 0.0
+    report = evaluate(preds, golds)
+    assert report.flag_accuracy == 1.0
+    assert report.sentence_accuracy == 0.0
 
 
 def test_accuracy_id_mismatch_lists_symmetric_difference():
     golds = [record_no_error("a", ["Fine."]), record_no_error("b", ["Fine."])]
     preds = [Prediction("a", 0, -1, NA), Prediction("c", 0, -1, NA)]
     with pytest.raises(ValidationError) as exc_info:
-        flag_accuracy(preds, golds)
+        evaluate(preds, golds)
     assert "'b'" in str(exc_info.value)
     assert "'c'" in str(exc_info.value)
 

@@ -752,7 +752,7 @@ def test_trace_file_shape():
     stages = [t["stage"] for t in obj["trace"]]
     assert stages == ["detect", "localize", "correct", "quality_gate"]
     # Inputs are rebuilt from the record and earlier outputs, never stored.
-    assert all(set(t) == {"stage", "keys", "raw_completion", "outputs", "attempts"} for t in obj["trace"])
+    assert all(set(t) == {"stage", "keys", "raw_completion", "outputs"} for t in obj["trace"])
     assert [len(t["keys"]) for t in obj["trace"]] == [1, 1, 1, 0]
 
 
@@ -775,14 +775,14 @@ def assert_traces_rebuild_their_requests(pipeline, records, gateway) -> int:
             else:
                 messages = render_messages(program, {name: known[name] for name in program.signature.input_names()})
                 requests = [gateway.request(messages)]
-                if entry["attempts"] == 2:
+                if len(entry["keys"]) == 2:
                     *leading, last = messages
                     reminded = Message(last.role, last.content + "\n\n" + _reminder(program))
                     requests.append(gateway.request([*leading, reminded]))
                     retries += 1
-                assert len(entry["keys"]) == entry["attempts"]
                 assert [canonical_key(request) for request in requests] == entry["keys"]
                 assert all(gateway.cache.get(key) is not None for key in entry["keys"])
+                assert entry["raw_completion"] == gateway.cache.get(entry["keys"][-1]).text
             if entry["stage"] == "quality_gate":
                 final, gated = quality_gate(known["error_sentence"], known["corrected_sentence"], pipeline.gate_threshold)
                 assert entry["outputs"] == {"gated": str(gated).lower(), "final": final}

@@ -357,9 +357,10 @@ class CountingResponder:
 
 def test_run_parses_well_formed_completion():
     gateway = LmGateway(backend=ScriptedBackend(lambda r: "Answer: fine"))
-    result = run(qa_program(), {"question": "ok?"}, gateway)
+    result = run(qa_program(), {"question": "ok?"}, gateway, "qa")
+    assert result.stage == "qa"
     assert result.outputs == {"answer": "fine"}
-    assert result.attempts == 1
+    assert len(result.keys) == 1
     assert result.raw_completion == "Answer: fine"
 
 
@@ -367,9 +368,9 @@ def test_run_retries_once_with_reminder_then_errors():
     responder = CountingResponder(["garbage", "still garbage"])
     gateway = LmGateway(backend=ScriptedBackend(responder))
     with pytest.raises(CompletionParseError) as exc_info:
-        run(qa_program(), {"question": "?"}, gateway)
+        run(qa_program(), {"question": "?"}, gateway, "qa")
     assert responder.calls == 2
-    assert exc_info.value.attempts == 2
+    assert "after 2 attempts" in str(exc_info.value)
     assert exc_info.value.raw_text == "still garbage"
 
 
@@ -383,9 +384,9 @@ def test_run_recovers_on_second_attempt():
         return "Answer: recovered"
 
     gateway = LmGateway(backend=ScriptedBackend(responder))
-    result = run(qa_program(), {"question": "?"}, gateway)
+    result = run(qa_program(), {"question": "?"}, gateway, "qa")
     assert result.outputs == {"answer": "recovered"}
-    assert result.attempts == 2
+    assert len(result.keys) == 2
     assert len(seen) == 2
     assert "must contain exactly these labeled fields: Answer" in seen[1]
     assert seen[1].startswith(seen[0])  # retry appends, never rewrites
