@@ -43,11 +43,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the CLI contract is 1.
     def error(self, message: str):  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValidationError(message)
 
 
 def _say(message: str) -> None:
@@ -137,20 +133,28 @@ def _read_text(path: str | Path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_distinct(*paths: str | Path) -> None:
+    """Refuse two output paths that name one file."""
+    targets: set[str] = set()
+    for path in paths:
+        target = os.path.realpath(path)
+        if target in targets:
+            raise ValidationError(f"two outputs name one file: {path}")
+        targets.add(target)
+
+
 def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
     """Write each (path, text) as UTF-8, encoding every text and refusing two
     paths that name one file before opening any, so a run that fails here
     leaves every existing output file as it was."""
-    encoded: dict[str, tuple[Path, bytes]] = {}  # by the resolved path
+    _check_distinct(*(path for path, _ in outputs))
+    encoded: list[tuple[Path, bytes]] = []
     for path, text in outputs:
-        target = os.path.realpath(path)
-        if target in encoded:
-            raise ValidationError(f"two outputs name one file: {path}")
         try:
-            encoded[target] = (Path(path), text.encode("utf-8"))
+            encoded.append((Path(path), text.encode("utf-8")))
         except UnicodeEncodeError as exc:
             raise ValidationError(f"cannot write {path}: {exc}") from exc
-    for path, data in encoded.values():
+    for path, data in encoded:
         path.write_bytes(data)
 
 
@@ -232,10 +236,12 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.optimize.seed
-    gateway = build_gateway(config)
     trainset = _parse_file(args.train, corpus.parse_clinical_records)
     valset = _parse_file(args.val, corpus.parse_clinical_records)
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir=None)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are valid, before any model call
+    gateway = build_gateway(config)
     opt = config.optimize
     if args.pipeline == "ms":
         compiled, reports = optimize.compile_ms_pipeline(
@@ -255,8 +261,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
             rouge_pass_threshold=opt.rouge_pass_threshold,
             binary_pass_threshold=opt.binary_pass_threshold,
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_outputs(
         *((out_dir / f"{stage}.json", program_to_json(program)) for stage, program in compiled.stages.items()),
         *((out_dir / f"compile_report_{name}.json", report.to_json()) for name, report in reports.items()),
@@ -282,6 +286,7 @@ def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[st
 
 def cmd_predict(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    _check_distinct(args.out, *filter(None, [args.trace_out]))  # before any model call
     text, predictions = _predict_to_text(args, config)
     outputs = [(args.out, text)]
     if args.trace_out:
@@ -372,9 +377,6 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         return args.handler(args)
-    except _UsageError as exc:
-        _say(f"error: {exc}")
-        return EXIT_USER
     except (ValidationError, ConfigError, OSError, UnicodeError) as exc:
         _say(f"error: {exc}")
         return EXIT_USER

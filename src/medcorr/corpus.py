@@ -24,7 +24,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
 
@@ -44,14 +44,10 @@ CLINICAL_CSV_COLUMNS = (
 )
 
 
-class Sentence(NamedTuple):
-    sentence_id: int
-    text: str
-
-
 @dataclass(frozen=True)
 class ClinicalRecord:
-    """One clinical text split into numbered sentences plus gold annotations.
+    """One clinical text split into sentences plus gold annotations. A
+    sentence's id is its index in ``sentences``.
 
     Gold fields are ``None`` for unlabeled records. For labeled records the
     flag, error sentence id and correction are mutually consistent:
@@ -60,7 +56,7 @@ class ClinicalRecord:
     """
 
     record_id: str
-    sentences: tuple[Sentence, ...]
+    sentences: tuple[str, ...]
     gold_flag: int | None = None
     gold_error_sentence_id: int | None = None
     gold_correction: str | None = None
@@ -70,15 +66,8 @@ class ClinicalRecord:
             raise ValidationError("record_id must be non-empty")
         if not self.sentences:
             raise ValidationError(f"record {self.record_id!r}: no sentences")
-        prev = -1
-        for sid, text in self.sentences:
-            if sid <= prev:
-                raise ValidationError(
-                    f"record {self.record_id!r}: sentence ids must be unique and strictly increasing"
-                )
-            if not text:
-                raise ValidationError(f"record {self.record_id!r}: sentence {sid} is empty")
-            prev = sid
+        if "" in self.sentences:
+            raise ValidationError(f"record {self.record_id!r}: sentence {self.sentences.index('')} is empty")
         self._check_gold()
 
     def _check_gold(self) -> None:
@@ -100,8 +89,7 @@ class ClinicalRecord:
             if self.gold_correction != NA:
                 raise ValidationError(f"record {rid!r}: flag 0 requires an NA correction")
         else:
-            ids = {s.sentence_id for s in self.sentences}
-            if self.gold_error_sentence_id not in ids:
+            if self.gold_error_sentence_id not in self.sentence_ids():
                 raise ValidationError(
                     f"record {rid!r}: error_sentence_id {self.gold_error_sentence_id} "
                     "does not reference an existing sentence"
@@ -116,16 +104,15 @@ class ClinicalRecord:
         return self.gold_flag is not None
 
     def full_text(self) -> str:
-        return "\n".join(s.text for s in self.sentences)
+        return "\n".join(self.sentences)
 
     def sentence_text(self, sentence_id: int) -> str:
-        for sid, text in self.sentences:
-            if sid == sentence_id:
-                return text
-        raise ValidationError(f"record {self.record_id!r}: no sentence with id {sentence_id}")
+        if sentence_id not in self.sentence_ids():
+            raise ValidationError(f"record {self.record_id!r}: no sentence with id {sentence_id}")
+        return self.sentences[sentence_id]
 
-    def sentence_ids(self) -> tuple[int, ...]:
-        return tuple(s.sentence_id for s in self.sentences)
+    def sentence_ids(self) -> range:
+        return range(len(self.sentences))
 
 
 @dataclass(frozen=True)
@@ -219,7 +206,7 @@ def _record_from_parts(
         error_sentence_id = correction = None
     return ClinicalRecord(
         record_id=record_id,
-        sentences=tuple(Sentence(i, sentence) for i, sentence in enumerate(sentences)),
+        sentences=tuple(sentences),
         gold_flag=error_flag,
         gold_error_sentence_id=error_sentence_id,
         gold_correction=correction,
@@ -292,7 +279,7 @@ def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = 
                 [
                     r.record_id,
                     r.full_text(),
-                    json.dumps([s.text for s in r.sentences], ensure_ascii=False),
+                    json.dumps(r.sentences, ensure_ascii=False),
                     "" if r.gold_flag is None else str(r.gold_flag),
                     "" if r.gold_error_sentence_id is None else str(r.gold_error_sentence_id),
                     r.gold_correction or "",
@@ -306,7 +293,7 @@ def serialize_clinical_records(records: Iterable[ClinicalRecord], format: str = 
             obj: dict[str, object] = {
                 "record_id": r.record_id,
                 "text": r.full_text(),
-                "sentences": [s.text for s in r.sentences],
+                "sentences": r.sentences,
             }
             if r.gold_flag is not None:
                 obj["error_flag"] = r.gold_flag

@@ -198,7 +198,11 @@ class Candidate:
     candidate_id: int
     instructions: dict[str, str]
     demos: dict[str, tuple[Demo, ...]]
-    validation_score: float
+    scores: tuple[float, ...]  # one per valset record, in valset order
+
+    @property
+    def validation_score(self) -> float:
+        return sum(self.scores) / len(self.scores)
 
     def demo_sources(self) -> dict[str, list[str | None]]:
         return {stage: [d.source_record_id for d in demos] for stage, demos in self.demos.items()}
@@ -211,7 +215,6 @@ class CompileReport:
     trainset_record_ids: tuple[str, ...]
     valset_record_ids: tuple[str, ...]
     candidates: tuple[Candidate, ...]
-    per_example_scores: dict[int, tuple[float, ...]]
 
     @property
     def winner(self) -> Candidate:
@@ -240,7 +243,7 @@ class CompileReport:
                 }
                 for c in self.candidates
             ],
-            "per_example_scores": {str(cid): list(scores) for cid, scores in self.per_example_scores.items()},
+            "per_example_scores": {str(c.candidate_id): list(c.scores) for c in self.candidates},
         }
 
     def to_json(self) -> str:
@@ -322,26 +325,17 @@ def _search(
             }
             specs.append((instructions, demos))
     flat += score(specs[1:])
-    candidates: list[Candidate] = []
-    per_example: dict[int, tuple[float, ...]] = {}
-    for candidate_id, (instructions, demos) in enumerate(specs):
-        scores = tuple(flat[candidate_id * len(valset) : (candidate_id + 1) * len(valset)])
-        per_example[candidate_id] = scores
-        candidates.append(
-            Candidate(
-                candidate_id=candidate_id,
-                instructions=instructions,
-                demos=demos,
-                validation_score=sum(scores) / len(scores),
-            )
-        )
+    n = len(valset)
+    candidates = tuple(
+        Candidate(candidate_id, instructions, demos, tuple(flat[candidate_id * n : (candidate_id + 1) * n]))
+        for candidate_id, (instructions, demos) in enumerate(specs)
+    )
     report = CompileReport(
         seed=seed,
         stages=stage_names,
         trainset_record_ids=trainset_record_ids,
         valset_record_ids=tuple(r.record_id for r in valset),
-        candidates=tuple(candidates),
-        per_example_scores=per_example,
+        candidates=candidates,
     )
     winner = report.winner
     return _candidate_pipeline(pipeline, winner.instructions, winner.demos), report

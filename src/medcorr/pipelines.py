@@ -66,7 +66,7 @@ def no_error_prediction(record_id: str, trace: tuple[StageTrace, ...] = (), erro
 
 
 def render_numbered_text(record: ClinicalRecord) -> str:
-    return "\n".join(f"{sid}: {text}" for sid, text in record.sentences)
+    return "\n".join(f"{sid}: {text}" for sid, text in enumerate(record.sentences))
 
 
 def render_mcq(record: McqRecord) -> str:
@@ -120,7 +120,13 @@ def parse_line_value(stage: str, value: str, record: ClinicalRecord) -> int:
     found = _INT_IN_TEXT.search(value)
     if not found:
         raise PipelineStageError(stage, f"no line number in {value!r}")
-    line = int(found.group(0))
+    digits = found.group(0)
+    try:
+        line = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise PipelineStageError(
+            stage, f"line {digits[:20]}... ({len(digits)} digits) is not a sentence id of record {record.record_id!r}"
+        ) from None
     if line not in record.sentence_ids():
         raise PipelineStageError(
             stage,
@@ -396,7 +402,7 @@ class UwPipeline(Pipeline):
         ``localize`` on the numbered text, or ``correct`` on the gold error
         sentence, then the gate. A flag-1 answer that stops before ``correct``
         keeps its line's sentence; ``detect``, whose metric reads only the
-        flag, names line one.
+        flag, names line 0.
         """
         trace: list[StageTrace] = []
         if self.gold_stage == "correct":
@@ -409,8 +415,7 @@ class UwPipeline(Pipeline):
         if parse_flag_value("detect", flag) == 0:
             return no_error_prediction(record.record_id, trace=tuple(trace))
         if self.gold_stage == "detect":
-            first_line, first_sentence = record.sentences[0]
-            return Prediction(record.record_id, 1, first_line, first_sentence, trace=tuple(trace))
+            return Prediction(record.record_id, 1, 0, record.sentences[0], trace=tuple(trace))
         line = self._localize(record, {"clinical_text": numbered}, gateway, trace)
         return self._correct(record, line, {}, gateway, trace)
 

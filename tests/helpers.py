@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable, Sequence
 
-from medcorr.corpus import ClinicalRecord, McqRecord, Sentence, mcq_to_object
+from medcorr.corpus import ClinicalRecord, McqRecord, mcq_to_object
 from medcorr.gateway import LmRequest, LmResponse
 from medcorr.corpus import NA
 from medcorr.program import field_label
@@ -20,7 +20,7 @@ from medcorr.program import field_label
 def record_no_error(record_id: str, sentences: Sequence[str]) -> ClinicalRecord:
     return ClinicalRecord(
         record_id=record_id,
-        sentences=tuple(Sentence(i, s) for i, s in enumerate(sentences)),
+        sentences=tuple(sentences),
         gold_flag=0,
         gold_error_sentence_id=-1,
         gold_correction=NA,
@@ -32,7 +32,7 @@ def record_with_error(
 ) -> ClinicalRecord:
     return ClinicalRecord(
         record_id=record_id,
-        sentences=tuple(Sentence(i, s) for i, s in enumerate(sentences)),
+        sentences=tuple(sentences),
         gold_flag=1,
         gold_error_sentence_id=error_id,
         gold_correction=correction,
@@ -42,7 +42,7 @@ def record_with_error(
 def unlabeled_record(record_id: str, sentences: Sequence[str]) -> ClinicalRecord:
     return ClinicalRecord(
         record_id=record_id,
-        sentences=tuple(Sentence(i, s) for i, s in enumerate(sentences)),
+        sentences=tuple(sentences),
     )
 
 
@@ -141,7 +141,7 @@ def uw_gold_responder(records: Sequence[ClinicalRecord]) -> Callable[[LmRequest]
     Records are identified from the live block only, so the responder keeps
     working when compiled prompts carry other records as demos.
     """
-    by_first = {r.sentences[0].text: r for r in records}
+    by_first = {r.sentences[0]: r for r in records}
     by_error = {
         r.sentence_text(r.gold_error_sentence_id): r
         for r in records
@@ -173,7 +173,7 @@ def ms_gold_responder(
 ) -> Callable[[LmRequest], str]:
     """Scripted MS-stage completions: the extract stage returns the choice the
     record asserts, compare checks string equality, localize/correct echo gold."""
-    by_first = {r.sentences[0].text: r for r in records}
+    by_first = {r.sentences[0]: r for r in records}
     by_error = {
         r.sentence_text(r.gold_error_sentence_id): r
         for r in records
@@ -230,7 +230,7 @@ def magic_demo_setup():
         ),
     ]
     everyone = [train, *val]
-    by_first = {r.sentences[0].text: r for r in everyone}
+    by_first = {r.sentences[0]: r for r in everyone}
     by_error = {r.sentence_text(r.gold_error_sentence_id): r for r in everyone}
 
     def respond(request: LmRequest) -> str:

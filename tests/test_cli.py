@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -851,6 +853,14 @@ _FILE_FAILURES = {
          "--compiled", str(t / "missing"), "--config", str(no_model_config(t))],
         "missing",
     ),
+    "predict --out and --trace-out one file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--trace-out", str(t / "p.csv"), config=no_model_config(t)), "p.csv"
+    ),
+    "compile --out-dir a file": lambda t: (
+        ["compile", "--pipeline", "uw", "--train", str(RECORDS_CSV), "--val", str(RECORDS_CSV),
+         "--out-dir", str(RECORDS_CSV), "--config", str(no_model_config(t))],
+        str(RECORDS_CSV),
+    ),
     "cache_path is a directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", config=replay_config(t, directory(t / "cache"))), "cache"
     ),
@@ -891,19 +901,33 @@ def test_unreadable_undecodable_or_unwritable_file_exits_one_without_traceback(t
         assert named in result.stderr
 
 
-def surrogate_in_corrections(tmp_path: Path) -> Path:
-    # The cache file is valid UTF-8; its JSON escape decodes to a lone
-    # surrogate in every corrected sentence, so its first line is malformed.
+def cache_with_responses(tmp_path: Path, rewrite: Callable[[str], str]) -> Path:
+    """The fixture replay cache with every response text passed through ``rewrite``."""
     lines = []
     for line in CACHE_JSONL.read_text(encoding="utf-8").splitlines():
         entry = json.loads(line)
-        entry["response"]["text"] = entry["response"]["text"].replace(
-            "Corrected Sentence: ", "Corrected Sentence: \ud800"
-        )
+        entry["response"]["text"] = rewrite(entry["response"]["text"])
         lines.append(json.dumps(entry))
     cache = tmp_path / "cache.jsonl"
     cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return cache
+
+
+def surrogate_in_corrections(tmp_path: Path) -> Path:
+    # The cache file is valid UTF-8; its JSON escape decodes to a lone
+    # surrogate in every corrected sentence, so its first line is malformed.
+    return cache_with_responses(
+        tmp_path, lambda text: text.replace("Corrected Sentence: ", "Corrected Sentence: \ud800")
+    )
+
+
+def test_a_line_number_too_long_for_int_fails_its_record_without_traceback(tmp_path):
+    cache = cache_with_responses(tmp_path, lambda text: re.sub(r"Error Line: \d+", "Error Line: " + "7" * 5_000, text))
+    result = run_cli_process(predict_argv(tmp_path, "--pipeline", "uw", config=replay_config(tmp_path, cache)))
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stderr
+    localize_calls = CACHE_JSONL.read_text(encoding="utf-8").count("Error Line: the number")
+    assert localize_calls > 0 and f"({localize_calls} failed)" in result.stderr
 
 
 # Each case builds (argv, the file the error line names, the output files) in

@@ -13,7 +13,6 @@ from medcorr.corpus import (
     CLINICAL_CSV_COLUMNS,
     NA,
     ClinicalRecord,
-    Sentence,
     csv_rows,
     json_lines,
     parse_clinical_records,
@@ -53,7 +52,7 @@ def test_parse_error_row_carries_pathogen_sentences_verbatim():
         f'r2,"{error}","[""{error}""]",1,0,"{fixed}"'
     )
     (record,) = parse_clinical_records(raw)
-    assert record.sentences == (Sentence(0, error),)
+    assert record.sentences == (error,)
     assert record.gold_flag == 1
     assert record.gold_correction == fixed
 
@@ -73,7 +72,7 @@ def test_parse_flag1_without_correction_is_invalid():
 def test_a_flag_one_record_whose_correction_reads_na_is_rejected_in_memory():
     with pytest.raises(ValidationError, match="^record 'r4': flag 1 requires a non-empty corrected sentence$"):
         ClinicalRecord(
-            "r4", (Sentence(0, "Text."),), gold_flag=1, gold_error_sentence_id=0, gold_correction="NA"
+            "r4", ("Text.",), gold_flag=1, gold_error_sentence_id=0, gold_correction="NA"
         )
 
 
@@ -525,14 +524,9 @@ def test_split_is_bijection_property(n, seed, stratify):
 # --- record invariants -------------------------------------------------------------------
 
 
-def test_record_rejects_unsorted_sentence_ids():
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        ClinicalRecord("x", (Sentence(1, "A."), Sentence(0, "B.")))
-
-
 def test_record_rejects_empty_sentence():
-    with pytest.raises(ValidationError, match="empty"):
-        ClinicalRecord("x", (Sentence(0, ""),))
+    with pytest.raises(ValidationError, match="^record 'x': sentence 1 is empty$"):
+        ClinicalRecord("x", ("A.", ""))
 
 
 def test_record_error_id_must_reference_sentence():

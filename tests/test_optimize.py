@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import logging
 import random
 import re
@@ -124,7 +125,7 @@ def test_bootstrap_known_passing_subset_caps_pool():
             record_sentence = live_block(request)
             failing = [r for r in records if r.record_id not in passing_ids]
             for r in failing:
-                if r.sentences[0].text in record_sentence:
+                if r.sentences[0] in record_sentence:
                     return "Rationale: r.\nError Flag: 0"  # wrong on purpose
         return base(request)
 
@@ -162,7 +163,7 @@ def uw_gateway(records, answer=lambda stage, record, request: None, **options):
     a stage's gold answer unless it is None; ``record`` is the one the live
     block names (for ``correct``, by its gold error sentence), else None."""
     gold = uw_gold_responder(records)
-    by_first = {r.sentences[0].text: r for r in records}
+    by_first = {r.sentences[0]: r for r in records}
     by_error = {r.sentence_text(r.gold_error_sentence_id): r for r in records if r.gold_flag == 1}
     sent = []
 
@@ -488,8 +489,8 @@ def test_mipro_cross_space_includes_baseline_and_winner_is_max():
 
 def test_compile_report_tie_breaks_to_lowest_id():
     candidates = (
-        Candidate(0, {}, {}, validation_score=0.9),
-        Candidate(1, {}, {}, validation_score=0.9),
+        Candidate(0, {}, {}, scores=(0.9,)),
+        Candidate(1, {}, {}, scores=(0.9,)),
     )
     report = CompileReport(
         seed=0,
@@ -497,9 +498,43 @@ def test_compile_report_tie_breaks_to_lowest_id():
         trainset_record_ids=(),
         valset_record_ids=("v",),
         candidates=candidates,
-        per_example_scores={0: (0.9,), 1: (0.9,)},
     )
     assert report.winner.candidate_id == 0
+
+
+# sha256 of each report's to_json and each compiled stage's program_to_json
+# for one fixed-seed uw compile; any change to a compile artifact shows here.
+UW_COMPILE_SHA256 = {
+    "detect": (
+        "47bd2e3f802c76baa3e5738213bd2cc743d173452109c476bee9025f2735964f",
+        "89867ed1e05491e8ec3d2470cfe3dd63744f252bca7e2b444c132cce9041794c",
+    ),
+    "localize": (
+        "327def14e5c73956dce0c71de5d9e31ab2b0de4495c533fa224c3a92545cc2b7",
+        "3ef96902a071981e5c6cfa5b5986b86b8db11541c192903909d44683788fae35",
+    ),
+    "correct": (
+        "458de69ffa1429991d4471403936d7f8ab2323c1b286350cac3c996ae403f645",
+        "8e5c4737d1f2cd9308f425fc4e6d57eb78a25e0d5e833723dfbc3e252cd3b0b8",
+    ),
+}
+
+
+def test_fixed_seed_uw_compile_artifacts_are_pinned():
+    train, val, gateway = magic_demo_setup()
+    compiled, reports = compile_uw_pipeline(
+        default_uw_pipeline(), [train, *val], val, gateway, seed=3, budget=(2, 3), demos_per_stage=1
+    )
+    detect = reports["detect"]
+    assert (detect.winner_id, detect.winner.validation_score - detect.candidates[0].validation_score) == (1, 1.0)
+
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    assert {
+        stage: (sha256(report.to_json()), sha256(program_to_json(compiled.stages[stage])))
+        for stage, report in reports.items()
+    } == UW_COMPILE_SHA256
 
 
 # --- full compile flows -----------------------------------------------------------------------
@@ -604,9 +639,9 @@ def test_uw_detect_compile_keeps_the_demo_and_score_of_a_record_whose_localize_f
     _, reports = compile_uw_pipeline(default_uw_pipeline(), train, val, gateway, seed=3, budget=(1, 2), demos_per_stage=8)
     detect = reports["detect"]
     assert train[0].record_id in detect.candidates[1].demo_sources()["detect"]
-    assert detect.per_example_scores[0][0] == 1.0
-    assert reports["localize"].per_example_scores[0][0] == 0.0
-    assert reports["correct"].per_example_scores[0][0] == 1.0
+    assert detect.candidates[0].scores[0] == 1.0
+    assert reports["localize"].candidates[0].scores[0] == 0.0
+    assert reports["correct"].candidates[0].scores[0] == 1.0
 
 
 def test_uw_correct_compile_scores_the_gold_sentence_when_localize_picks_another_line():
@@ -624,8 +659,8 @@ def test_uw_correct_compile_scores_the_gold_sentence_when_localize_picks_another
         default_uw_pipeline(), train, val, uw_gateway(records, wrong_line)[0],
         seed=3, budget=(1, 2), demos_per_stage=4,
     )
-    assert reports["localize"].per_example_scores[0] == (0.0, 0.0)
-    assert reports["correct"].per_example_scores[0] == (1.0, 1.0)
+    assert reports["localize"].candidates[0].scores == (0.0, 0.0)
+    assert reports["correct"].candidates[0].scores == (1.0, 1.0)
 
 
 def test_each_uw_stage_compile_sends_only_its_own_stage_and_proposals():

@@ -216,6 +216,13 @@ def test_ms_predict_out_of_range_line_is_stage_error():
     assert exc_info.value.stage == "localize"
 
 
+def test_a_line_number_too_long_for_int_is_a_stage_error():
+    record, pipeline = pathogen_fixture()
+    gateway = LmGateway(backend=ScriptedBackend(pathogen_responder(localize_answer="7" * 5_000)))
+    with pytest.raises(PipelineStageError, match=r"^stage 'localize': line 7{20}\.\.\. \(5000 digits\) is not a sentence id"):
+        pipeline.predict(record, gateway)
+
+
 def na_rewrite_responder(request):
     """The pathogen answers, except that the rewrite reads exactly "NA"."""
     if stage_of(request) == "correct":
@@ -443,7 +450,7 @@ def test_fallback_predictions_keep_invariant():
 
     def flaky(request):
         # fail every request for the second record
-        if records[1].sentences[0].text in request.messages[-1].content:
+        if records[1].sentences[0] in request.messages[-1].content:
             return "no parsable fields here"
         return base(request)
 
@@ -463,7 +470,7 @@ def test_predict_batch_strict_aborts_on_failure():
     base = uw_gold_responder(records)
 
     def flaky(request):
-        if records[1].sentences[0].text in request.messages[-1].content:
+        if records[1].sentences[0] in request.messages[-1].content:
             return "garbage"
         return base(request)
 
