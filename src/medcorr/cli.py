@@ -133,21 +133,26 @@ def _read_text(path: str | Path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _check_distinct(*paths: str | Path) -> None:
-    """Refuse two output paths that name one file."""
+def _check_outputs(*paths: str | Path) -> None:
+    """Refuse, before any work, an output path whose directory is missing, one
+    that names a directory, and two that name one file."""
     targets: set[str] = set()
     for path in paths:
         target = os.path.realpath(path)
+        if os.path.isdir(target):
+            raise ValidationError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(target)):
+            raise ValidationError(f"cannot write {path}: its directory does not exist")
         if target in targets:
             raise ValidationError(f"two outputs name one file: {path}")
         targets.add(target)
 
 
 def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
-    """Write each (path, text) as UTF-8, encoding every text and refusing two
-    paths that name one file before opening any, so a run that fails here
-    leaves every existing output file as it was."""
-    _check_distinct(*(path for path, _ in outputs))
+    """Write each (path, text) as UTF-8, checking every path and encoding
+    every text before opening any, so a run that fails here leaves every
+    existing output file as it was."""
+    _check_outputs(*(path for path, _ in outputs))
     encoded: list[tuple[Path, bytes]] = []
     for path, text in outputs:
         try:
@@ -286,7 +291,7 @@ def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[st
 
 def cmd_predict(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    _check_distinct(args.out, *filter(None, [args.trace_out]))  # before any model call
+    _check_outputs(args.out, *filter(None, [args.trace_out]))  # before any model call
     text, predictions = _predict_to_text(args, config)
     outputs = [(args.out, text)]
     if args.trace_out:
@@ -298,6 +303,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)  # before any scorer request
     predictions = _parse_file(args.pred, pipelines.parse_predictions)
     golds = _parse_file(args.gold, corpus.parse_clinical_records)
     scorers = []

@@ -47,11 +47,6 @@ class LiveRequestError(GatewayError):
 class CompletionParseError(MedcorrError):
     """A completion could not be parsed into the expected output fields."""
 
-    def __init__(self, message: str, missing_fields: tuple[str, ...] = (), raw_text: str = ""):
-        super().__init__(message)
-        self.missing_fields = missing_fields
-        self.raw_text = raw_text
-
 
 class PipelineStageError(MedcorrError):
     """A pipeline stage produced an unusable value (e.g. out-of-range line id)."""

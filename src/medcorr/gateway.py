@@ -205,9 +205,11 @@ class ReplayCache:
                 if line.strip():
                     try:
                         entry = json_loads(line.removesuffix(b"\n"))
-                        response = entry["response"]
+                        key, response = entry["key"], entry["response"]
+                        if type(key) is not str:
+                            raise ValidationError(f"key is {type(key).__name__}, not a string")
                         self._entries.setdefault(
-                            entry["key"],
+                            key,
                             LmResponse(
                                 text=response["text"],
                                 prompt_tokens=response.get("prompt_tokens", 0),

@@ -348,17 +348,7 @@ class MsPipeline(Pipeline):
         hit = query(self.index, record.full_text(), k=1)[0]
         mcq_rendered = render_mcq(hit.record)
         correct_answer = hit.record.correct_text
-        trace: list[StageTrace] = [
-            StageTrace(
-                "retrieve",
-                outputs={
-                    "doc_id": str(hit.doc_id),
-                    "score": f"{hit.score:.6f}",
-                    "similar_question": mcq_rendered,
-                    "correct_answer": correct_answer,
-                },
-            )
-        ]
+        trace = [StageTrace("retrieve", outputs={"doc_id": str(hit.doc_id), "score": f"{hit.score:.6f}"})]
         numbered = render_numbered_text(record)
         extracted = _run_stage(
             "extract_choice", self.extract_choice,
@@ -555,10 +545,7 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                     "error_sentence_id": p.error_sentence_id,
                     "corrected_sentence": p.corrected_sentence,
                     "error": p.error,
-                    "trace": [
-                        {"stage": t.stage, "keys": t.keys, "raw_completion": t.raw_completion, "outputs": t.outputs}
-                        for t in p.trace
-                    ],
+                    "trace": [{"stage": t.stage, "keys": t.keys, "outputs": t.outputs} for t in p.trace],
                 },
                 ensure_ascii=False,
                 sort_keys=True,

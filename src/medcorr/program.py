@@ -216,11 +216,7 @@ def parse_completion(program: Program, completion_text: str) -> dict[str, str]:
         values[name] = completion_text[value_start:value_end].strip()
     missing = sorted(expected - set(values))
     if missing:
-        raise CompletionParseError(
-            f"completion is missing output field(s): {missing}",
-            missing_fields=tuple(missing),
-            raw_text=completion_text,
-        )
+        raise CompletionParseError(f"completion is missing output field(s): {missing}")
     return values
 
 
@@ -228,13 +224,13 @@ def parse_completion(program: Program, completion_text: str) -> dict[str, str]:
 class StageTrace:
     """One stage of a prediction. ``keys`` names each attempt's request by its
     cache key, so ``len(keys)`` counts the attempts; a stage that calls no
-    model has none. ``inputs`` stays in memory for bootstrapping demos, but
-    trace files leave it out."""
+    model has none. The cache line of ``keys[-1]`` holds the completion that
+    ``outputs`` was parsed from. ``inputs`` stays in memory for bootstrapping
+    demos, but trace files leave it out."""
 
     stage: str
     outputs: dict[str, str]
     inputs: Mapping[str, str] = field(default_factory=dict)
-    raw_completion: str = ""
     keys: tuple[str, ...] = ()
 
 
@@ -250,7 +246,7 @@ def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway, stage: 
     request = gateway.request(messages)
     response = gateway.complete(request)
     try:
-        return StageTrace(stage, parse_completion(program, response.text), inputs, response.text, (request.key,))
+        return StageTrace(stage, parse_completion(program, response.text), inputs, (request.key,))
     except CompletionParseError:
         pass
     retry = gateway.request(
@@ -258,13 +254,10 @@ def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway, stage: 
     )
     retry_response = gateway.complete(retry)
     try:
-        keys = (request.key, retry.key)
-        return StageTrace(stage, parse_completion(program, retry_response.text), inputs, retry_response.text, keys)
+        return StageTrace(stage, parse_completion(program, retry_response.text), inputs, (request.key, retry.key))
     except CompletionParseError as exc:
         raise CompletionParseError(
-            f"program {program.signature.name!r}: completion unparseable after 2 attempts: {exc}",
-            missing_fields=exc.missing_fields,
-            raw_text=retry_response.text,
+            f"program {program.signature.name!r}: completion unparseable after 2 attempts: {exc}"
         ) from None
 
 

@@ -6,11 +6,12 @@ canonicalization, or the default pipelines:
 
     python3 tests/fixtures/regen.py
 
-Rewrites, in this directory:
+Rewrites, in this directory (or in the directory given to ``main``):
   - clinical_10.csv        ten labeled records in the canonical table format
   - replay_cache.jsonl     every completion the zero-shot staged pipeline
                            issues over those records, content-addressed
   - predictions_golden.csv the byte-exact predictions the replay must yield
+  - traces_golden.jsonl    the byte-exact trace file the replay must yield
   - mcq_corpus.jsonl       a small MCQ corpus for index-building tests
 """
 
@@ -26,7 +27,12 @@ from helpers import record_no_error, record_with_error, serialize_mcq_corpus, uw
 
 from medcorr.corpus import serialize_clinical_records, McqRecord  # noqa: E402
 from medcorr.gateway import LmGateway, ReplayCache, ScriptedBackend  # noqa: E402
-from medcorr.pipelines import default_uw_pipeline, predict_batch, serialize_predictions  # noqa: E402
+from medcorr.pipelines import (  # noqa: E402
+    default_uw_pipeline,
+    predict_batch,
+    serialize_predictions,
+    serialize_traces,
+)
 
 
 def fixture_records():
@@ -167,16 +173,16 @@ def fixture_mcqs():
     ]
 
 
-def main() -> None:
+def main(out_dir: Path = FIXTURES_DIR) -> None:
     records = fixture_records()
-    (FIXTURES_DIR / "clinical_10.csv").write_text(
+    (out_dir / "clinical_10.csv").write_text(
         serialize_clinical_records(records), encoding="utf-8"
     )
-    (FIXTURES_DIR / "mcq_corpus.jsonl").write_text(
+    (out_dir / "mcq_corpus.jsonl").write_text(
         serialize_mcq_corpus(fixture_mcqs()), encoding="utf-8"
     )
 
-    cache_path = FIXTURES_DIR / "replay_cache.jsonl"
+    cache_path = out_dir / "replay_cache.jsonl"
     if cache_path.exists():
         cache_path.unlink()
     gateway = LmGateway(
@@ -186,8 +192,11 @@ def main() -> None:
     )
     predictions = predict_batch(default_uw_pipeline(), records, gateway, concurrency=1)
     assert all(p.error is None for p in predictions), "fixture generation must not fail"
-    (FIXTURES_DIR / "predictions_golden.csv").write_text(
+    (out_dir / "predictions_golden.csv").write_text(
         serialize_predictions(predictions), encoding="utf-8"
+    )
+    (out_dir / "traces_golden.jsonl").write_text(
+        serialize_traces(predictions), encoding="utf-8"
     )
     print(f"wrote {len(records)} records, {len(ReplayCache(cache_path))} cache entries")
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -198,6 +200,21 @@ def test_ingest_reads_a_note_longer_than_the_default_csv_field_limit(tmp_path):
     assert record.full_text() == note
 
 
+def test_ingest_writes_the_sentences_joined_by_newlines_as_text(tmp_path):
+    # Gold segmentation is authoritative: the input's text column is checked, then dropped.
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        'record_id,text,sentences_json,error_flag,error_sentence_id,corrected_sentence\n'
+        'r1,Original note text. Two.,"[""One."", ""Two.""]",0,-1,NA\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.csv"
+    assert run_command(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"), newline=""))
+    assert row["text"] == "One.\nTwo."
+    assert json.loads(row["sentences_json"]) == ["One.", "Two."]
+
+
 # --- index --------------------------------------------------------------------------
 
 
@@ -233,6 +250,7 @@ def test_predict_replay_reproduces_golden_predictions(tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == GOLDEN_PREDICTIONS.read_bytes()
+    assert trace_out.read_bytes() == (FIXTURES / "traces_golden.jsonl").read_bytes()
     traces = [json.loads(line) for line in trace_out.read_text().splitlines()]
     assert len(traces) == 10
     assert all(t["error"] is None for t in traces)
@@ -866,6 +884,26 @@ _FILE_FAILURES = {
     ),
     "predict --out in a missing directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", "--out", str(t / "missing" / "p.csv")), "missing"
+    ),
+    # Under a strict empty replay cache a model call exits 2, so exit 1 shows
+    # the output path was refused before any model call.
+    "predict --out in a missing directory, before any model call": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--out", str(t / "missing" / "p.csv"), config=no_model_config(t)),
+        "missing",
+    ),
+    "predict --trace-out in a missing directory, before any model call": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--trace-out", str(t / "missing" / "t.jsonl"), config=no_model_config(t)),
+        "missing",
+    ),
+    "predict --out a directory, before any model call": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--out", str(directory(t / "out-dir")), config=no_model_config(t)),
+        "out-dir",
+    ),
+    # nothing listens on port 9, so a scorer request fails the strict run naming the scorer
+    "evaluate --out in a missing directory, before any scorer request": lambda t: (
+        ["evaluate", "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(RECORDS_CSV), "--out",
+         str(t / "missing" / "s.json"), "--scorer", "bertscore=http://127.0.0.1:9/score", "--strict-scorers"],
+        "missing",
     ),
     "ingest --out in a missing directory": lambda t: (
         ["ingest", "--in", str(RECORDS_CSV), "--out", str(t / "missing" / "c.csv")], "missing"

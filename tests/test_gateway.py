@@ -360,6 +360,15 @@ def test_cache_rejects_non_string_response_text_mid_file(tmp_path, text):
         ReplayCache(path)
 
 
+@pytest.mark.parametrize("key", [5, None, ["abc"]])
+def test_cache_rejects_a_non_string_key_mid_file(tmp_path, key):
+    path = tmp_path / "cache.jsonl"
+    bad = json.dumps({**json.loads(cache_line(fixture_request(), "one")), "key": key})
+    path.write_text(f"{bad}\n{cache_line(fixture_request(max_tokens=16), 'two')}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^cache file {re.escape(str(path))} line 1 is malformed: key is"):
+        ReplayCache(path)
+
+
 def test_cache_treats_a_final_unterminated_non_string_text_as_torn(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     first, second = fixture_request(), fixture_request(max_tokens=16)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 import threading
@@ -37,7 +38,7 @@ from medcorr.pipelines import (
     serialize_predictions,
     serialize_traces,
 )
-from medcorr.program import Demo, _reminder, program_to_json, render_messages
+from medcorr.program import Demo, _reminder, parse_completion, program_to_json, render_messages
 from medcorr.retrieval import build_index
 
 from helpers import (
@@ -188,7 +189,7 @@ def test_ms_predict_pathogen_worked_example():
         "correct",
     ]
     retrieve = prediction.trace[0]
-    assert retrieve.outputs["correct_answer"] == "Streptococcus pneumoniae"
+    assert pipeline.index.corpus[int(retrieve.outputs["doc_id"])].correct_text == "Streptococcus pneumoniae"
 
 
 def test_ms_predict_match_short_circuits_with_three_stage_trace():
@@ -759,7 +760,7 @@ def test_trace_file_shape():
     stages = [t["stage"] for t in obj["trace"]]
     assert stages == ["detect", "localize", "correct", "quality_gate"]
     # Inputs are rebuilt from the record and earlier outputs, never stored.
-    assert all(set(t) == {"stage", "keys", "raw_completion", "outputs"} for t in obj["trace"])
+    assert all(set(t) == {"stage", "keys", "outputs"} for t in obj["trace"])
     assert [len(t["keys"]) for t in obj["trace"]] == [1, 1, 1, 0]
 
 
@@ -789,15 +790,30 @@ def assert_traces_rebuild_their_requests(pipeline, records, gateway) -> int:
                     retries += 1
                 assert [canonical_key(request) for request in requests] == entry["keys"]
                 assert all(gateway.cache.get(key) is not None for key in entry["keys"])
-                assert entry["raw_completion"] == gateway.cache.get(entry["keys"][-1]).text
+                assert entry["outputs"] == parse_completion(program, gateway.cache.get(entry["keys"][-1]).text)
+            if entry["stage"] == "retrieve":
+                assert set(entry["outputs"]) == {"doc_id", "score"}
+                mcq = pipeline.index.corpus[int(entry["outputs"]["doc_id"])]
+                known.update(similar_question=pipelines.render_mcq(mcq), correct_answer=mcq.correct_text)
             if entry["stage"] == "quality_gate":
                 final, gated = quality_gate(known["error_sentence"], known["corrected_sentence"], pipeline.gate_threshold)
                 assert entry["outputs"] == {"gated": str(gated).lower(), "final": final}
-            known.update(entry["outputs"])  # retrieve gives similar_question and correct_answer
+            known.update(entry["outputs"])
             if entry["stage"] == "localize":
                 error_line = pipelines.parse_line_value("localize", entry["outputs"]["error_line"], record)
                 known["error_sentence"] = record.sentence_text(error_line)
     return retries
+
+
+def test_regen_rewrites_every_fixture_byte_for_byte(tmp_path):
+    spec = importlib.util.spec_from_file_location("regen", FIXTURES / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    regen.main(tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in FIXTURES.iterdir() if path.suffix in (".csv", ".jsonl"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_replayed_uw_fixture_traces_rebuild_every_request_from_the_record_and_earlier_outputs():

@@ -227,9 +227,8 @@ def test_parse_rationale_and_answer():
 
 def test_parse_missing_answer_names_field():
     program = qa_program(strategy=CHAIN_OF_THOUGHT)
-    with pytest.raises(CompletionParseError, match="answer") as exc_info:
+    with pytest.raises(CompletionParseError, match="answer"):
         parse_completion(program, "Rationale: thinking hard but never answering")
-    assert exc_info.value.missing_fields == ("answer",)
 
 
 def test_parse_shuffled_labels():
@@ -348,10 +347,12 @@ class CountingResponder:
     def __init__(self, scripts):
         self.scripts = list(scripts)
         self.calls = 0
+        self.last_request = None
 
     def __call__(self, request):
         text = self.scripts[min(self.calls, len(self.scripts) - 1)]
         self.calls += 1
+        self.last_request = request
         return text
 
 
@@ -361,7 +362,7 @@ def test_run_parses_well_formed_completion():
     assert result.stage == "qa"
     assert result.outputs == {"answer": "fine"}
     assert len(result.keys) == 1
-    assert result.raw_completion == "Answer: fine"
+    assert gateway.cache.get(result.keys[-1]).text == "Answer: fine"
 
 
 def test_run_retries_once_with_reminder_then_errors():
@@ -371,7 +372,7 @@ def test_run_retries_once_with_reminder_then_errors():
         run(qa_program(), {"question": "?"}, gateway, "qa")
     assert responder.calls == 2
     assert "after 2 attempts" in str(exc_info.value)
-    assert exc_info.value.raw_text == "still garbage"
+    assert gateway.cache.get(responder.last_request.key).text == "still garbage"
 
 
 def test_run_recovers_on_second_attempt():
