@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse, validate, and normalize a clinical dataset")
-    p_ingest.set_defaults(handler=cmd_ingest)
+    p_ingest.set_defaults(handler=cmd_ingest, outputs=("out",))
     p_ingest.add_argument("--in", dest="input", required=True, help="input dataset file")
     p_ingest.add_argument("--format", default="delimited-table", choices=["delimited-table", "json-lines"])
     p_ingest.add_argument("--out", required=True, help="normalized output file")
@@ -64,12 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="TF-IDF index operations")
     index_sub = p_index.add_subparsers(metavar="ACTION", required=True)
     p_build = index_sub.add_parser("build", help="build an index from an MCQ corpus")
-    p_build.set_defaults(handler=cmd_index_build)
+    p_build.set_defaults(handler=cmd_index_build, outputs=("out",))
     p_build.add_argument("--corpus", required=True, help="MCQ json-lines corpus")
     p_build.add_argument("--out", required=True, help="index output file")
 
     p_compile = sub.add_parser("compile", help="optimize pipeline prompts and demos")
-    p_compile.set_defaults(handler=cmd_compile)
+    p_compile.set_defaults(handler=cmd_compile, outputs=())  # checks its own, see cmd_compile
     p_compile.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_compile.add_argument("--train", required=True, help="training records (delimited-table)")
     p_compile.add_argument("--val", required=True, help="validation records (delimited-table)")
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--seed", type=int, help="override optimize.seed")
 
     p_predict = sub.add_parser("predict", help="run a pipeline over records")
-    p_predict.set_defaults(handler=cmd_predict)
+    p_predict.set_defaults(handler=cmd_predict, outputs=("out", "trace_out"), verify=False)
     p_predict.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_predict.add_argument("--records", help="records file (delimited-table); default paths.records")
     p_predict.add_argument("--out", required=True, help="predictions CSV output")
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--strict", action="store_true", help="abort on the first failed record")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against gold records")
-    p_eval.set_defaults(handler=cmd_evaluate)
+    p_eval.set_defaults(handler=cmd_evaluate, outputs=("out",))
     p_eval.add_argument("--pred", required=True, help="predictions CSV")
     p_eval.add_argument("--gold", required=True, help="gold records (delimited-table)")
     p_eval.add_argument("--out", required=True, help="score report JSON output")
@@ -104,16 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--strict-scorers", action="store_true", help="abort if an external scorer fails")
 
     p_report = sub.add_parser("report", help="render a score report")
-    p_report.set_defaults(handler=cmd_report)
+    p_report.set_defaults(handler=cmd_report, outputs=("out",))
     p_report.add_argument("--in", dest="input", required=True, help="score report JSON")
     p_report.add_argument("--format", default="table", choices=["table", "json", "markdown"])
     p_report.add_argument("--out", help="write rendering here instead of stdout")
 
     p_verify = sub.add_parser("replay-verify", help="re-run predictions against the cache and compare bytes")
-    p_verify.set_defaults(handler=cmd_replay_verify)
+    # predict, comparing its predictions with --pred instead of writing them
+    p_verify.set_defaults(handler=cmd_predict, outputs=(), verify=True, trace_out=None, strict=False)
     p_verify.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_verify.add_argument("--records", help="records file (delimited-table); default paths.records")
-    p_verify.add_argument("--pred", required=True, help="predictions CSV to verify")
+    p_verify.add_argument("--pred", dest="out", metavar="PRED", required=True, help="predictions CSV to verify")
     p_verify.add_argument("--index", help="TF-IDF index file (ms pipeline)")
     p_verify.add_argument("--compiled", help="directory of compiled stage programs")
     p_verify.add_argument("--config", help="engine config file")
@@ -134,8 +135,7 @@ def _read_text(path: str | Path) -> str:
 
 
 def _check_outputs(*paths: str | Path) -> None:
-    """Refuse, before any work, an output path whose directory is missing, one
-    that names a directory, and two that name one file."""
+    """Refuse an output path whose directory is missing, one that names a directory, and two that name one file."""
     targets: set[str] = set()
     for path in paths:
         target = os.path.realpath(path)
@@ -149,10 +149,8 @@ def _check_outputs(*paths: str | Path) -> None:
 
 
 def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
-    """Write each (path, text) as UTF-8, checking every path and encoding
-    every text before opening any, so a run that fails here leaves every
-    existing output file as it was."""
-    _check_outputs(*(path for path, _ in outputs))
+    """Write each (path, text) as UTF-8, encoding every text before opening any
+    file, so a run that fails here leaves every existing output file as it was."""
     encoded: list[tuple[Path, bytes]] = []
     for path, text in outputs:
         try:
@@ -174,6 +172,8 @@ def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
 
 def build_gateway(config: EngineConfig) -> LmGateway:
     gw = config.gateway
+    if gw.record and not os.path.isdir(os.path.dirname(os.path.realpath(gw.cache_path))):
+        raise ConfigError(f"gateway.cache_path {gw.cache_path} cannot be recorded into: its directory does not exist")
     if gw.backend == "replay":
         cache = ReplayCache(gw.cache_path)
         backend = ReplayBackend(cache)
@@ -246,6 +246,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir=None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are valid, before any model call
+    stage_paths = {stage: out_dir / f"{stage}.json" for stage in pipeline.stage_names}
+    report_paths = {phase: out_dir / f"compile_report_{phase}.json" for phase in optimize.COMPILE_PHASES[args.pipeline]}
+    _check_outputs(*stage_paths.values(), *report_paths.values())
     gateway = build_gateway(config)
     opt = config.optimize
     if args.pipeline == "ms":
@@ -267,14 +270,19 @@ def cmd_compile(args: argparse.Namespace) -> int:
             binary_pass_threshold=opt.binary_pass_threshold,
         )
     _write_outputs(
-        *((out_dir / f"{stage}.json", program_to_json(program)) for stage, program in compiled.stages.items()),
-        *((out_dir / f"compile_report_{name}.json", report.to_json()) for name, report in reports.items()),
+        *((stage_paths[stage], program_to_json(program)) for stage, program in compiled.stages.items()),
+        *((report_paths[phase], report.to_json()) for phase, report in reports.items()),
     )
     _say(f"compiled {args.pipeline} pipeline -> {out_dir}")
     return EXIT_OK
 
 
-def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[str, list[pipelines.Prediction]]:
+def cmd_predict(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    if args.verify:  # replay-verify: --pred is read before the first cache lookup
+        if config.gateway.backend != "replay":
+            raise ValidationError("replay-verify requires gateway.backend = replay")
+        expected = _read_text(args.out)
     gateway = build_gateway(config)
     records_path = args.records or config.paths.records
     if not records_path:
@@ -282,17 +290,15 @@ def _predict_to_text(args: argparse.Namespace, config: EngineConfig) -> tuple[st
     records = _parse_file(records_path, corpus.parse_clinical_records)
     compiled_dir = args.compiled or config.paths.compiled_dir or None
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir)
-    strict = getattr(args, "strict", False) or config.pipeline.strict
     predictions = pipelines.predict_batch(
-        pipeline, records, gateway, concurrency=config.gateway.concurrency, strict=strict
+        pipeline, records, gateway, concurrency=config.gateway.concurrency, strict=args.strict or config.pipeline.strict
     )
-    return pipelines.serialize_predictions(predictions), predictions
-
-
-def cmd_predict(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _check_outputs(args.out, *filter(None, [args.trace_out]))  # before any model call
-    text, predictions = _predict_to_text(args, config)
+    text = pipelines.serialize_predictions(predictions)
+    if args.verify:
+        if text != expected:
+            raise ValidationError(f"replayed predictions differ from {args.out}; fixtures have drifted")
+        _say(f"replay-verify OK: {args.out} reproduced byte-identically")
+        return EXIT_OK
     outputs = [(args.out, text)]
     if args.trace_out:
         outputs.append((args.trace_out, pipelines.serialize_traces(predictions)))
@@ -303,7 +309,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_outputs(args.out)  # before any scorer request
     predictions = _parse_file(args.pred, pipelines.parse_predictions)
     golds = _parse_file(args.gold, corpus.parse_clinical_records)
     scorers = []
@@ -363,25 +368,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_replay_verify(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if config.gateway.backend != "replay":
-        raise ValidationError("replay-verify requires gateway.backend = replay")
-    expected = _read_text(args.pred)
-    actual, _ = _predict_to_text(args, config)
-    if actual != expected:
-        raise ValidationError(
-            f"replayed predictions differ from {args.pred}; fixtures have drifted"
-        )
-    _say(f"replay-verify OK: {args.pred} reproduced byte-identically")
-    return EXIT_OK
-
-
 def run_command(argv: Sequence[str]) -> int:
     """Dispatch one CLI invocation, mapping errors to the exit-code taxonomy."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        # every declared output, before any config, input, gateway or scorer is touched
+        _check_outputs(*filter(None, (getattr(args, name) for name in args.outputs)))
         return args.handler(args)
     except (ValidationError, ConfigError, OSError, UnicodeError) as exc:
         _say(f"error: {exc}")

@@ -143,6 +143,8 @@ def _validate(config: EngineConfig) -> None:
         raise ConfigError(f"gateway.concurrency must be >= 1, got {gw.concurrency}")
     if gw.backend == "replay" and not gw.cache_path:
         raise ConfigError("gateway.cache_path must name a file for the replay backend")
+    if gw.record and not gw.cache_path:
+        raise ConfigError("gateway.cache_path must name a file to record into")
     opt = config.optimize
     if opt.n_candidates < 1:
         raise ConfigError(f"optimize.n_candidates must be >= 1, got {opt.n_candidates}")

@@ -51,6 +51,9 @@ DEFAULT_N_PROPOSALS = 5
 BINARY_PASS_THRESHOLD = 1.0
 ROUGE_PASS_THRESHOLD = 0.8
 
+# Each pipeline's compile phases in run order, one report each; a ``uw`` phase is the stage it compiles.
+COMPILE_PHASES = {"ms": ("flag", "correction"), "uw": UwPipeline.stage_names}
+
 _PROPOSAL_TEMPLATE = resources.files("medcorr").joinpath("assets/instruction_proposal_v1.txt")
 
 
@@ -494,7 +497,7 @@ def compile_ms_pipeline(
         flag_compiled, train_errors, val_errors, correction_rouge_l_metric(rouge_pass_threshold),
         budget, seed, gateway, demos_per_stage, stages=("correct",),
     )
-    return compiled, {"flag": flag_report, "correction": correct_report}  # type: ignore[return-value]
+    return compiled, dict(zip(COMPILE_PHASES["ms"], (flag_report, correct_report)))  # type: ignore[return-value]
 
 
 def compile_uw_pipeline(
@@ -521,10 +524,11 @@ def compile_uw_pipeline(
     train_errors, val_errors = error_records(trainset), error_records(valset)
     if not train_errors or not val_errors:
         raise ValidationError("uw localize/correct compile needs error-containing records in train and val")
+    detect, localize, correct = COMPILE_PHASES["uw"]
     phases = {
-        "detect": (trainset, valset, flag_match_metric(binary_pass_threshold)),
-        "localize": (train_errors, val_errors, sentence_match_metric(binary_pass_threshold)),
-        "correct": (train_errors, val_errors, correction_rouge_l_metric(rouge_pass_threshold)),
+        detect: (trainset, valset, flag_match_metric(binary_pass_threshold)),
+        localize: (train_errors, val_errors, sentence_match_metric(binary_pass_threshold)),
+        correct: (train_errors, val_errors, correction_rouge_l_metric(rouge_pass_threshold)),
     }
     results = map_ordered(
         lambda stage: mipro_compile(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from typing import Callable
 
 import pytest
 
-from medcorr.cli import run_command
+from medcorr.cli import build_parser, run_command
 from medcorr.corpus import parse_clinical_records, parse_mcq_corpus
 from medcorr.gateway import LmGateway, ReplayCache, ScriptedBackend
 from medcorr.metrics import ScoreReport
@@ -57,6 +58,36 @@ def perfect_predictions_csv(tmp_path: Path) -> Path:
 
 
 # --- usage and exit codes -------------------------------------------------------
+
+
+def leaf_parsers(parser: argparse.ArgumentParser, name: str = "") -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand that runs, by its words (``index build``), and its parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {name: parser}
+    return {
+        leaf: p for word, sub in subs[0].choices.items()
+        for leaf, p in leaf_parsers(sub, f"{name} {word}".strip()).items()
+    }
+
+
+def test_every_subcommand_declares_the_outputs_it_writes():
+    expected = {
+        "ingest": {"out"},
+        "index build": {"out"},
+        "evaluate": {"out"},
+        "report": {"out"},
+        "predict": {"out", "trace_out"},
+        "compile": set(),  # its file names depend on the pipeline; cmd_compile checks them
+        "replay-verify": set(),  # --pred is compared, never written
+    }
+    leaves = leaf_parsers(build_parser())
+    assert set(leaves) == set(expected)
+    for name, parser in leaves.items():
+        outputs = parser.get_default("outputs")
+        assert outputs is not None, f"{name} declares no outputs"
+        assert set(outputs) <= {a.dest for a in parser._actions}, name
+        assert set(outputs) == expected[name], name
 
 
 def test_help_exits_zero_and_lists_subcommands(capsys):
@@ -825,6 +856,19 @@ def no_model_config(tmp_path: Path, compiled_dir: Path | None = None) -> Path:
     return config
 
 
+def mcq_index(tmp_path: Path) -> Path:
+    from medcorr.retrieval import save_index
+
+    path = tmp_path / "index.json"
+    save_index(build_index(parse_mcq_corpus(MCQ_JSONL.read_bytes())), path)
+    return path
+
+
+def compile_argv(tmp_path: Path, pipeline: str, out_dir: Path, *extra: str) -> list[str]:
+    return ["compile", "--pipeline", pipeline, "--train", str(RECORDS_CSV), "--val", str(RECORDS_CSV),
+            "--out-dir", str(out_dir), "--config", str(no_model_config(tmp_path)), *extra]
+
+
 def compiled_with_detect(tmp_path: Path, make) -> str:
     compiled = directory(tmp_path / "compiled")
     make(compiled / "detect.json")
@@ -866,6 +910,11 @@ _FILE_FAILURES = {
     "paths.compiled_dir missing": lambda t: (
         predict_argv(t, "--pipeline", "uw", config=no_model_config(t, t / "missing")), "missing"
     ),
+    "replay-verify --pred undecodable, before any cache lookup": lambda t: (
+        ["replay-verify", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--pred", str(undecodable(t, "p.csv")),
+         "--config", str(no_model_config(t))],
+        "p.csv",
+    ),
     "replay-verify --compiled missing": lambda t: (
         ["replay-verify", "--pipeline", "uw", "--records", str(RECORDS_CSV), "--pred", str(GOLDEN_PREDICTIONS),
          "--compiled", str(t / "missing"), "--config", str(no_model_config(t))],
@@ -878,6 +927,14 @@ _FILE_FAILURES = {
         ["compile", "--pipeline", "uw", "--train", str(RECORDS_CSV), "--val", str(RECORDS_CSV),
          "--out-dir", str(RECORDS_CSV), "--config", str(no_model_config(t))],
         str(RECORDS_CSV),
+    ),
+    "compile uw detect.json a directory, before any model call": lambda t: (
+        compile_argv(t, "uw", directory(directory(t / "out") / "detect.json").parent), "detect.json"
+    ),
+    "compile ms compile_report_flag.json a directory, before any model call": lambda t: (
+        compile_argv(t, "ms", directory(directory(t / "out") / "compile_report_flag.json").parent,
+                     "--index", str(mcq_index(t))),
+        "compile_report_flag.json",
     ),
     "cache_path is a directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", config=replay_config(t, directory(t / "cache"))), "cache"
@@ -1070,6 +1127,34 @@ def test_predict_live_records_then_replays(tmp_path, monkeypatch):
     )
     assert code == 0
     assert replay_out.read_bytes() == live_out.read_bytes()
+
+
+def test_predict_live_recording_into_a_missing_directory_exits_one_before_any_request(tmp_path, monkeypatch, capsys):
+    from helpers import chat_completion_payload, scripted_http_server
+
+    served = []
+
+    def script(path, body):
+        served.append(path)
+        return 200, chat_completion_payload("Rationale: reviewed the note.\nError Flag: 0")
+
+    cache_path = tmp_path / "missing" / "live_cache.jsonl"
+    live_config = tmp_path / "live.yaml"
+    live_config.write_text(
+        f"gateway:\n  backend: live\n  cache_path: {cache_path}\n  record: true\n", encoding="utf-8"
+    )
+    with scripted_http_server(script) as base_url:
+        monkeypatch.setenv("MEDCORR_BASE_URL", base_url)
+        code = run_command(
+            ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV),
+             "--out", str(tmp_path / "preds.csv"), "--config", str(live_config)]
+        )
+    assert served == []
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: gateway.cache_path "), lines
+    assert str(cache_path) in lines[0]
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_predict_live_null_content_exits_two_and_records_nothing(tmp_path, monkeypatch, capsys):

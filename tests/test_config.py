@@ -83,6 +83,12 @@ def test_an_empty_cache_path_is_rejected_for_replay_and_means_in_memory_for_live
     assert config.gateway.cache_path == ""
 
 
+def test_an_empty_cache_path_is_rejected_for_recording(tmp_path):
+    path = write(tmp_path, 'gateway:\n  backend: live\n  cache_path: ""\n  record: true\n')
+    with pytest.raises(ConfigError, match="^gateway.cache_path must name a file to record into$"):
+        load_config(path, env={})
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
