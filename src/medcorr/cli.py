@@ -19,7 +19,6 @@ configured cache.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -125,15 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --- shared helpers -----------------------------------------------------------
 
 
-def _read_text(path: str | Path) -> str:
-    # The file's exact bytes: no newline translation, so replay-verify
-    # compares what is on disk and CSV fields keep their \r\n.
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
 def _check_outputs(*paths: str | Path) -> None:
     """Refuse an output path whose directory is missing, one that names a directory, and two that name one file."""
     targets: set[str] = set()
@@ -148,22 +138,9 @@ def _check_outputs(*paths: str | Path) -> None:
         targets.add(target)
 
 
-def _write_outputs(*outputs: tuple[str | Path, str]) -> None:
-    """Write each (path, text) as UTF-8, encoding every text before opening any
-    file, so a run that fails here leaves every existing output file as it was."""
-    encoded: list[tuple[Path, bytes]] = []
-    for path, text in outputs:
-        try:
-            encoded.append((Path(path), text.encode("utf-8")))
-        except UnicodeEncodeError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from exc
-    for path, data in encoded:
-        path.write_bytes(data)
-
-
 def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
     """``parse`` the text of the file at ``path``; a rejection names the file."""
-    text = _read_text(path)
+    text = corpus.read_file(path)
     try:
         return parse(text)
     except ValidationError as exc:
@@ -174,12 +151,10 @@ def build_gateway(config: EngineConfig) -> LmGateway:
     gw = config.gateway
     if gw.record and not os.path.isdir(os.path.dirname(os.path.realpath(gw.cache_path))):
         raise ConfigError(f"gateway.cache_path {gw.cache_path} cannot be recorded into: its directory does not exist")
-    if gw.backend == "replay":
-        cache = ReplayCache(gw.cache_path)
-        backend = ReplayBackend(cache)
-    else:
-        cache = ReplayCache(gw.cache_path or None)
-        backend = LiveBackend(gw.base_url, api_key=gw.api_key)
+    if gw.cache_path and os.path.isdir(gw.cache_path):
+        raise ConfigError(f"gateway.cache_path {gw.cache_path} is a directory, not a cache file")
+    cache = ReplayCache(gw.cache_path or None)  # replay requires a path, see config
+    backend = ReplayBackend(cache) if gw.backend == "replay" else LiveBackend(gw.base_url, api_key=gw.api_key)
     return LmGateway(
         backend=backend,
         model=gw.model,
@@ -225,7 +200,7 @@ def _load_pipeline(
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     records = _parse_file(args.input, lambda text: corpus.parse_clinical_records(text, format=args.format))
-    _write_outputs((args.out, corpus.serialize_clinical_records(records, format=args.out_format)))
+    corpus.write_files((args.out, corpus.serialize_clinical_records(records, format=args.out_format)))
     _say(f"ingested {len(records)} records -> {args.out}")
     return EXIT_OK
 
@@ -269,7 +244,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             rouge_pass_threshold=opt.rouge_pass_threshold,
             binary_pass_threshold=opt.binary_pass_threshold,
         )
-    _write_outputs(
+    corpus.write_files(
         *((stage_paths[stage], program_to_json(program)) for stage, program in compiled.stages.items()),
         *((report_paths[phase], report.to_json()) for phase, report in reports.items()),
     )
@@ -282,7 +257,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.verify:  # replay-verify: --pred is read before the first cache lookup
         if config.gateway.backend != "replay":
             raise ValidationError("replay-verify requires gateway.backend = replay")
-        expected = _read_text(args.out)
+        expected = corpus.read_file(args.out)
     gateway = build_gateway(config)
     records_path = args.records or config.paths.records
     if not records_path:
@@ -302,7 +277,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     outputs = [(args.out, text)]
     if args.trace_out:
         outputs.append((args.trace_out, pipelines.serialize_traces(predictions)))
-    _write_outputs(*outputs)
+    corpus.write_files(*outputs)
     failed = sum(1 for p in predictions if p.error)
     _say(f"predicted {len(predictions)} records ({failed} failed) -> {args.out}")
     return EXIT_OK
@@ -318,7 +293,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValidationError(f"--scorer must look like NAME=URL, got {spec!r}")
         scorers.append(ExternalScorer(name=name, url=url))
     report = evaluate(predictions, golds, scorers=scorers, strict_scorers=args.strict_scorers)
-    _write_outputs((args.out, report.to_json()))
+    corpus.write_files((args.out, report.to_json()))
     _say(
         f"evaluated {report.n_records} records: flag_accuracy={report.flag_accuracy:.4f} "
         f"sentence_accuracy={report.sentence_accuracy:.4f} -> {args.out}"
@@ -362,7 +337,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = _parse_file(args.input, ScoreReport.from_json)
     rendered = render_report(report, args.format)
     if args.out:
-        _write_outputs((args.out, rendered))
+        corpus.write_files((args.out, rendered))
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -16,8 +16,8 @@ from typing import Mapping
 
 import yaml
 
-from .corpus import _typed
-from .errors import ConfigError
+from .corpus import _typed, read_file
+from .errors import ConfigError, ValidationError
 from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_TOP_P, LmGateway
 from .optimize import (
     BINARY_PASS_THRESHOLD,
@@ -172,9 +172,9 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
     raw: object = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            text = read_file(path)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         try:
             raw = yaml.load(text, Loader=_UniqueKeyLoader) or {}
         except RecursionError:

@@ -12,8 +12,11 @@ Canonical on-disk formats (see README for the full schemas):
   "answer": "A"}``.
 
 Gold sentence segmentation is authoritative: records are never re-segmented.
-Every file medcorr reads is a CSV table, JSON lines or a versioned JSON
-document, and each of the three shapes has its one reader here.
+Every user file medcorr reads or writes passes through :func:`read_file` or
+:func:`write_files`; only the replay cache keeps its own streaming reader and
+appender. Besides the YAML config, a file read is a CSV table, JSON lines or
+a versioned JSON document, and each of the three shapes has its one parser
+here.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
@@ -331,6 +335,32 @@ def mcq_from_object(obj: dict) -> McqRecord:
 def mcq_to_object(record: McqRecord) -> dict:
     """The object :func:`mcq_from_object` reads back."""
     return {"question": record.question, "options": dict(record.options), "answer": record.correct_label}
+
+
+# --- user files: one reader and one writer -----------------------------------
+
+
+def read_file(path: str | Path) -> str:
+    """The text of the file at ``path``: its exact bytes, decoded as UTF-8,
+    with no newline translation, so replay-verify compares what is on disk
+    and CSV fields keep their \\r\\n."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def write_files(*outputs: tuple[str | Path, str]) -> None:
+    """Write each (path, text) as UTF-8, encoding every text before opening any
+    file, so a run that fails here leaves every existing output file as it was."""
+    encoded: list[tuple[Path, bytes]] = []
+    for path, text in outputs:
+        try:
+            encoded.append((Path(path), text.encode("utf-8")))
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
+    for path, data in encoded:
+        path.write_bytes(data)
 
 
 # --- the three file shapes: CSV tables, JSON lines, versioned JSON documents ---

@@ -25,23 +25,13 @@ class GatewayError(MedcorrError):
 
 
 class CacheMissError(GatewayError):
-    """Replay backend has no entry for a request.
-
-    Carries the canonical cache key so fixture drift is diagnosable.
-    """
-
-    def __init__(self, key: str):
-        super().__init__(f"replay cache miss for key {key}")
-        self.key = key
+    """Replay backend has no entry for a request; the message names the
+    canonical cache key, so fixture drift is diagnosable."""
 
 
 class LiveRequestError(GatewayError):
-    """Live HTTP backend failed after retries."""
-
-    def __init__(self, message: str, status: int | None = None, body_excerpt: str = ""):
-        super().__init__(message)
-        self.status = status
-        self.body_excerpt = body_excerpt
+    """Live HTTP backend failed after retries, or at once on a malformed
+    response or a non-transient status, whose message carries a body excerpt."""
 
 
 class CompletionParseError(MedcorrError):

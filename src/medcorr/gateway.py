@@ -311,7 +311,7 @@ class ReplayBackend:
     def complete(self, request: LmRequest) -> LmResponse:
         response = self.cache.get(request.key)
         if response is None:
-            raise CacheMissError(request.key)
+            raise CacheMissError(f"replay cache miss for key {request.key}")
         return response
 
 
@@ -369,11 +369,7 @@ class LiveBackend:
                 last_error = f"HTTP {http.status_code}"
                 continue
             if http.status_code != 200:
-                raise LiveRequestError(
-                    f"chat completion failed with HTTP {http.status_code}: {http.text[:200]}",
-                    status=http.status_code,
-                    body_excerpt=http.text[:200],
-                )
+                raise LiveRequestError(f"chat completion failed with HTTP {http.status_code}: {http.text[:200]}")
             return self._parse_response(http)
         raise LiveRequestError(f"chat completion failed after {MAX_LIVE_ATTEMPTS} attempts: {last_error}")
 
@@ -389,10 +385,7 @@ class LiveBackend:
                 backend_tag=self.tag,
             )
         except (KeyError, IndexError, TypeError, ValueError, AttributeError, ValidationError) as exc:
-            raise LiveRequestError(
-                f"malformed chat completion response: {exc}", status=http.status_code,
-                body_excerpt=http.text[:200],
-            ) from exc
+            raise LiveRequestError(f"malformed chat completion response: {exc}") from exc
 
 
 @dataclass

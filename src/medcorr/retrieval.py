@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
 
-from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document
+from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document, read_file, write_files
 from .errors import ValidationError
 
 INDEX_FORMAT_VERSION = 4
@@ -168,7 +168,9 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
 def save_index(index: TfidfIndex, path: str | Path) -> None:
     """Write ``index`` in format 4: per vocabulary term, in term-id order, its
     posting length, ascending doc ids and raw term counts, the index's only
-    data. The numeric arrays are base64 of packed little-endian int32."""
+    data. The numeric arrays are base64 of packed little-endian int32. Like
+    every output, it is written by ``write_files``, so an index UTF-8 cannot
+    carry leaves an existing file as it was."""
     lengths, ids, counts = array("i"), array("i"), array("i")
     for term_id in range(len(index.vocabulary)):
         # The groups merged back into one posting of ascending doc ids.
@@ -184,13 +186,7 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
         "counts": _packed(counts),
         "corpus": [mcq_to_object(r) for r in index.corpus],
     }
-    # Encoded before the file is opened: a text UTF-8 cannot carry fails
-    # here and leaves an existing file as it was.
-    try:
-        data = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"cannot write index file {path}: {exc}") from exc
-    Path(path).write_bytes(data)
+    write_files((path, json.dumps(payload, ensure_ascii=False, separators=(",", ":"))))
 
 
 def load_index(path: str | Path) -> TfidfIndex:
@@ -198,10 +194,7 @@ def load_index(path: str | Path) -> TfidfIndex:
     with a request to rebuild it, which ``index build`` does from the MCQ
     corpus deterministically."""
     what = f"index file {path}"
-    try:
-        index = read_document(Path(path).read_text(encoding="utf-8"), what, (1, 2, 3, INDEX_FORMAT_VERSION), _index_of)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    index = read_document(read_file(path), what, (1, 2, 3, INDEX_FORMAT_VERSION), _index_of)
     if index is None:
         raise ValidationError(f"{what} is of an older format, no longer read; rebuild it with `medcorr index build`")
     return index

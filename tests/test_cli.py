@@ -869,6 +869,18 @@ def compile_argv(tmp_path: Path, pipeline: str, out_dir: Path, *extra: str) -> l
             "--out-dir", str(out_dir), "--config", str(no_model_config(tmp_path)), *extra]
 
 
+def cache_dir_config(tmp_path: Path, backend: str) -> Path:
+    """A ``backend`` config whose cache path is a directory; nothing listens
+    on port 9, so a live request could not be served."""
+    config = tmp_path / f"{backend}.yaml"
+    config.write_text(
+        f"gateway:\n  backend: {backend}\n  base_url: http://127.0.0.1:9/v1\n"
+        f"  cache_path: {directory(tmp_path / 'cachedir')}\n",
+        encoding="utf-8",
+    )
+    return config
+
+
 def compiled_with_detect(tmp_path: Path, make) -> str:
     compiled = directory(tmp_path / "compiled")
     make(compiled / "detect.json")
@@ -938,6 +950,12 @@ _FILE_FAILURES = {
     ),
     "cache_path is a directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", config=replay_config(t, directory(t / "cache"))), "cache"
+    ),
+    "replay gateway.cache_path a directory names the setting": lambda t: (
+        predict_argv(t, "--pipeline", "uw", config=cache_dir_config(t, "replay")), "gateway.cache_path"
+    ),
+    "live gateway.cache_path a directory names the setting": lambda t: (
+        predict_argv(t, "--pipeline", "uw", config=cache_dir_config(t, "live")), "gateway.cache_path"
     ),
     "predict --out in a missing directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", "--out", str(t / "missing" / "p.csv")), "missing"
@@ -1058,14 +1076,14 @@ def test_an_output_that_cannot_be_encoded_leaves_existing_files_unchanged(tmp_pa
 def test_outputs_are_all_encoded_before_any_file_is_opened(tmp_path):
     # No input reaches this through the CLI any more: every text a run writes
     # comes from a file or a response that rejects a lone surrogate on read.
-    from medcorr.cli import _write_outputs
+    from medcorr.corpus import write_files
     from medcorr.errors import ValidationError
 
     first, second = tmp_path / "p.csv", tmp_path / "trace.jsonl"
     for path in (first, second):
         path.write_bytes(b"earlier output\n")
     with pytest.raises(ValidationError, match="^cannot write .*trace.jsonl"):
-        _write_outputs((first, "fine\n"), (second, "caf\ud800e\n"))
+        write_files((first, "fine\n"), (second, "caf\ud800e\n"))
     assert first.read_bytes() == second.read_bytes() == b"earlier output\n"
 
 

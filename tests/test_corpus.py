@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import io
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -532,3 +534,47 @@ def test_record_rejects_empty_sentence():
 def test_record_error_id_must_reference_sentence():
     with pytest.raises(ValidationError, match="does not reference"):
         record_with_error("x", ["Only one."], 5, "Fixed.")
+
+
+# --- the file boundary ----------------------------------------------------------
+
+_FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+# (module, function) of every place in src/medcorr that may touch a file: the
+# one reader and writer of user files, the replay cache's streaming reader and
+# appender, and the read of a package asset.
+_FILE_BOUNDARY = {
+    ("corpus", "read_file"),
+    ("corpus", "write_files"),
+    ("gateway", "ReplayCache._load"),
+    ("gateway", "ReplayCache.append"),
+    ("optimize", "propose_instructions"),
+}
+
+
+def _file_calls(tree: ast.AST, scope: str = ""):
+    """(qualified name of the enclosing function or class, line) of each call
+    in ``tree`` that opens, reads, writes or truncates a file."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _file_calls(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            is_truncate = name == "truncate" and isinstance(func, ast.Attribute) and ast.unparse(func.value) == "os"
+            if name in _FILE_CALLS or is_truncate:
+                yield scope, node.lineno
+        yield from _file_calls(node, scope)
+
+
+def test_only_the_file_boundary_opens_reads_or_writes_a_file():
+    sites = set()
+    outside = []
+    for source in sorted(Path(corpus.__file__).parent.glob("*.py")):
+        for scope, line in _file_calls(ast.parse(source.read_text(encoding="utf-8"))):
+            sites.add((source.stem, scope))
+            if (source.stem, scope) not in _FILE_BOUNDARY:
+                outside.append(f"{source.name}:{line} in {scope or 'module scope'}")
+    assert outside == []
+    assert {("corpus", "read_file"), ("corpus", "write_files")} <= sites

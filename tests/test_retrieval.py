@@ -674,3 +674,16 @@ def test_load_rejects_a_lone_surrogate_naming_the_file(tmp_path):
     path.write_text(path.read_text(encoding="utf-8").replace("syncope workup", "syncope \\ud800"), encoding="utf-8")
     with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.* lone surrogate"):
         load_index(path)
+
+
+def test_save_refuses_an_index_utf8_cannot_carry_leaving_the_file_as_it_was(tmp_path):
+    # build_index cannot make such an index, since McqRecord rejects a lone
+    # surrogate; only a hand-built vocabulary holds one.
+    built = build_index(corpus_of(["syncope workup"]))
+    vocabulary = {("syncope\ud800" if term == "syncope" else term): term_id for term, term_id in built.vocabulary.items()}
+    index = TfidfIndex(vocabulary=vocabulary, postings=built.postings, corpus=built.corpus)
+    path = tmp_path / "index.json"
+    path.write_bytes(b"earlier index\n")
+    with pytest.raises(ValidationError, match=f"^cannot write {re.escape(str(path))}: "):
+        save_index(index, path)
+    assert path.read_bytes() == b"earlier index\n"
