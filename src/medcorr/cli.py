@@ -67,25 +67,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--corpus", required=True, help="MCQ json-lines corpus")
     p_build.add_argument("--out", required=True, help="index output file")
 
-    p_compile = sub.add_parser("compile", help="optimize pipeline prompts and demos")
+    # options shared by the commands that run a pipeline, and by the two that predict
+    pipeline_args = argparse.ArgumentParser(add_help=False)
+    pipeline_args.add_argument("--pipeline", required=True, choices=["ms", "uw"])
+    pipeline_args.add_argument("--index", help="TF-IDF index file (ms pipeline)")
+    pipeline_args.add_argument("--config", help="engine config file")
+    predict_args = argparse.ArgumentParser(add_help=False)
+    predict_args.add_argument("--records", help="records file (delimited-table); default paths.records")
+    predict_args.add_argument("--compiled", help="directory of compiled stage programs")
+
+    p_compile = sub.add_parser("compile", parents=[pipeline_args], help="optimize pipeline prompts and demos")
     p_compile.set_defaults(handler=cmd_compile, outputs=())  # checks its own, see cmd_compile
-    p_compile.add_argument("--pipeline", required=True, choices=["ms", "uw"])
     p_compile.add_argument("--train", required=True, help="training records (delimited-table)")
     p_compile.add_argument("--val", required=True, help="validation records (delimited-table)")
-    p_compile.add_argument("--index", help="TF-IDF index file (ms pipeline)")
     p_compile.add_argument("--out-dir", required=True, help="directory for compiled programs and reports")
-    p_compile.add_argument("--config", help="engine config file")
     p_compile.add_argument("--seed", type=int, help="override optimize.seed")
 
-    p_predict = sub.add_parser("predict", help="run a pipeline over records")
+    p_predict = sub.add_parser("predict", parents=[pipeline_args, predict_args], help="run a pipeline over records")
     p_predict.set_defaults(handler=cmd_predict, outputs=("out", "trace_out"), verify=False)
-    p_predict.add_argument("--pipeline", required=True, choices=["ms", "uw"])
-    p_predict.add_argument("--records", help="records file (delimited-table); default paths.records")
     p_predict.add_argument("--out", required=True, help="predictions CSV output")
     p_predict.add_argument("--trace-out", help="per-record trace json-lines output")
-    p_predict.add_argument("--index", help="TF-IDF index file (ms pipeline)")
-    p_predict.add_argument("--compiled", help="directory of compiled stage programs")
-    p_predict.add_argument("--config", help="engine config file")
     p_predict.add_argument("--strict", action="store_true", help="abort on the first failed record")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against gold records")
@@ -108,15 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", default="table", choices=["table", "json", "markdown"])
     p_report.add_argument("--out", help="write rendering here instead of stdout")
 
-    p_verify = sub.add_parser("replay-verify", help="re-run predictions against the cache and compare bytes")
+    p_verify = sub.add_parser(
+        "replay-verify", parents=[pipeline_args, predict_args],
+        help="re-run predictions against the cache and compare bytes",
+    )
     # predict, comparing its predictions with --pred instead of writing them
     p_verify.set_defaults(handler=cmd_predict, outputs=(), verify=True, trace_out=None, strict=False)
-    p_verify.add_argument("--pipeline", required=True, choices=["ms", "uw"])
-    p_verify.add_argument("--records", help="records file (delimited-table); default paths.records")
     p_verify.add_argument("--pred", dest="out", metavar="PRED", required=True, help="predictions CSV to verify")
-    p_verify.add_argument("--index", help="TF-IDF index file (ms pipeline)")
-    p_verify.add_argument("--compiled", help="directory of compiled stage programs")
-    p_verify.add_argument("--config", help="engine config file")
 
     return parser
 
@@ -136,6 +135,14 @@ def _check_outputs(*paths: str | Path) -> None:
         if target in targets:
             raise ValidationError(f"two outputs name one file: {path}")
         targets.add(target)
+
+
+def _refuse_cache_overwrite(config: EngineConfig, *paths: str | Path | None) -> None:
+    """Refuse an output path that names the cache file, whose recorded responses writing it would replace."""
+    cache = config.gateway.cache_path
+    for path in paths:
+        if path and cache and os.path.realpath(path) == os.path.realpath(cache):
+            raise ValidationError(f"cannot write {path}: it is the cache file gateway.cache_path")
 
 
 def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
@@ -223,27 +230,19 @@ def cmd_compile(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are valid, before any model call
     stage_paths = {stage: out_dir / f"{stage}.json" for stage in pipeline.stage_names}
     report_paths = {phase: out_dir / f"compile_report_{phase}.json" for phase in optimize.COMPILE_PHASES[args.pipeline]}
-    _check_outputs(*stage_paths.values(), *report_paths.values())
+    outputs = (*stage_paths.values(), *report_paths.values())
+    _check_outputs(*outputs)
+    _refuse_cache_overwrite(config, *outputs)
     gateway = build_gateway(config)
     opt = config.optimize
-    if args.pipeline == "ms":
-        compiled, reports = optimize.compile_ms_pipeline(
-            pipeline, trainset, valset, gateway,
-            seed=seed,
-            n_candidates=opt.n_candidates,
-            demos_per_stage=opt.demos_per_stage,
-            rouge_pass_threshold=opt.rouge_pass_threshold,
-            binary_pass_threshold=opt.binary_pass_threshold,
-        )
-    else:
-        compiled, reports = optimize.compile_uw_pipeline(
-            pipeline, trainset, valset, gateway,
-            seed=seed,
-            budget=(opt.instruction_proposals, opt.n_candidates),
-            demos_per_stage=opt.demos_per_stage,
-            rouge_pass_threshold=opt.rouge_pass_threshold,
-            binary_pass_threshold=opt.binary_pass_threshold,
-        )
+    compile_pipeline, budget = {
+        "ms": (optimize.compile_ms_pipeline, {"n_candidates": opt.n_candidates}),
+        "uw": (optimize.compile_uw_pipeline, {"budget": (opt.instruction_proposals, opt.n_candidates)}),
+    }[args.pipeline]
+    compiled, reports = compile_pipeline(
+        pipeline, trainset, valset, gateway, seed=seed, demos_per_stage=opt.demos_per_stage,
+        rouge_pass_threshold=opt.rouge_pass_threshold, binary_pass_threshold=opt.binary_pass_threshold, **budget,
+    )
     corpus.write_files(
         *((stage_paths[stage], program_to_json(program)) for stage, program in compiled.stages.items()),
         *((report_paths[phase], report.to_json()) for phase, report in reports.items()),
@@ -258,6 +257,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if config.gateway.backend != "replay":
             raise ValidationError("replay-verify requires gateway.backend = replay")
         expected = corpus.read_file(args.out)
+    _refuse_cache_overwrite(config, *(getattr(args, name) for name in args.outputs))
     gateway = build_gateway(config)
     records_path = args.records or config.paths.records
     if not records_path:

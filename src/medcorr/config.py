@@ -129,38 +129,29 @@ def _build_section(name: str, cls: type, raw: object) -> object:
     return cls(**values)
 
 
+# Each bounded key's inclusive (low, high), by section; None leaves it unbounded above.
+_BOUNDS = {
+    "gateway": {"temperature": (0, None), "top_p": (0, 1), "max_tokens": (1, None), "concurrency": (1, None)},
+    "optimize": {"n_candidates": (1, None), "demos_per_stage": (1, None), "instruction_proposals": (1, None),
+                 "binary_pass_threshold": (0, 1), "rouge_pass_threshold": (0, 1)},
+    "pipeline": {"gate_threshold": (0, 1)},
+}
+
+
 def _validate(config: EngineConfig) -> None:
     gw = config.gateway
     if gw.backend not in BACKENDS:
         raise ConfigError(f"gateway.backend must be one of {list(BACKENDS)}, got {gw.backend!r}")
-    if gw.temperature < 0:
-        raise ConfigError(f"gateway.temperature must be >= 0, got {gw.temperature}")
-    if not 0.0 <= gw.top_p <= 1.0:
-        raise ConfigError(f"gateway.top_p must be in [0, 1], got {gw.top_p}")
-    if gw.max_tokens < 1:
-        raise ConfigError(f"gateway.max_tokens must be >= 1, got {gw.max_tokens}")
-    if gw.concurrency < 1:
-        raise ConfigError(f"gateway.concurrency must be >= 1, got {gw.concurrency}")
+    for section, bounds in _BOUNDS.items():
+        for key, (low, high) in bounds.items():
+            value = getattr(getattr(config, section), key)
+            if value < low or (high is not None and value > high):
+                rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise ConfigError(f"{section}.{key} must be {rule}, got {value}")
     if gw.backend == "replay" and not gw.cache_path:
         raise ConfigError("gateway.cache_path must name a file for the replay backend")
     if gw.record and not gw.cache_path:
         raise ConfigError("gateway.cache_path must name a file to record into")
-    opt = config.optimize
-    if opt.n_candidates < 1:
-        raise ConfigError(f"optimize.n_candidates must be >= 1, got {opt.n_candidates}")
-    if opt.demos_per_stage < 1:
-        raise ConfigError(f"optimize.demos_per_stage must be >= 1, got {opt.demos_per_stage}")
-    if opt.instruction_proposals < 1:
-        raise ConfigError(
-            f"optimize.instruction_proposals must be >= 1, got {opt.instruction_proposals}"
-        )
-    for key in ("binary_pass_threshold", "rouge_pass_threshold"):
-        value = getattr(opt, key)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"optimize.{key} must be in [0, 1], got {value}")
-    pipe = config.pipeline
-    if not 0.0 <= pipe.gate_threshold <= 1.0:
-        raise ConfigError(f"pipeline.gate_threshold must be in [0, 1], got {pipe.gate_threshold}")
 
 
 def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = None) -> EngineConfig:

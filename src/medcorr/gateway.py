@@ -19,7 +19,7 @@ import threading
 import time
 from concurrent.futures import Future
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
@@ -239,20 +239,8 @@ class ReplayCache:
         key = request.key
         line = None
         if write and self.path is not None:
-            line = json.dumps(
-                {
-                    "key": key,
-                    "request": request.payload(),
-                    "response": {
-                        "text": response.text,
-                        "prompt_tokens": response.prompt_tokens,
-                        "completion_tokens": response.completion_tokens,
-                        "backend_tag": response.backend_tag,
-                    },
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
+            entry = {"key": key, "request": request.payload(), "response": asdict(response)}
+            line = json.dumps(entry, ensure_ascii=False, sort_keys=True)
         with self._lock:
             if key in self._entries:
                 return
@@ -265,12 +253,7 @@ class ReplayCache:
                     self._tail = None
                 with self.path.open("a", encoding="utf-8") as handle:
                     handle.write(prefix + line + "\n")
-            self._entries[key] = LmResponse(
-                text=response.text,
-                prompt_tokens=response.prompt_tokens,
-                completion_tokens=response.completion_tokens,
-                backend_tag="replay",
-            )
+            self._entries[key] = replace(response, backend_tag="replay")
 
 
 class Backend(Protocol):

@@ -243,22 +243,19 @@ def run(program: Program, inputs: Mapping[str, str], gateway: LmGateway, stage: 
     """Render, complete, parse; one retry with a format reminder on parse
     failure. Returns the trace entry of ``stage``, which names each attempt."""
     messages = render_messages(program, inputs)
-    request = gateway.request(messages)
-    response = gateway.complete(request)
-    try:
-        return StageTrace(stage, parse_completion(program, response.text), inputs, (request.key,))
-    except CompletionParseError:
-        pass
-    retry = gateway.request(
-        messages[:-1] + [Message(messages[-1].role, messages[-1].content + "\n\n" + _reminder(program))]
-    )
-    retry_response = gateway.complete(retry)
-    try:
-        return StageTrace(stage, parse_completion(program, retry_response.text), inputs, (request.key, retry.key))
-    except CompletionParseError as exc:
-        raise CompletionParseError(
-            f"program {program.signature.name!r}: completion unparseable after 2 attempts: {exc}"
-        ) from None
+    keys: list[str] = []
+    while True:
+        request = gateway.request(messages)
+        text = gateway.complete(request).text
+        keys.append(request.key)
+        try:
+            return StageTrace(stage, parse_completion(program, text), inputs, tuple(keys))
+        except CompletionParseError as exc:
+            if len(keys) == 2:
+                raise CompletionParseError(
+                    f"program {program.signature.name!r}: completion unparseable after 2 attempts: {exc}"
+                ) from None
+        messages = messages[:-1] + [Message(messages[-1].role, messages[-1].content + "\n\n" + _reminder(program))]
 
 
 def program_to_json(program: Program) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -88,6 +89,75 @@ def test_every_subcommand_declares_the_outputs_it_writes():
         assert outputs is not None, f"{name} declares no outputs"
         assert set(outputs) <= {a.dest for a in parser._actions}, name
         assert set(outputs) == expected[name], name
+
+
+_PIPELINES = ("ms", "uw")
+_TABLE_FORMATS = ("delimited-table", "json-lines")
+# Every option of every subcommand: its strings, then (dest, required,
+# choices, default, type). A flag dropped, renamed or changed shows here.
+CLI_SURFACE = {
+    "ingest": {
+        ("--in",): ("input", True, None, None, None),
+        ("--format",): ("format", False, _TABLE_FORMATS, "delimited-table", None),
+        ("--out",): ("out", True, None, None, None),
+        ("--out-format",): ("out_format", False, _TABLE_FORMATS, "delimited-table", None),
+    },
+    "index build": {
+        ("--corpus",): ("corpus", True, None, None, None),
+        ("--out",): ("out", True, None, None, None),
+    },
+    "compile": {
+        ("--pipeline",): ("pipeline", True, _PIPELINES, None, None),
+        ("--train",): ("train", True, None, None, None),
+        ("--val",): ("val", True, None, None, None),
+        ("--index",): ("index", False, None, None, None),
+        ("--out-dir",): ("out_dir", True, None, None, None),
+        ("--config",): ("config", False, None, None, None),
+        ("--seed",): ("seed", False, None, None, int),
+    },
+    "predict": {
+        ("--pipeline",): ("pipeline", True, _PIPELINES, None, None),
+        ("--records",): ("records", False, None, None, None),
+        ("--out",): ("out", True, None, None, None),
+        ("--trace-out",): ("trace_out", False, None, None, None),
+        ("--index",): ("index", False, None, None, None),
+        ("--compiled",): ("compiled", False, None, None, None),
+        ("--config",): ("config", False, None, None, None),
+        ("--strict",): ("strict", False, None, False, None),
+    },
+    "evaluate": {
+        ("--pred",): ("pred", True, None, None, None),
+        ("--gold",): ("gold", True, None, None, None),
+        ("--out",): ("out", True, None, None, None),
+        ("--scorer",): ("scorer", False, None, [], None),
+        ("--strict-scorers",): ("strict_scorers", False, None, False, None),
+    },
+    "report": {
+        ("--in",): ("input", True, None, None, None),
+        ("--format",): ("format", False, ("table", "json", "markdown"), "table", None),
+        ("--out",): ("out", False, None, None, None),
+    },
+    "replay-verify": {
+        ("--pipeline",): ("pipeline", True, _PIPELINES, None, None),
+        ("--records",): ("records", False, None, None, None),
+        ("--pred",): ("out", True, None, None, None),
+        ("--index",): ("index", False, None, None, None),
+        ("--compiled",): ("compiled", False, None, None, None),
+        ("--config",): ("config", False, None, None, None),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    surface = {
+        name: {
+            tuple(a.option_strings): (a.dest, a.required, a.choices and tuple(a.choices), a.default, a.type)
+            for a in parser._actions
+            if a.option_strings and a.dest != "help"
+        }
+        for name, parser in leaf_parsers(build_parser()).items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_help_exits_zero_and_lists_subcommands(capsys):
@@ -485,6 +555,17 @@ def test_predict_refuses_out_and_trace_out_naming_one_file(tmp_path, capsys, spe
     assert out.read_bytes() == b"earlier output\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+def test_predict_refuses_an_output_naming_the_cache_file(tmp_path, capsys, flag):
+    cache = fixture_cache_at(tmp_path / "cache.jsonl")
+    named = tmp_path / "sub" / ".." / "cache.jsonl"
+    (tmp_path / "sub").mkdir()
+    code = run_command(predict_argv(tmp_path, "--pipeline", "uw", flag, str(named), config=replay_config(tmp_path, cache)))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {named}: it is the cache file gateway.cache_path"]
+    assert cache.read_bytes() == CACHE_JSONL.read_bytes()
+
+
 # --- replay-verify --------------------------------------------------------------------------
 
 
@@ -856,6 +937,12 @@ def no_model_config(tmp_path: Path, compiled_dir: Path | None = None) -> Path:
     return config
 
 
+def fixture_cache_at(path: Path) -> Path:
+    """A copy of the fixture replay cache at ``path``, which a run may spoil."""
+    path.write_bytes(CACHE_JSONL.read_bytes())
+    return path
+
+
 def mcq_index(tmp_path: Path) -> Path:
     from medcorr.retrieval import save_index
 
@@ -956,6 +1043,21 @@ _FILE_FAILURES = {
     ),
     "live gateway.cache_path a directory names the setting": lambda t: (
         predict_argv(t, "--pipeline", "uw", config=cache_dir_config(t, "live")), "gateway.cache_path"
+    ),
+    # Writing an output over the cache file would lose the recorded responses.
+    "predict --out the cache file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--out", str(t / "cache.jsonl"),
+                     config=replay_config(t, fixture_cache_at(t / "cache.jsonl"))),
+        "gateway.cache_path",
+    ),
+    "predict --trace-out the cache file, before any model call": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--trace-out", f"{t}/./empty.jsonl", config=no_model_config(t)),
+        "gateway.cache_path",
+    ),
+    "compile detect.json the cache file, before any model call": lambda t: (
+        ["compile", "--pipeline", "uw", "--train", str(RECORDS_CSV), "--val", str(RECORDS_CSV), "--out-dir",
+         str(t / "out"), "--config", str(replay_config(t, fixture_cache_at(directory(t / "out") / "detect.json")))],
+        "gateway.cache_path",
     ),
     "predict --out in a missing directory": lambda t: (
         predict_argv(t, "--pipeline", "uw", "--out", str(t / "missing" / "p.csv")), "missing"
@@ -1509,3 +1611,89 @@ def test_compile_twice_with_same_seed_is_byte_identical(tmp_path):
     predictions = parse_predictions(preds_out.read_text(encoding="utf-8"))
     golds = records[6:]
     assert [p.flag for p in predictions] == [g.gold_flag for g in golds]
+
+
+def recorded_compile_argv(tmp_path: Path, pipeline: str) -> list[str]:
+    """Record a scripted compile at concurrency 1 into a fresh cache, then
+    return the ``compile`` arguments that replay it.
+
+    ``uw`` is the magic-demo setup, whose detect phase picks candidate 1.
+    ``ms`` runs on ``synth_ms_dataset`` and its index; its zero-shot extract
+    stage answers wrong, so the flag phase picks candidate 1, which carries
+    demos.
+    """
+    from medcorr.corpus import serialize_clinical_records
+    from medcorr.optimize import compile_ms_pipeline
+    from medcorr.retrieval import save_index
+    from helpers import demo_blocks, magic_demo_setup, ms_gold_responder, stage_of, synth_ms_dataset
+
+    cache = tmp_path / f"{pipeline}_cache.jsonl"
+    extra = []
+    if pipeline == "uw":
+        train0, val, scripted = magic_demo_setup()
+        train, backend = [train0, *val], scripted.backend
+        budget = {"seed": 3, "n_candidates": 3, "instruction_proposals": 2, "demos_per_stage": 1}
+    else:
+        records, mcqs, asserted = synth_ms_dataset(10)
+        train, val = records[:6], records[6:]
+        gold = ms_gold_responder(records, asserted)
+
+        def respond(request):
+            if stage_of(request) == "extract_choice" and not demo_blocks(request):
+                return "Extracted Choice: observation only"
+            return gold(request)
+
+        backend = ScriptedBackend(respond)
+        budget = {"seed": 5, "n_candidates": 3, "instruction_proposals": 1, "demos_per_stage": 2}
+        index = build_index(mcqs)
+        save_index(index, tmp_path / "index.json")
+        extra = ["--index", str(tmp_path / "index.json")]
+    recorder = LmGateway(backend=backend, cache=ReplayCache(cache), record=True, concurrency=1)
+    options = {"seed": budget["seed"], "demos_per_stage": budget["demos_per_stage"]}
+    if pipeline == "uw":
+        compile_uw_pipeline(
+            default_uw_pipeline(), train, val, recorder,
+            budget=(budget["instruction_proposals"], budget["n_candidates"]), **options,
+        )
+    else:
+        compile_ms_pipeline(default_ms_pipeline(index), train, val, recorder, n_candidates=budget["n_candidates"], **options)
+    for name, records in (("train", train), ("val", val)):
+        (tmp_path / f"{name}.csv").write_text(serialize_clinical_records(records), encoding="utf-8")
+    config = tmp_path / "compile.yaml"
+    config.write_text(
+        f"gateway:\n  backend: replay\n  cache_path: {cache}\noptimize:\n"
+        + "".join(f"  {key}: {value}\n" for key, value in budget.items()),
+        encoding="utf-8",
+    )
+    return ["compile", "--pipeline", pipeline, "--train", str(tmp_path / "train.csv"), "--val",
+            str(tmp_path / "val.csv"), "--out-dir", str(tmp_path / "out"), "--config", str(config), *extra]
+
+
+# sha256 of every file a replayed CLI compile writes; the uw programs and
+# reports are the bytes UW_COMPILE_SHA256 in test_optimize pins.
+CLI_COMPILE_SHA256 = {
+    "uw": {
+        "compile_report_correct.json": "458de69ffa1429991d4471403936d7f8ab2323c1b286350cac3c996ae403f645",
+        "compile_report_detect.json": "47bd2e3f802c76baa3e5738213bd2cc743d173452109c476bee9025f2735964f",
+        "compile_report_localize.json": "327def14e5c73956dce0c71de5d9e31ab2b0de4495c533fa224c3a92545cc2b7",
+        "correct.json": "8e5c4737d1f2cd9308f425fc4e6d57eb78a25e0d5e833723dfbc3e252cd3b0b8",
+        "detect.json": "89867ed1e05491e8ec3d2470cfe3dd63744f252bca7e2b444c132cce9041794c",
+        "localize.json": "3ef96902a071981e5c6cfa5b5986b86b8db11541c192903909d44683788fae35",
+    },
+    "ms": {
+        "compare_answer.json": "728ab03c63edd32fcb08d8f0ed320969c715b8340583274f9e6d6cbdeacaf6a1",
+        "compile_report_correction.json": "36d4abdb7d68cd80fea2c2cdf9a157d199ae3f648af3a3cc85a06b0649158804",
+        "compile_report_flag.json": "5ef52bbc8184d672bd505bf254393b672422ea3ee06ba654ab6756a43a0f621a",
+        "correct.json": "eb3a439f894c19049aa658975d193b8e1bf741ceb9cc733978917256a5ad475a",
+        "extract_choice.json": "03a9f0ba4192ae2589611121892a5e52645ad218fb570d96c31cb6eb2bb0463a",
+        "localize.json": "4fda37ea6ab791db0ead3f4236694bddc31db3916a54665191c20df95a184066",
+    },
+}
+
+
+@pytest.mark.parametrize("pipeline", ["uw", "ms"])
+def test_a_replayed_cli_compile_writes_pinned_files(tmp_path, pipeline):
+    argv = recorded_compile_argv(tmp_path, pipeline)
+    assert run_command(argv) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert written == CLI_COMPILE_SHA256[pipeline]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from medcorr.config import load_config
+from medcorr.config import EngineConfig, load_config
 from medcorr.errors import ConfigError
 
 
@@ -24,6 +27,12 @@ def test_empty_config_yields_documented_defaults(tmp_path):
     assert config.optimize.n_candidates == 16
     assert config.optimize.instruction_proposals == 5
     assert config.pipeline.ms_gate_enabled is False
+
+
+def test_readme_config_block_holds_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert load_config(write(tmp_path, block), env={}) == EngineConfig()
 
 
 def test_no_file_gives_defaults_too():
@@ -106,25 +115,27 @@ def test_type_errors_are_reported(tmp_path, section, key, value):
 
 
 @pytest.mark.parametrize(
-    ("section", "key", "bad", "boundary"),
+    ("section", "key", "bad", "boundary", "message"),
     [
-        ("gateway", "temperature", -0.5, 0),
-        ("gateway", "top_p", -0.1, 0),
-        ("gateway", "top_p", 1.5, 1),
-        ("gateway", "max_tokens", 0, 1),
-        ("gateway", "concurrency", 0, 1),
-        ("optimize", "n_candidates", 0, 1),
-        ("optimize", "demos_per_stage", 0, 1),
-        ("optimize", "instruction_proposals", 0, 1),
-        ("optimize", "binary_pass_threshold", 1.5, 1),
-        ("optimize", "binary_pass_threshold", -0.1, 0),
-        ("optimize", "rouge_pass_threshold", 1.5, 1),
-        ("optimize", "rouge_pass_threshold", -0.1, 0),
+        ("gateway", "temperature", -0.5, 0, "must be >= 0, got -0.5"),
+        ("gateway", "top_p", -0.1, 0, "must be in [0, 1], got -0.1"),
+        ("gateway", "top_p", 1.5, 1, "must be in [0, 1], got 1.5"),
+        ("gateway", "max_tokens", 0, 1, "must be >= 1, got 0"),
+        ("gateway", "concurrency", 0, 1, "must be >= 1, got 0"),
+        ("optimize", "n_candidates", 0, 1, "must be >= 1, got 0"),
+        ("optimize", "demos_per_stage", 0, 1, "must be >= 1, got 0"),
+        ("optimize", "instruction_proposals", 0, 1, "must be >= 1, got 0"),
+        ("optimize", "binary_pass_threshold", 1.5, 1, "must be in [0, 1], got 1.5"),
+        ("optimize", "binary_pass_threshold", -0.1, 0, "must be in [0, 1], got -0.1"),
+        ("optimize", "rouge_pass_threshold", 1.5, 1, "must be in [0, 1], got 1.5"),
+        ("optimize", "rouge_pass_threshold", -0.1, 0, "must be in [0, 1], got -0.1"),
+        ("pipeline", "gate_threshold", 1.5, 1, "must be in [0, 1], got 1.5"),
+        ("pipeline", "gate_threshold", -0.1, 0, "must be in [0, 1], got -0.1"),
     ],
 )
-def test_range_errors_are_reported(tmp_path, section, key, bad, boundary):
+def test_range_errors_are_reported(tmp_path, section, key, bad, boundary, message):
     path = write(tmp_path, f"{section}:\n  {key}: {bad}\n")
-    with pytest.raises(ConfigError, match=f"^{section}.{key} must be "):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{section}.{key} {message}')}$"):
         load_config(path, env={})
     config = load_config(write(tmp_path, f"{section}:\n  {key}: {boundary}\n"), env={})
     assert getattr(getattr(config, section), key) == boundary
