@@ -137,12 +137,33 @@ def _check_outputs(*paths: str | Path) -> None:
         targets.add(target)
 
 
-def _refuse_cache_overwrite(config: EngineConfig, *paths: str | Path | None) -> None:
-    """Refuse an output path that names the cache file, whose recorded responses writing it would replace."""
-    cache = config.gateway.cache_path
-    for path in paths:
-        if path and cache and os.path.realpath(path) == os.path.realpath(cache):
-            raise ValidationError(f"cannot write {path}: it is the cache file gateway.cache_path")
+def _refuse_overwrite(outputs: Sequence[str | Path | None], inputs: dict[str, str | Path | None]) -> None:
+    """Refuse an output path that resolves to one of ``inputs`` (what it is ->
+    its path), the files the same run reads, which writing it would replace.
+    Each command runs it before it builds a gateway or asks a scorer."""
+    read = {os.path.realpath(path): what for what, path in inputs.items() if path}
+    for path in filter(None, outputs):
+        what = read.get(os.path.realpath(path))
+        if what is not None:
+            raise ValidationError(f"cannot write {path}: it is {what}")
+
+
+def _pipeline_inputs(args: argparse.Namespace, config: EngineConfig, compiled_dir: str | None = None) -> dict:
+    """The files a compile or predict run reads besides its records: the
+    config, the cache, an ms index and the compiled stage files it loads."""
+    inputs = {"the --config file": args.config, "the cache file gateway.cache_path": config.gateway.cache_path}
+    if args.pipeline == "ms":
+        inputs["the index file"] = args.index or config.paths.index
+    for stage, stage_path in _stage_files(args.pipeline, compiled_dir).items():
+        inputs[f"the compiled stage file {stage}.json"] = stage_path
+    return inputs
+
+
+def _stage_files(selector: str, compiled_dir: str | None) -> dict[str, Path]:
+    """Each stage's ``{stage}.json`` found under ``compiled_dir``, which replaces the stage."""
+    stages = {"ms": pipelines.MsPipeline, "uw": pipelines.UwPipeline}[selector].stage_names
+    paths = {stage: Path(compiled_dir) / f"{stage}.json" for stage in stages} if compiled_dir else {}
+    return {stage: path for stage, path in paths.items() if path.exists()}
 
 
 def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
@@ -193,12 +214,9 @@ def _load_pipeline(
         return pipeline
     if not Path(compiled_dir).is_dir():
         raise ValidationError(f"compiled programs path {compiled_dir} is not a directory")
-    # Each {stage}.json found replaces its stage; one whose fields do not fit
-    # the stage is rejected naming the file.
-    for stage in pipeline.stage_names:
-        stage_path = Path(compiled_dir) / f"{stage}.json"
-        if stage_path.exists():
-            pipeline = _parse_file(stage_path, lambda text: pipeline.replace_stages({stage: program_from_json(text)}))
+    # A stage file whose fields do not fit the stage is rejected naming the file.
+    for stage, stage_path in _stage_files(selector, compiled_dir).items():
+        pipeline = _parse_file(stage_path, lambda text: pipeline.replace_stages({stage: program_from_json(text)}))
     return pipeline
 
 
@@ -232,7 +250,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     report_paths = {phase: out_dir / f"compile_report_{phase}.json" for phase in optimize.COMPILE_PHASES[args.pipeline]}
     outputs = (*stage_paths.values(), *report_paths.values())
     _check_outputs(*outputs)
-    _refuse_cache_overwrite(config, *outputs)
+    inputs = {"the --train file": args.train, "the --val file": args.val, **_pipeline_inputs(args, config)}
+    _refuse_overwrite(outputs, inputs)
     gateway = build_gateway(config)
     opt = config.optimize
     compile_pipeline, budget = {
@@ -257,13 +276,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if config.gateway.backend != "replay":
             raise ValidationError("replay-verify requires gateway.backend = replay")
         expected = corpus.read_file(args.out)
-    _refuse_cache_overwrite(config, *(getattr(args, name) for name in args.outputs))
-    gateway = build_gateway(config)
     records_path = args.records or config.paths.records
+    compiled_dir = args.compiled or config.paths.compiled_dir or None
+    outputs = [getattr(args, name) for name in args.outputs]
+    _refuse_overwrite(outputs, {"the records file": records_path, **_pipeline_inputs(args, config, compiled_dir)})
+    gateway = build_gateway(config)
     if not records_path:
         raise ValidationError("no records file (--records or paths.records)")
     records = _parse_file(records_path, corpus.parse_clinical_records)
-    compiled_dir = args.compiled or config.paths.compiled_dir or None
     pipeline = _load_pipeline(args.pipeline, config, args.index, compiled_dir)
     predictions = pipelines.predict_batch(
         pipeline, records, gateway, concurrency=config.gateway.concurrency, strict=args.strict or config.pipeline.strict
@@ -284,6 +304,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _refuse_overwrite([args.out], {"the --pred file": args.pred, "the --gold file": args.gold})
     predictions = _parse_file(args.pred, pipelines.parse_predictions)
     golds = _parse_file(args.gold, corpus.parse_clinical_records)
     scorers = []

@@ -48,7 +48,7 @@ CLINICAL_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClinicalRecord:
     """One clinical text split into sentences plus gold annotations. A
     sentence's id is its index in ``sentences``.
@@ -119,7 +119,7 @@ class ClinicalRecord:
         return range(len(self.sentences))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McqRecord:
     """A retrieval-corpus multiple-choice question."""
 
@@ -464,7 +464,9 @@ def read_document(text: str, what: str, versions: tuple[int, ...], build: Callab
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     # A caller that passes a temporary, as load_index does, hands over the
-    # text's last reference, so a multi-megabyte index text is freed here.
+    # text's last reference, so a multi-megabyte index text is freed here,
+    # before ``build`` runs; ``build`` may in turn take parts out of
+    # ``payload`` to free each once it is converted, as load_index's does.
     del text
     if not isinstance(payload, dict):
         raise ValidationError(f"{what} is not a JSON object")

@@ -20,7 +20,7 @@ import time
 from concurrent.futures import Future
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
 
@@ -55,7 +55,7 @@ class BatchStopped(BaseException):
     after every real failure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     role: str
     content: str
@@ -106,7 +106,7 @@ class LmRequest:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LmResponse:
     """A completion. Live, scripted and cached responses are all built here,
     so none with a non-string text, a text holding a lone surrogate or a
@@ -138,9 +138,13 @@ def canonical_request_json(request: LmRequest) -> str:
 
 def _json(value: object) -> str:
     """``value`` as ``canonical_request_json`` writes it: exact strs, ints and
-    finite floats directly, as the json encoder does, anything else by it."""
+    finite floats directly, as the json encoder does, anything else by it.
+    On ASCII text the ASCII escaper writes the same bytes, faster, except on
+    U+007F, which only it escapes."""
     kind = type(value)
     if kind is str:
+        if value.isascii() and "\x7f" not in value:
+            return encode_basestring_ascii(value)
         return encode_basestring(value)
     if kind is int:
         return int.__repr__(value)

@@ -174,7 +174,7 @@ class ExternalScorer:
         return scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordScores:
     record_id: str
     pred_flag: int

@@ -42,7 +42,7 @@ DEFAULT_GATE_THRESHOLD = 0.7
 PREDICTIONS_CSV_COLUMNS = ("record_id", "error_flag", "error_sentence_id", "corrected_sentence")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     record_id: str
     flag: int
@@ -66,7 +66,7 @@ def no_error_prediction(record_id: str, trace: tuple[StageTrace, ...] = (), erro
 
 
 def render_numbered_text(record: ClinicalRecord) -> str:
-    return "\n".join(f"{sid}: {text}" for sid, text in enumerate(record.sentences))
+    return "\n".join([f"{sid}: {text}" for sid, text in enumerate(record.sentences)])
 
 
 def render_mcq(record: McqRecord) -> str:
@@ -531,6 +531,10 @@ def parse_predictions(text: str) -> list[Prediction]:
     return predictions
 
 
+# json.dumps(..., ensure_ascii=False, sort_keys=True) without a new encoder per line
+_TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def serialize_traces(predictions: Iterable[Prediction]) -> str:
     """One json line per prediction. A trace entry holds no ``inputs``: each
     is a render of the record, the stage program and the earlier entries'
@@ -538,7 +542,7 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
     out = io.StringIO()
     for p in predictions:
         out.write(
-            json.dumps(
+            _TRACE_ENCODER.encode(
                 {
                     "record_id": p.record_id,
                     "error_flag": p.flag,
@@ -546,9 +550,7 @@ def serialize_traces(predictions: Iterable[Prediction]) -> str:
                     "corrected_sentence": p.corrected_sentence,
                     "error": p.error,
                     "trace": [{"stage": t.stage, "keys": t.keys, "outputs": t.outputs} for t in p.trace],
-                },
-                ensure_ascii=False,
-                sort_keys=True,
+                }
             )
         )
         out.write("\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
 
 from .corpus import _typed, read_document
@@ -80,7 +80,7 @@ class Signature:
         return tuple(f.name for f in self.outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demo:
     """A worked example; output values may include a captured rationale."""
 
@@ -154,6 +154,7 @@ def field_label(name: str) -> str:
     return " ".join(part.capitalize() for part in name.split("_"))
 
 
+@lru_cache(maxsize=1024)
 def _normalize_label(label: str) -> str:
     return label.strip().lower().replace(" ", "_")
 
@@ -203,24 +204,23 @@ def parse_completion(program: Program, completion_text: str) -> dict[str, str]:
     """
     expected = program.layout.expected_outputs
     recognized = program.layout.recognized_outputs
-    boundaries: list[tuple[str, int, int]] = []
-    for match in _LABEL_LINE.finditer(completion_text):
-        name = _normalize_label(match.group(1))
-        if name in recognized:
-            boundaries.append((name, match.start(), match.end()))
     values: dict[str, str] = {}
-    for i, (name, _, value_start) in enumerate(boundaries):
-        if name in values:
-            continue
-        value_end = boundaries[i + 1][1] if i + 1 < len(boundaries) else len(completion_text)
-        values[name] = completion_text[value_start:value_end].strip()
-    missing = sorted(expected - set(values))
-    if missing:
+    name, value_start = None, 0  # the open field, whose value runs to the next recognized label
+    for match in _LABEL_LINE.finditer(completion_text):
+        label = _normalize_label(match.group(1))
+        if label in recognized:
+            if name is not None and name not in values:
+                values[name] = completion_text[value_start : match.start()].strip()
+            name, value_start = label, match.end()
+    if name is not None and name not in values:
+        values[name] = completion_text[value_start:].strip()
+    if not values.keys() >= expected:
+        missing = sorted(expected - values.keys())
         raise CompletionParseError(f"completion is missing output field(s): {missing}")
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageTrace:
     """One stage of a prediction. ``keys`` names each attempt's request by its
     cache key, so ``len(keys)`` counts the attempts; a stage that calls no

@@ -203,7 +203,13 @@ def load_index(path: str | Path) -> TfidfIndex:
 def _index_of(version: int, payload: dict) -> TfidfIndex | None:
     if version != INDEX_FORMAT_VERSION:
         return None
-    corpus = tuple(map(mcq_from_object, payload["corpus"]))
+    # The MCQ objects leave the payload, and each is popped, so freed, as its
+    # record is built: the load holds one form of each question, not the
+    # whole decoded corpus beside the whole built one. list() iterates any
+    # corpus value as map() did, so every record is checked in file order
+    # and a dict, str or number corpus fails with the same message.
+    objects = list(payload.pop("corpus"))[::-1]
+    corpus = tuple(mcq_from_object(objects.pop()) for _ in range(len(objects)))
     vocabulary = payload["vocabulary"]
     n_terms, n_documents = len(vocabulary), len(corpus)
     # The type check comes first: sorted would fail on a str among ints.
@@ -241,6 +247,10 @@ def _index_of(version: int, payload: dict) -> TfidfIndex | None:
                 (tf, tuple(compress(shared_ids, map(operator.eq, term_counts, repeat(tf)))))
                 for tf in sorted(distinct)
             )
+    # Last, so a term's doc id outside an empty corpus is named first: a
+    # query of an index with no document would have no hit to return.
+    if not corpus:
+        raise ValueError("the corpus holds no question")
     return TfidfIndex(vocabulary=vocabulary, postings=postings, corpus=corpus)
 
 
@@ -253,8 +263,9 @@ def _packed(values: array) -> str:
 
 
 def _unpacked(payload: dict, name: str, typecode: str) -> array:
-    """The array that ``_packed`` wrote to ``payload[name]``."""
-    text = payload[name]
+    """The array that ``_packed`` wrote to ``payload[name]``, which is taken
+    out of ``payload``, so its text is freed once decoded."""
+    text = payload.pop(name)
     if type(text) is not str:
         raise ValueError(f"{name} is not a base64 string")
     values = array(typecode)

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from medcorr.corpus import json_loads
-from medcorr.errors import ValidationError
+from medcorr.errors import CompletionParseError, ValidationError
 from medcorr.gateway import LmResponse, Message
 from medcorr.program import CHAIN_OF_THOUGHT, RATIONALE_DESCRIPTION, RATIONALE_FIELD, Field, field_label
 from medcorr.retrieval import tokenize
@@ -164,6 +164,30 @@ def render_messages_oracle(program, inputs) -> list[Message]:
 
 
 # --- the line readers as they were before they streamed ---
+
+
+_LABEL_LINE = re.compile(r"^[ \t]*([A-Za-z][A-Za-z0-9_ ]*?)[ \t]*:", re.MULTILINE)
+
+
+def parse_completion_oracle(program, text: str) -> dict[str, str]:
+    """``parse_completion`` in two passes: every recognized label's span
+    first, then each field's first value, up to the next recognized label."""
+    recognized = {RATIONALE_FIELD, *program.signature.output_names()} if program.strategy == CHAIN_OF_THOUGHT else set(
+        program.signature.output_names()
+    )
+    spans = []
+    for match in _LABEL_LINE.finditer(text):
+        name = match.group(1).strip().lower().replace(" ", "_")
+        if name in recognized:
+            spans.append((name, match.start(), match.end()))
+    values: dict[str, str] = {}
+    for i, (name, _, start) in enumerate(spans):
+        end = spans[i + 1][1] if i + 1 < len(spans) else len(text)
+        values.setdefault(name, text[start:end].strip())
+    missing = sorted(set(program.signature.output_names()) - set(values))
+    if missing:
+        raise CompletionParseError(f"completion is missing output field(s): {missing}")
+    return values
 
 
 def csv_rows_oracle(text: str, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:

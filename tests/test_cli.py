@@ -566,6 +566,96 @@ def test_predict_refuses_an_output_naming_the_cache_file(tmp_path, capsys, flag)
     assert cache.read_bytes() == CACHE_JSONL.read_bytes()
 
 
+def copy_to(source: Path, path: Path) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(source.read_bytes())
+    return path
+
+
+def config_with(tmp_path: Path, **paths: Path) -> Path:
+    """The fixture replay config with ``paths`` settings."""
+    config = replay_config(tmp_path, CACHE_JSONL)
+    settings = "".join(f"  {name}: {path}\n" for name, path in paths.items())
+    config.write_text(config.read_text(encoding="utf-8") + f"paths:\n{settings}", encoding="utf-8")
+    return config
+
+
+def detect_stage_in(directory_path: Path) -> Path:
+    directory_path.mkdir()
+    stage = directory_path / "detect.json"
+    stage.write_text(program_to_json(default_uw_pipeline().detect), encoding="utf-8")
+    return stage
+
+
+def compile_reading(tmp_path: Path, option: str, output: str) -> tuple[list[str], Path]:
+    """The replayed uw compile with its ``option`` file moved to the output ``output``."""
+    argv = recorded_compile_argv(tmp_path, "uw")
+    i = argv.index(option) + 1
+    moved = copy_to(Path(argv[i]), tmp_path / "out" / output)
+    argv[i] = str(moved)
+    return argv, moved
+
+
+# Each case builds (argv, the input file one of its outputs names) in
+# tmp_path; each run would write over its input and exit 0 were it let.
+_INPUT_OVERWRITES = {
+    "predict --out the --records file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--out", str(t / "r.csv"), records=copy_to(RECORDS_CSV, t / "r.csv")),
+        t / "r.csv",
+    ),
+    "predict --trace-out the paths.records file": lambda t: (
+        ["predict", "--pipeline", "uw", "--out", str(t / "p.csv"), "--trace-out", str(t / "r.csv"),
+         "--config", str(config_with(t, records=copy_to(RECORDS_CSV, t / "r.csv")))],
+        t / "r.csv",
+    ),
+    "predict --out the --config file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--out", str(t / "medcorr.yaml")), t / "medcorr.yaml"
+    ),
+    "predict ms --out the --index file": lambda t: (
+        predict_argv(t, "--pipeline", "ms", "--index", str(mcq_index(t)), "--out", str(t / "index.json")),
+        t / "index.json",
+    ),
+    "predict ms --trace-out the paths.index file": lambda t: (
+        predict_argv(t, "--pipeline", "ms", "--trace-out", str(t / "index.json"),
+                     config=config_with(t, index=mcq_index(t))),
+        t / "index.json",
+    ),
+    "predict --out a --compiled stage file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--compiled", str(t / "c"), "--out", str(detect_stage_in(t / "c"))),
+        t / "c" / "detect.json",
+    ),
+    "predict --trace-out a paths.compiled_dir stage file": lambda t: (
+        predict_argv(t, "--pipeline", "uw", "--trace-out", str(detect_stage_in(t / "c")),
+                     config=config_with(t, compiled_dir=t / "c")),
+        t / "c" / "detect.json",
+    ),
+    "compile detect.json the --train file": lambda t: compile_reading(t, "--train", "detect.json"),
+    "compile a report the --val file": lambda t: compile_reading(t, "--val", "compile_report_correct.json"),
+    "evaluate --out the --pred file": lambda t: (
+        ["evaluate", "--pred", str(copy_to(GOLDEN_PREDICTIONS, t / "p.csv")), "--gold", str(RECORDS_CSV),
+         "--out", str(t / "p.csv")],
+        t / "p.csv",
+    ),
+    "evaluate --out the --gold file": lambda t: (
+        ["evaluate", "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(copy_to(RECORDS_CSV, t / "g.csv")),
+         "--out", str(t / "g.csv")],
+        t / "g.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_OVERWRITES))
+def test_an_output_naming_a_file_the_run_reads_exits_one_leaving_it_as_it_was(tmp_path, capsys, case):
+    argv, source = _INPUT_OVERWRITES[case](tmp_path)
+    before = source.read_bytes()
+    code = run_command(argv)
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 1
+    named = re.fullmatch(r"error: cannot write (.*): it is the .*file.*", line)
+    assert named and os.path.realpath(named[1]) == os.path.realpath(source)
+    assert source.read_bytes() == before
+
+
 # --- replay-verify --------------------------------------------------------------------------
 
 
@@ -883,6 +973,12 @@ def undecodable(tmp_path: Path, name: str) -> Path:
     return path
 
 
+def no_document_index(tmp_path: Path) -> Path:
+    path = tmp_path / "index.json"
+    path.write_text(index_document(4, {}, [], []), encoding="utf-8")
+    return path
+
+
 def directory(path: Path) -> Path:
     path.mkdir()
     return path
@@ -1100,6 +1196,9 @@ _FILE_FAILURES = {
     ),
     "index build a lone surrogate": lambda t: (
         ["index", "build", "--corpus", str(surrogate_mcq_corpus(t)), "--out", str(t / "index.json")], "mcq.jsonl"
+    ),
+    "--index of no document, which no query could answer": lambda t: (
+        predict_argv(t, "--pipeline", "ms", "--index", str(no_document_index(t))), "index.json"
     ),
     "--index with a lone surrogate": lambda t: (
         predict_argv(t, "--pipeline", "ms", "--index", str(surrogate_index(t))), "index.json"

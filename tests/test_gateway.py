@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from medcorr.errors import CacheMissError, LiveRequestError, ValidationError
 from medcorr.gateway import (
@@ -24,6 +24,7 @@ from medcorr.gateway import (
     ScriptedBackend,
     VALID_ROLES,
     canonical_key,
+    _json,
     canonical_request_json,
 )
 
@@ -176,6 +177,22 @@ _ESCAPED_TEXT = st.text(
 def test_canonical_key_is_the_sha256_of_the_canonical_json(messages, model, max_tokens):
     request = LmRequest(model=model, messages=tuple(Message(*m) for m in messages), max_tokens=max_tokens)
     assert canonical_key(request) == reference_key(request)
+
+
+# ASCII text, which takes the ASCII escaper, and any other text, lone
+# surrogates included, which takes the general one.
+_ANY_TEXT = st.text(st.characters(max_codepoint=0x7F)) | st.text(st.characters() | st.characters(categories=["Cs"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_ANY_TEXT)
+@example(text="\x7f")
+@example(text="tab\there, DEL \x7f and quote \" back \\ slash")
+@example(text="".join(map(chr, range(0x20))))
+@example(text="\ud800")
+@example(text="ascii then a lone \udfff surrogate")
+def test_json_escapes_a_string_as_json_dumps_does(text):
+    assert _json(text) == json.dumps(text, ensure_ascii=False)
 
 
 class _Model(str):

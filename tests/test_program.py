@@ -24,7 +24,7 @@ from medcorr.program import (
     run,
 )
 
-from oracles import render_messages_oracle
+from oracles import parse_completion_oracle, render_messages_oracle
 
 
 def qa_signature() -> Signature:
@@ -338,6 +338,31 @@ def test_render_parse_round_trip_property(strategy, data):
     outputs = {name: data.draw(value, label=name) for name in sorted(names)}
     completion = completion_of(program, outputs)
     assert parse_completion(program, completion) == outputs
+
+
+def parse_or_error(parse, program: Program, text: str):
+    try:
+        return parse(program, text)
+    except CompletionParseError as exc:
+        return str(exc)
+
+
+# Completions of lines that each may open with a label, recognized under
+# some spelling or not, so fields repeat, go missing or run over lines.
+_COMPLETION = st.lists(
+    st.tuples(
+        st.sampled_from(["", "Error Line:", " error_LINE :", "Corrected Sentence:", "corrected sentence:",
+                         "Rationale:", "Note:", "Step 1:"]),
+        st.text(alphabet="ab :\t.", max_size=6),
+    ).map("".join),
+    max_size=8,
+).map("\n".join)
+
+
+@given(strategy=st.sampled_from([PREDICT, CHAIN_OF_THOUGHT]), text=_COMPLETION | _MULTILINE_VALUE)
+def test_parse_completion_matches_the_two_pass_parser_property(strategy, text):
+    program = two_output_program(strategy)
+    assert parse_or_error(parse_completion, program, text) == parse_or_error(parse_completion_oracle, program, text)
 
 
 # --- run with retry ------------------------------------------------------------------

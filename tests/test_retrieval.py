@@ -8,6 +8,7 @@ import re
 import struct
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -673,6 +674,86 @@ def test_load_rejects_a_lone_surrogate_naming_the_file(tmp_path):
     # the JSON escape decodes to a lone surrogate, which no request can carry
     path.write_text(path.read_text(encoding="utf-8").replace("syncope workup", "syncope \\ud800"), encoding="utf-8")
     with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.* lone surrogate"):
+        load_index(path)
+
+
+def test_load_holds_one_form_of_the_corpus_at_a_time(tmp_path):
+    # The decoded MCQ objects and the built records are never all held at
+    # once: the load's peak exceeds what it keeps by less than the file's
+    # size (1.6x when the payload kept the whole decoded corpus to the end).
+    rng = random.Random(35)
+    words = [f"w{i}" for i in range(3000)]
+    questions = [" ".join(rng.choices(words, k=24)) + f" case {i}?" for i in range(2000)]
+    mcqs = [make_mcq(q, {label: " ".join(rng.choices(words, k=2)) for label in "ABCD"}, "C") for q in questions]
+    path = tmp_path / "index.json"
+    save_index(build_index(mcqs), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        index = load_index(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.corpus == tuple(mcqs)
+    assert peak - kept < size, f"peak {peak} bytes, {kept} kept, for a {size}-byte file"
+
+
+@pytest.mark.parametrize("corpus", [[], {}, ""])
+def test_load_rejects_an_index_of_no_document_naming_the_file(tmp_path, corpus):
+    # It loaded, and an ms predict over it then failed with a traceback.
+    path = tmp_path / "index.json"
+    path.write_text(index_document(4, {}, [], corpus), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: the corpus holds no question$"):
+        load_index(path)
+
+
+def test_the_types_a_run_holds_by_the_thousand_carry_no_instance_dict():
+    # A field or decorator edit that drops slots=True would give each
+    # instance a dict again; LmRequest and Program keep theirs for memos.
+    from medcorr.corpus import ClinicalRecord
+    from medcorr.gateway import LmResponse, Message
+    from medcorr.metrics import RecordScores
+    from medcorr.pipelines import Prediction
+    from medcorr.program import Demo, StageTrace
+
+    instances = [
+        make_mcq("q", {"A": "a", "B": "b"}, "A"),
+        ClinicalRecord("r1", ("one.",)),
+        LmResponse("Flag: 0"),
+        Message("user", "hi"),
+        Demo({"text": "t"}, {"flag": "0"}),
+        StageTrace("detect", {"flag": "0"}),
+        Prediction("r1", 0, -1, "NA"),
+        RecordScores("r1", 0, 0, True, -1, -1, True, {}, {}),
+    ]
+    assert [type(i).__name__ for i in instances if hasattr(i, "__dict__")] == []
+
+
+# Documents 0 to 4 of one index; an MCQ object missing two of its keys, put
+# first, in the middle or last, fails the load as it did when the corpus was
+# converted in one pass, and so does a corpus that is an object or a string.
+_FIVE_DOCUMENTS = ["syncope workup", "orthostatic syncope", "chest pain", "fever workup", "syncope fever"]
+
+
+@pytest.mark.parametrize(
+    ("corpus_of_payload", "message"),
+    [
+        pytest.param(lambda c: [{"question": "x"}, *c[1:]], "missing keys ['answer', 'options']", id="first"),
+        pytest.param(lambda c: [*c[:2], {"question": "x"}, *c[3:]], "missing keys ['answer', 'options']", id="middle"),
+        pytest.param(lambda c: [*c[:4], {"question": "x"}], "missing keys ['answer', 'options']", id="last"),
+        pytest.param(lambda c: [*c[:1], {**c[1], "answer": "Z"}, {"question": "x"}, *c[3:]],
+                     "MCQ answer 'Z' is not among option labels ['A', 'B']", id="the-earlier-of-two"),
+        pytest.param(lambda c: c[0], "missing keys ['answer', 'options', 'question']", id="an-object"),
+        pytest.param(lambda c: "syncope", "missing keys ['answer', 'options', 'question']", id="a-string"),
+        pytest.param(lambda c: 5, "'int' object is not iterable", id="a-number"),
+        pytest.param(lambda c: [], "term 0 has a doc id outside [0, 0)", id="empty-with-terms"),
+    ],
+)
+def test_load_rejects_a_malformed_corpus_naming_the_file(tmp_path, corpus_of_payload, message):
+    path = tmp_path / "index.json"
+    payload = layout_oracle(build_index(corpus_of(_FIVE_DOCUMENTS)))
+    path.write_text(json.dumps({**payload, "corpus": corpus_of_payload(payload["corpus"])}), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: {re.escape(message)}$"):
         load_index(path)
 
 
