@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse, validate, and normalize a clinical dataset")
-    p_ingest.set_defaults(handler=cmd_ingest, outputs=("out",))
+    p_ingest.set_defaults(handler=cmd_ingest, outputs=("out",), inputs={"input": "--in"})
     p_ingest.add_argument("--in", dest="input", required=True, help="input dataset file")
     p_ingest.add_argument("--format", default="delimited-table", choices=["delimited-table", "json-lines"])
     p_ingest.add_argument("--out", required=True, help="normalized output file")
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="TF-IDF index operations")
     index_sub = p_index.add_subparsers(metavar="ACTION", required=True)
     p_build = index_sub.add_parser("build", help="build an index from an MCQ corpus")
-    p_build.set_defaults(handler=cmd_index_build, outputs=("out",))
+    p_build.set_defaults(handler=cmd_index_build, outputs=("out",), inputs={"corpus": "--corpus"})
     p_build.add_argument("--corpus", required=True, help="MCQ json-lines corpus")
     p_build.add_argument("--out", required=True, help="index output file")
 
@@ -77,20 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
     predict_args.add_argument("--compiled", help="directory of compiled stage programs")
 
     p_compile = sub.add_parser("compile", parents=[pipeline_args], help="optimize pipeline prompts and demos")
-    p_compile.set_defaults(handler=cmd_compile, outputs=())  # checks its own, see cmd_compile
+    p_compile.set_defaults(handler=cmd_compile, outputs=(), inputs={})  # checks its own, see cmd_compile
     p_compile.add_argument("--train", required=True, help="training records (delimited-table)")
     p_compile.add_argument("--val", required=True, help="validation records (delimited-table)")
     p_compile.add_argument("--out-dir", required=True, help="directory for compiled programs and reports")
     p_compile.add_argument("--seed", type=int, help="override optimize.seed")
 
     p_predict = sub.add_parser("predict", parents=[pipeline_args, predict_args], help="run a pipeline over records")
-    p_predict.set_defaults(handler=cmd_predict, outputs=("out", "trace_out"), verify=False)
+    p_predict.set_defaults(handler=cmd_predict, outputs=("out", "trace_out"), inputs={}, verify=False)
     p_predict.add_argument("--out", required=True, help="predictions CSV output")
     p_predict.add_argument("--trace-out", help="per-record trace json-lines output")
-    p_predict.add_argument("--strict", action="store_true", help="abort on the first failed record")
+    p_predict.add_argument("--strict", action="store_true", help="abort on the first record the model fails")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against gold records")
-    p_eval.set_defaults(handler=cmd_evaluate, outputs=("out",))
+    p_eval.set_defaults(handler=cmd_evaluate, outputs=("out",), inputs={"pred": "--pred", "gold": "--gold"})
     p_eval.add_argument("--pred", required=True, help="predictions CSV")
     p_eval.add_argument("--gold", required=True, help="gold records (delimited-table)")
     p_eval.add_argument("--out", required=True, help="score report JSON output")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--strict-scorers", action="store_true", help="abort if an external scorer fails")
 
     p_report = sub.add_parser("report", help="render a score report")
-    p_report.set_defaults(handler=cmd_report, outputs=("out",))
+    p_report.set_defaults(handler=cmd_report, outputs=("out",), inputs={"input": "--in"})
     p_report.add_argument("--in", dest="input", required=True, help="score report JSON")
     p_report.add_argument("--format", default="table", choices=["table", "json", "markdown"])
     p_report.add_argument("--out", help="write rendering here instead of stdout")
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run predictions against the cache and compare bytes",
     )
     # predict, comparing its predictions with --pred instead of writing them
-    p_verify.set_defaults(handler=cmd_predict, outputs=(), verify=True, trace_out=None, strict=False)
+    p_verify.set_defaults(handler=cmd_predict, outputs=(), inputs={}, verify=True, trace_out=None, strict=False)
     p_verify.add_argument("--pred", dest="out", metavar="PRED", required=True, help="predictions CSV to verify")
 
     return parser
@@ -140,7 +140,8 @@ def _check_outputs(*paths: str | Path) -> None:
 def _refuse_overwrite(outputs: Sequence[str | Path | None], inputs: dict[str, str | Path | None]) -> None:
     """Refuse an output path that resolves to one of ``inputs`` (what it is ->
     its path), the files the same run reads, which writing it would replace.
-    Each command runs it before it builds a gateway or asks a scorer."""
+    ``run_command`` checks each command's declared ``inputs``; ``predict``
+    and ``compile`` the rest once the config is read, before any gateway."""
     read = {os.path.realpath(path): what for what, path in inputs.items() if path}
     for path in filter(None, outputs):
         what = read.get(os.path.realpath(path))
@@ -304,7 +305,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _refuse_overwrite([args.out], {"the --pred file": args.pred, "the --gold file": args.gold})
     predictions = _parse_file(args.pred, pipelines.parse_predictions)
     golds = _parse_file(args.gold, corpus.parse_clinical_records)
     scorers = []
@@ -369,8 +369,10 @@ def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        # every declared output, before any config, input, gateway or scorer is touched
-        _check_outputs(*filter(None, (getattr(args, name) for name in args.outputs)))
+        # before any file is read: each declared output, and one naming a declared input ({dest: option})
+        outputs = [getattr(args, name) for name in args.outputs]
+        _check_outputs(*filter(None, outputs))
+        _refuse_overwrite(outputs, {f"the {flag} file": getattr(args, dest) for dest, flag in args.inputs.items()})
         return args.handler(args)
     except (ValidationError, ConfigError, OSError, UnicodeError) as exc:
         _say(f"error: {exc}")

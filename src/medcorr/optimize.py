@@ -35,10 +35,10 @@ from importlib import resources
 from typing import Callable, Mapping, Sequence
 
 from .corpus import ClinicalRecord
-from .errors import GatewayError, MedcorrError, ValidationError
+from .errors import ValidationError
 from .gateway import LmGateway, Message
 from .metrics import composite_score, rouge_l_f
-from .pipelines import MsPipeline, Pipeline, Prediction, UwPipeline, map_ordered
+from .pipelines import MsPipeline, Pipeline, Prediction, UwPipeline, map_ordered, predict_record
 from .program import Demo, Program, Signature, field_label
 
 logger = logging.getLogger(__name__)
@@ -116,16 +116,10 @@ def _predict_scored(
     record: ClinicalRecord,
     metric: Metric,
     gateway: LmGateway,
-) -> tuple[Prediction | None, float]:
-    """Run one record; pipeline/parse failures score 0, gateway errors propagate."""
-    try:
-        prediction = pipeline.predict(record, gateway)
-    except GatewayError as exc:
-        raise GatewayError(f"record {record.record_id!r}: {exc}") from exc
-    except MedcorrError as exc:
-        logger.debug("record %r failed during compile: %s", record.record_id, exc)
-        return None, 0.0
-    return prediction, metric(record, prediction)
+) -> tuple[Prediction, float]:
+    """Run one record (``pipelines.predict_record``); a failed record scores 0."""
+    prediction = predict_record(pipeline, record, gateway)
+    return prediction, 0.0 if prediction.error else metric(record, prediction)
 
 
 def bootstrap_demos(
@@ -173,7 +167,7 @@ def bootstrap_demos(
             lambda record: _predict_scored(pipeline, record, metric, gateway), wave, gateway.concurrency
         )
         for record, (prediction, score) in zip(wave, outcomes):
-            if prediction is None or score < metric.pass_threshold:
+            if prediction.error or score < metric.pass_threshold:
                 continue
             for stage_trace in prediction.trace:
                 pool = pools.get(stage_trace.stage)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .corpus import NA, ClinicalRecord, McqRecord, csv_rows, csv_text
-from .errors import MedcorrError, PipelineStageError, ValidationError
+from .errors import GatewayError, MedcorrError, PipelineStageError, ValidationError
 from .gateway import BatchStopped, LmGateway, batch_stop
 from .metrics import rouge_l_f
 from .program import (
@@ -481,6 +481,22 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], workers: int) -> li
     return results
 
 
+def predict_record(pipeline: Pipeline, record: ClinicalRecord, gateway: LmGateway, strict: bool = False) -> Prediction:
+    """``pipeline.predict``, under the one failure policy of every record run,
+    ``predict_batch`` and the compilers alike. A gateway error is no answer:
+    it propagates naming the record, and stops the batch tree. Any other
+    engine error is the model's answer: a flag-0 fallback carrying its
+    message, or under ``strict`` the error itself."""
+    try:
+        return pipeline.predict(record, gateway)
+    except GatewayError as exc:
+        raise GatewayError(f"record {record.record_id!r}: {exc}") from exc
+    except MedcorrError as exc:
+        if strict:
+            raise
+        return no_error_prediction(record.record_id, error=str(exc))
+
+
 def predict_batch(
     pipeline: Pipeline,
     records: Sequence[ClinicalRecord],
@@ -488,21 +504,9 @@ def predict_batch(
     concurrency: int = 4,
     strict: bool = False,
 ) -> list[Prediction]:
-    """Predict every record, output in input order regardless of completion order.
-
-    Per-record failures become flag-0 fallback entries carrying the error
-    message; in strict mode the first failure aborts the batch.
-    """
-
-    def one(record: ClinicalRecord) -> Prediction:
-        try:
-            return pipeline.predict(record, gateway)
-        except MedcorrError as exc:
-            if strict:
-                raise
-            return no_error_prediction(record.record_id, error=str(exc))
-
-    return map_ordered(one, records, concurrency)
+    """``predict_record`` over every record, output in input order regardless
+    of completion order; the first error raised stops the batch."""
+    return map_ordered(lambda record: predict_record(pipeline, record, gateway, strict), records, concurrency)
 
 
 # --- predictions and trace files ----------------------------------------------

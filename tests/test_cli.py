@@ -91,6 +91,16 @@ def test_every_subcommand_declares_the_outputs_it_writes():
         assert set(outputs) == expected[name], name
 
 
+def test_every_declared_input_names_an_option_of_its_command():
+    # run_command refuses an output naming one of these before any file is read
+    expected = {"ingest": {"--in"}, "index build": {"--corpus"}, "evaluate": {"--pred", "--gold"}, "report": {"--in"}}
+    for name, parser in leaf_parsers(build_parser()).items():
+        inputs = parser.get_default("inputs")
+        assert set(inputs.values()) == expected.get(name, set()), name
+        options = {option: action.dest for action in parser._actions for option in action.option_strings}
+        assert all(options[option] == dest for dest, option in inputs.items()), name
+
+
 _PIPELINES = ("ms", "uw")
 _TABLE_FORMATS = ("delimited-table", "json-lines")
 # Every option of every subcommand: its strings, then (dest, required,
@@ -384,16 +394,103 @@ def test_predict_cold_cache_exits_two_naming_key(tmp_path, capsys):
     assert any(len(tok) == 64 for tok in err.replace(":", " ").split())  # the canonical key
 
 
-def test_predict_non_strict_cold_cache_degrades_to_fallbacks(tmp_path):
-    config = replay_config(tmp_path, tmp_path / "empty.jsonl")
+def test_predict_under_a_drifted_replay_config_exits_two_naming_the_first_record(tmp_path, capsys):
+    # A gateway error is no answer: a non-strict predict stops on it as a compile does.
+    config = replay_config(tmp_path, CACHE_JSONL)
+    config.write_text(config.read_text(encoding="utf-8") + "  temperature: 0.9\n", encoding="utf-8")
     out = tmp_path / "preds.csv"
     code = run_command(
         ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV),
          "--out", str(out), "--config", str(config)]
     )
-    assert code == 0
-    predictions = parse_predictions(out.read_text(encoding="utf-8"))
-    assert all(p.flag == 0 for p in predictions)
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"gateway error: record 'fx001': replay cache miss for key [0-9a-f]{64}", line), line
+    assert not out.exists()
+
+
+def test_replay_verify_under_a_drifted_replay_config_exits_two_naming_the_first_record(tmp_path, capsys):
+    config = replay_config(tmp_path, CACHE_JSONL)
+    config.write_text(config.read_text(encoding="utf-8") + "  temperature: 0.9\n", encoding="utf-8")
+    code = run_command(
+        ["replay-verify", "--pipeline", "uw", "--records", str(RECORDS_CSV),
+         "--pred", str(GOLDEN_PREDICTIONS), "--config", str(config)]
+    )
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("gateway error: record 'fx001': replay cache miss for key "), line
+
+
+def live_config(tmp_path: Path) -> Path:
+    config = tmp_path / "live.yaml"
+    config.write_text("gateway:\n  backend: live\n  concurrency: 4\n", encoding="utf-8")
+    return config
+
+
+def test_predict_against_a_down_endpoint_exits_two_within_one_retry_round_per_slot(tmp_path, monkeypatch, capsys):
+    from functools import partial
+    from medcorr import cli
+    from medcorr.gateway import MAX_LIVE_ATTEMPTS, LiveBackend
+    from helpers import scripted_http_server
+
+    served = []
+
+    def script(path, body):
+        served.append(path)
+        return 503, {"error": "unavailable"}
+
+    monkeypatch.setattr(cli, "LiveBackend", partial(LiveBackend, sleeper=lambda seconds: None))
+    out = tmp_path / "preds.csv"
+    with scripted_http_server(script) as base_url:
+        monkeypatch.setenv("MEDCORR_BASE_URL", base_url)
+        code = run_command(
+            ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV),
+             "--out", str(out), "--config", str(live_config(tmp_path))]
+        )
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"gateway error: record 'fx\d{3}': chat completion failed after 5 attempts: HTTP 503", line)
+    assert not out.exists()
+    # Once one record fails, only the calls already holding one of the 4 slots finish.
+    assert len(served) <= 4 * MAX_LIVE_ATTEMPTS
+
+
+def test_predict_with_one_record_rate_limited_throughout_exits_two_naming_it(tmp_path, monkeypatch, capsys):
+    from functools import partial
+    from medcorr import cli
+    from medcorr.gateway import LiveBackend, LmRequest, Message
+    from helpers import chat_completion_payload, scripted_http_server
+
+    records = parse_clinical_records(RECORDS_CSV.read_bytes())
+    limited = records[3]
+    responder = uw_gold_responder(records)
+    limited_requests, sleeps = [], []
+
+    def script(path, body):
+        payload = json.loads(body)
+        request = LmRequest(
+            model=payload["model"], messages=tuple(Message(m["role"], m["content"]) for m in payload["messages"]),
+            temperature=payload["temperature"], top_p=payload["top_p"], max_tokens=payload["max_tokens"],
+        )
+        if limited.sentences[0] in request.messages[-1].content:
+            limited_requests.append(path)
+            return 429, {"error": "rate limited"}
+        return 200, chat_completion_payload(responder(request))
+
+    monkeypatch.setattr(cli, "LiveBackend", partial(LiveBackend, sleeper=sleeps.append))
+    out = tmp_path / "preds.csv"
+    with scripted_http_server(script) as base_url:
+        monkeypatch.setenv("MEDCORR_BASE_URL", base_url)
+        code = run_command(
+            ["predict", "--pipeline", "uw", "--records", str(RECORDS_CSV),
+             "--out", str(out), "--config", str(live_config(tmp_path))]
+        )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"gateway error: record {limited.record_id!r}: chat completion failed after 5 attempts: HTTP 429"
+    ]
+    assert not out.exists()
+    assert len(limited_requests) == 5 and sleeps == [0.5, 1.0, 2.0, 4.0]
 
 
 def test_predict_ms_without_index_exits_one(tmp_path, capsys):
@@ -572,6 +669,11 @@ def copy_to(source: Path, path: Path) -> Path:
     return path
 
 
+def score_report_at(path: Path) -> Path:
+    path.write_text(report_payload(), encoding="utf-8")
+    return path
+
+
 def config_with(tmp_path: Path, **paths: Path) -> Path:
     """The fixture replay config with ``paths`` settings."""
     config = replay_config(tmp_path, CACHE_JSONL)
@@ -640,6 +742,16 @@ _INPUT_OVERWRITES = {
         ["evaluate", "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(copy_to(RECORDS_CSV, t / "g.csv")),
          "--out", str(t / "g.csv")],
         t / "g.csv",
+    ),
+    "report --out the --in file": lambda t: (
+        ["report", "--in", str(score_report_at(t / "r.json")), "--out", str(t / "r.json")], t / "r.json"
+    ),
+    "index build --out the --corpus file": lambda t: (
+        ["index", "build", "--corpus", str(copy_to(MCQ_JSONL, t / "mcq.jsonl")), "--out", str(t / "mcq.jsonl")],
+        t / "mcq.jsonl",
+    ),
+    "ingest --out the --in file": lambda t: (
+        ["ingest", "--in", str(copy_to(RECORDS_CSV, t / "r.csv")), "--out", str(t / "r.csv")], t / "r.csv"
     ),
 }
 
@@ -1392,7 +1504,9 @@ def test_predict_live_null_content_exits_two_and_records_nothing(tmp_path, monke
         )
     assert code == 2
     lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == ["gateway error: malformed chat completion response: response text is NoneType, not a string"]
+    assert lines == [
+        "gateway error: record 'fx001': malformed chat completion response: response text is NoneType, not a string"
+    ]
     assert not cache_path.exists()
 
 
@@ -1433,7 +1547,7 @@ def test_predict_live_lone_surrogate_exits_two_and_records_only_the_calls_before
     assert code == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == [
-        "gateway error: malformed chat completion response: "
+        "gateway error: record 'fx001': malformed chat completion response: "
         "response text holds a lone surrogate, which UTF-8 cannot encode"
     ]
     assert stages == ["detect", "localize", "correct"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from medcorr.errors import PipelineStageError, ValidationError
+from medcorr.errors import CompletionParseError, GatewayError, LiveRequestError, PipelineStageError, ValidationError
 from medcorr.gateway import (
     BatchStopped,
     LmGateway,
@@ -24,7 +25,8 @@ from medcorr.gateway import (
     canonical_key,
 )
 from medcorr.metrics import rouge_l_f
-from medcorr.corpus import NA, parse_clinical_records
+from medcorr.optimize import bootstrap_demos, flag_match_metric
+from medcorr.corpus import NA, ClinicalRecord, parse_clinical_records
 from medcorr import pipelines
 from medcorr.pipelines import (
     MsPipeline,
@@ -476,8 +478,110 @@ def test_predict_batch_strict_aborts_on_failure():
         return base(request)
 
     gateway = LmGateway(backend=ScriptedBackend(flaky))
-    with pytest.raises(Exception):
+    with pytest.raises(CompletionParseError, match="^program 'detect': completion unparseable after 2 attempts: "):
         predict_batch(default_uw_pipeline(), records, gateway, strict=True)
+
+
+def failing_on(record: ClinicalRecord, failure: str, respond):
+    """``respond``, but every request naming ``record``'s first sentence gets
+    an unparseable answer or, for ``"gateway"``, a backend error."""
+
+    def respond_or_fail(request):
+        if record.sentences[0] not in request.messages[-1].content:
+            return respond(request)
+        if failure == "gateway":
+            raise LiveRequestError("endpoint down")
+        return "no parsable fields here"
+
+    return respond_or_fail
+
+
+# One failure policy for every record run: a model failure is the record's
+# answer (a fallback, a strict abort, or no demo), a gateway failure stops
+# the run naming the record.
+@pytest.mark.parametrize("failure", ["parse", "gateway"])
+@pytest.mark.parametrize("run", ["predict_batch", "predict_batch strict", "bootstrap_demos"])
+def test_every_record_run_fails_a_record_by_one_policy(failure, run):
+    records = synth_uw_records(6)
+    failing = records[3]
+    gateway = LmGateway(backend=ScriptedBackend(failing_on(failing, failure, uw_gold_responder(records))))
+    calls = {
+        "predict_batch": lambda: predict_batch(default_uw_pipeline(), records, gateway, concurrency=2),
+        "predict_batch strict": lambda: predict_batch(default_uw_pipeline(), records, gateway, 2, strict=True),
+        "bootstrap_demos": lambda: bootstrap_demos(
+            default_uw_pipeline(), records, flag_match_metric(), 20, gateway, seed=0
+        ),
+    }
+    if failure == "gateway":
+        with pytest.raises(GatewayError, match=f"^record {failing.record_id!r}: endpoint down$") as raised:
+            calls[run]()
+        assert type(raised.value) is GatewayError and type(raised.value.__cause__) is LiveRequestError
+    elif run == "predict_batch strict":
+        with pytest.raises(CompletionParseError, match="^program 'detect': completion unparseable") as raised:
+            calls[run]()
+        assert type(raised.value) is CompletionParseError
+    elif run == "predict_batch":
+        predictions = calls[run]()
+        assert [p.record_id for p in predictions if p.error] == [failing.record_id]
+        assert predictions[3].error.startswith("program 'detect': completion unparseable")
+        assert (predictions[3].flag, predictions[3].trace) == (0, ())
+    else:
+        pools = calls[run]()
+        sources = {demo.source_record_id for pool in pools.values() for demo in pool}
+        assert sources == {r.record_id for r in records} - {failing.record_id}
+
+
+def test_a_predict_stopped_by_an_outage_resumes_from_its_cache(tmp_path):
+    records = synth_uw_records(8)
+    responder = uw_gold_responder(records)
+    cache_path = tmp_path / "cache.jsonl"
+
+    def logging_gateway(respond, path=None):
+        """A gateway recording into ``path`` (None: memory only) and the keys its backend is sent."""
+        sent = []
+
+        def logged(request):
+            sent.append(request.key)
+            return respond(request)
+
+        cache = ReplayCache(path)
+        return LmGateway(backend=ScriptedBackend(logged), cache=cache, record=path is not None, concurrency=3), sent
+
+    stopped, _ = logging_gateway(failing_on(records[5], "gateway", responder), cache_path)
+    with pytest.raises(GatewayError, match=f"^record {records[5].record_id!r}: endpoint down$"):
+        predict_batch(default_uw_pipeline(), records, stopped, concurrency=3)
+    cached = {json.loads(line)["key"] for line in cache_path.read_text(encoding="utf-8").splitlines()}
+    resumed, resumed_sent = logging_gateway(responder, cache_path)
+    resumed_predictions = predict_batch(default_uw_pipeline(), records, resumed, concurrency=3)
+    uninterrupted, all_sent = logging_gateway(responder)
+    predictions = predict_batch(default_uw_pipeline(), records, uninterrupted, concurrency=3)
+
+    assert cached and cached < set(all_sent)
+    assert sorted(resumed_sent) == sorted(set(all_sent) - cached)
+    assert serialize_predictions(resumed_predictions) == serialize_predictions(predictions)
+    assert serialize_traces(resumed_predictions) == serialize_traces(predictions)
+
+
+def _engine_error_handlers(tree: ast.AST, scope: str = ""):
+    """(qualified name of the enclosing function or class, line) of each
+    ``except`` clause in ``tree`` that names ``MedcorrError`` or ``GatewayError``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _engine_error_handlers(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if {ast.unparse(name).rsplit(".", 1)[-1] for name in caught} & {"MedcorrError", "GatewayError"}:
+                yield scope, node.lineno
+        yield from _engine_error_handlers(node, scope)
+
+
+def test_only_the_record_runner_and_the_cli_handle_engine_errors():
+    handlers = {}
+    for source in sorted(Path(pipelines.__file__).parent.glob("*.py")):
+        for scope, line in _engine_error_handlers(ast.parse(source.read_text(encoding="utf-8"))):
+            handlers.setdefault((source.stem, scope), []).append(line)
+    assert set(handlers) == {("pipelines", "predict_record"), ("cli", "run_command")}
 
 
 def test_predict_batch_preserves_input_order_and_is_deterministic():
