@@ -18,14 +18,16 @@ import operator
 import re
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
 
-from .corpus import McqRecord, mcq_from_object, mcq_to_object, read_document, read_file, write_files
+from .corpus import McqRecord, _encodable, _reject_duplicate_keys, json_loads, mcq_from_object, mcq_to_object
+from .corpus import read_document, read_file, write_files
 from .errors import ValidationError
 
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -40,6 +42,52 @@ class RetrievalHit:
     doc_id: int
     score: float
     record: McqRecord
+
+
+class McqLines(Sequence):
+    """The MCQ corpus as an index file stores it: ``text`` holds one compact
+    JSON object per question, escaped to ASCII (one byte a character) and
+    ending in "\\n", and ``ends`` the offset just past each line. A question
+    read is decoded from its line; a query reads one per hit, so the corpus
+    is never held as records. Equal to the tuple of the records it holds."""
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self, text: object) -> None:
+        """``text`` walked once by one JSON scanner: each line must be one MCQ
+        object, no key repeated, and its "\\n"; every question is checked."""
+        if type(text) is not str:
+            raise ValueError("the corpus is not a string")
+        scan = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
+        self.text, self.ends, end = text, array("q"), 0
+        while end < len(text):
+            try:
+                obj, end = scan(text, end)
+                if type(obj) is not dict or not text.startswith("\n", end):
+                    raise ValueError("not one JSON object")
+                mcq_from_object(obj)
+            except (StopIteration, ValueError, RecursionError, ValidationError) as exc:
+                if type(exc) is StopIteration:  # no JSON value starts at exc.value, as json.loads says it
+                    exc = json.JSONDecodeError("Expecting value", text, exc.value)
+                raise ValueError(f"corpus line {len(self.ends) + 1}: {exc}") from None
+            end += 1
+            self.ends.append(end)
+
+    @classmethod
+    def of(cls, records: Sequence[McqRecord]) -> McqLines:
+        lines = (json.dumps(mcq_to_object(r), ensure_ascii=True, separators=(",", ":")) + "\n" for r in records)
+        return cls("".join(lines))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, doc_id: int) -> McqRecord:
+        doc_id = range(len(self.ends))[doc_id]  # an IndexError past either end
+        start = self.ends[doc_id - 1] if doc_id else 0
+        return mcq_from_object(json_loads(self.text[start : self.ends[doc_id]]))
+
+    def __eq__(self, other: object) -> bool:
+        return self.text == other.text if type(other) is McqLines else type(other) is tuple and tuple(self) == other
 
 
 @dataclass(frozen=True)
@@ -63,7 +111,7 @@ class TfidfIndex:
     vocabulary: dict[str, int]
     postings: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
     doc_norms: tuple[float, ...] = field(init=False)
-    corpus: tuple[McqRecord, ...]
+    corpus: McqLines
 
     def __post_init__(self) -> None:
         # Term by term in term-id order, each group adds one square to each
@@ -83,11 +131,7 @@ class TfidfIndex:
         return len(self.corpus)
 
     def idf(self, term_id: int) -> float:
-        return _idf(self.n_documents, sum(len(ids) for _, ids in self.postings[term_id]))
-
-
-def _idf(n_documents: int, document_frequency: int) -> float:
-    return math.log(n_documents / document_frequency) + 1.0
+        return math.log(self.n_documents / sum(len(ids) for _, ids in self.postings[term_id])) + 1.0
 
 
 def document_text(record: McqRecord) -> str:
@@ -114,7 +158,7 @@ def build_index(corpus: list[McqRecord]) -> TfidfIndex:
     postings = {
         term_id: tuple((tf, tuple(by_count[tf])) for tf in sorted(by_count)) for term_id, by_count in groups.items()
     }
-    return TfidfIndex(vocabulary=vocabulary, postings=postings, corpus=tuple(corpus))
+    return TfidfIndex(vocabulary=vocabulary, postings=postings, corpus=McqLines.of(corpus))
 
 
 def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
@@ -166,11 +210,13 @@ def query(index: TfidfIndex, text: str, k: int = 1) -> list[RetrievalHit]:
 
 
 def save_index(index: TfidfIndex, path: str | Path) -> None:
-    """Write ``index`` in format 4: per vocabulary term, in term-id order, its
+    """Write ``index`` in format 5: per vocabulary term, in term-id order, its
     posting length, ascending doc ids and raw term counts, the index's only
-    data. The numeric arrays are base64 of packed little-endian int32. Like
-    every output, it is written by ``write_files``, so an index UTF-8 cannot
-    carry leaves an existing file as it was."""
+    data, then the corpus's text. The numeric arrays are base64 of packed
+    little-endian int32. The file is ASCII, so it escapes a lone surrogate
+    too; one in a hand-built vocabulary is refused, as by ``write_files``."""
+    if not _encodable("".join(index.vocabulary)):
+        raise ValidationError(f"cannot write {path}: a vocabulary term holds a lone surrogate")
     lengths, ids, counts = array("i"), array("i"), array("i")
     for term_id in range(len(index.vocabulary)):
         # The groups merged back into one posting of ascending doc ids.
@@ -184,17 +230,17 @@ def save_index(index: TfidfIndex, path: str | Path) -> None:
         "posting_lengths": _packed(lengths),
         "doc_ids": _packed(ids),
         "counts": _packed(counts),
-        "corpus": [mcq_to_object(r) for r in index.corpus],
+        "corpus": index.corpus.text,
     }
-    write_files((path, json.dumps(payload, ensure_ascii=False, separators=(",", ":"))))
+    write_files((path, json.dumps(payload, ensure_ascii=True, separators=(",", ":"))))
 
 
 def load_index(path: str | Path) -> TfidfIndex:
-    """Read an index file of format 4. A file of format 1 to 3 is rejected
+    """Read an index file of format 5. A file of format 1 to 4 is rejected
     with a request to rebuild it, which ``index build`` does from the MCQ
     corpus deterministically."""
     what = f"index file {path}"
-    index = read_document(read_file(path), what, (1, 2, 3, INDEX_FORMAT_VERSION), _index_of)
+    index = read_document(read_file(path), what, tuple(range(1, INDEX_FORMAT_VERSION + 1)), _index_of)
     if index is None:
         raise ValidationError(f"{what} is of an older format, no longer read; rebuild it with `medcorr index build`")
     return index
@@ -203,13 +249,7 @@ def load_index(path: str | Path) -> TfidfIndex:
 def _index_of(version: int, payload: dict) -> TfidfIndex | None:
     if version != INDEX_FORMAT_VERSION:
         return None
-    # The MCQ objects leave the payload, and each is popped, so freed, as its
-    # record is built: the load holds one form of each question, not the
-    # whole decoded corpus beside the whole built one. list() iterates any
-    # corpus value as map() did, so every record is checked in file order
-    # and a dict, str or number corpus fails with the same message.
-    objects = list(payload.pop("corpus"))[::-1]
-    corpus = tuple(mcq_from_object(objects.pop()) for _ in range(len(objects)))
+    corpus = McqLines(payload["corpus"])
     vocabulary = payload["vocabulary"]
     n_terms, n_documents = len(vocabulary), len(corpus)
     # The type check comes first: sorted would fail on a str among ints.

@@ -111,19 +111,27 @@ def packed(code: str, values) -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
 
-def index_document(version: int, vocabulary: dict, postings: list, corpus: list, /, **fields) -> str:
+def mcq_lines(objects) -> str:
+    """The corpus text of a format-5 index: one compact, ASCII-escaped JSON
+    object per MCQ, each ending in "\\n"."""
+    return "".join(json.dumps(obj, ensure_ascii=True, separators=(",", ":")) + "\n" for obj in objects)
+
+
+def index_document(vocabulary: dict, postings: list, corpus: list, /, version: int = 5, **fields) -> str:
     """The JSON text of an index file of format ``version``, packed with
     ``struct`` rather than ``retrieval``'s arrays. ``postings`` holds one
     ``[doc ids, raw counts]`` pair per term in term-id order, each term's
-    length being its number of ids; ``fields`` replace or add top-level
-    fields (format 3 also held ``doc_norms``, packed float64)."""
+    length being its number of ids; ``corpus`` holds the MCQ objects, which
+    format 5 writes as one JSON-lines string and earlier formats as a list.
+    ``fields`` replace or add top-level fields (format 3 also held
+    ``doc_norms``, packed float64)."""
     payload = {
         "format_version": version,
         "vocabulary": vocabulary,
         "posting_lengths": packed("i", [len(ids) for ids, _ in postings]),
         "doc_ids": packed("i", [doc_id for ids, _ in postings for doc_id in ids]),
         "counts": packed("i", [count for _, counts in postings for count in counts]),
-        "corpus": corpus,
+        "corpus": mcq_lines(corpus) if version >= 5 else corpus,
     }
     return json.dumps({**payload, **fields})
 

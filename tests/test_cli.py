@@ -915,10 +915,10 @@ _MCQ = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, 
 _VOCABULARY = {"of": 0, "the": 1, "with": 2}
 
 
-def index_payload(postings=([[0], [1]],) * 3, version=4, **fields) -> str:
-    """A one-document index file of format ``version`` over three terms;
-    ``fields`` replace top-level fields, the corpus among them."""
-    return index_document(version, _VOCABULARY, list(postings), [_MCQ], **fields)
+def index_payload(postings=([[0], [1]],) * 3, corpus=(_MCQ,), version=5, **fields) -> str:
+    """An index file of format ``version`` over three terms whose corpus holds
+    the MCQ objects ``corpus``; ``fields`` replace top-level fields."""
+    return index_document(_VOCABULARY, list(postings), list(corpus), version=version, **fields)
 
 
 def two_document_index_payload(first_posting: list) -> str:
@@ -929,10 +929,10 @@ def two_document_index_payload(first_posting: list) -> str:
     "payload",
     [
         "[1, 2]",
-        '{"format_version": 4}',
-        '{"format_version": 4, "corpus": [1]}',
+        '{"format_version": 5}',
+        '{"format_version": 5, "corpus": [1]}',
         pytest.param(index_payload(format_version=True), id="format-version-true"),
-        pytest.param(index_payload(format_version=4.0), id="format-version-a-float"),
+        pytest.param(index_payload(format_version=5.0), id="format-version-a-float"),
         pytest.param(index_payload(vocabulary={"of": 0, "the": "1", "with": 2}), id="vocabulary-id-a-string"),
         pytest.param(index_payload(counts=1), id="counts-a-number"),
         pytest.param(index_payload(doc_ids="AAAA!AAA"), id="doc-ids-invalid-base64"),
@@ -980,8 +980,9 @@ def test_predict_with_a_malformed_index_exits_one_without_traceback(tmp_path, pa
         },
         json.loads(index_payload(version=3, doc_norms=packed("d", [3**0.5]))),
         {"format_version": 3},
+        json.loads(index_payload(version=4)),
     ],
-    ids=["format-1", "format-2", "format-3", "format-3-without-fields"],
+    ids=["format-1", "format-2", "format-3", "format-3-without-fields", "format-4"],
 )
 def test_predict_with_an_index_of_an_older_format_asks_to_rebuild_it(tmp_path, payload):
     index = tmp_path / "index.json"
@@ -990,6 +991,41 @@ def test_predict_with_an_index_of_an_older_format_asks_to_rebuild_it(tmp_path, p
     assert_one_error_line(result)
     assert f"index file {index} " in result.stderr
     assert "rebuild it with `medcorr index build`" in result.stderr
+    assert not (tmp_path / "p.csv").exists()
+
+
+_MCQ_LINE = json.dumps(_MCQ) + "\n"
+_REPEATED_KEY_LINE = '{"question": "a?", "options": {"A": "x", "A": "y", "B": "z"}, "answer": "A"}\n'
+
+
+def corpus_index_payload(corpus) -> str:
+    """The one-document index file of ``index_payload`` with ``corpus`` as its corpus field."""
+    return json.dumps({**json.loads(index_payload()), "corpus": corpus})
+
+
+@pytest.mark.parametrize(
+    ("payload", "message"),
+    [
+        pytest.param(corpus_index_payload([_MCQ]), "the corpus is not a string", id="corpus-a-list"),
+        pytest.param(index_document({}, [], []), "the corpus holds no question", id="corpus-empty"),
+        pytest.param(corpus_index_payload(_MCQ_LINE + "{aspirin}\n"), "corpus line 2: Expecting property name",
+                     id="line-not-json"),
+        pytest.param(corpus_index_payload(_MCQ_LINE * 2 + _MCQ_LINE.strip() * 2 + "\n"),
+                     "corpus line 3: not one JSON object", id="line-of-two-objects"),
+        pytest.param(corpus_index_payload(f"[{_MCQ_LINE.strip()}]\n"), "corpus line 1: not one JSON object",
+                     id="line-an-array"),
+        pytest.param(corpus_index_payload(_MCQ_LINE + json.dumps({"question": "q", "options": _MCQ["options"]}) + "\n"),
+                     "corpus line 2: missing keys ['answer']", id="line-missing-answer"),
+        pytest.param(corpus_index_payload(_REPEATED_KEY_LINE), "corpus line 1: duplicate key 'A'",
+                     id="line-repeating-a-key"),
+    ],
+)
+def test_predict_with_a_malformed_index_corpus_exits_one_naming_the_file_and_line(tmp_path, payload, message):
+    index = tmp_path / "index.json"
+    index.write_text(payload, encoding="utf-8")
+    result = predict_ms_with_index(tmp_path, index)
+    assert_one_error_line(result)
+    assert f"error: malformed index file {index}: {message}" in result.stderr
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -1087,7 +1123,7 @@ def undecodable(tmp_path: Path, name: str) -> Path:
 
 def no_document_index(tmp_path: Path) -> Path:
     path = tmp_path / "index.json"
-    path.write_text(index_document(4, {}, [], []), encoding="utf-8")
+    path.write_text(index_document({}, [], []), encoding="utf-8")
     return path
 
 

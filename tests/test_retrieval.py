@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from medcorr.corpus import parse_mcq_corpus
 from medcorr.errors import ValidationError
 from medcorr.retrieval import (
+    McqLines,
     TfidfIndex,
     build_index,
     document_text,
@@ -28,7 +29,7 @@ from medcorr.retrieval import (
 )
 
 from helpers import make_mcq
-from oracles import document_vectors, index_document, packed, scan_query, tokenize_oracle
+from oracles import document_vectors, index_document, mcq_lines, packed, scan_query, tokenize_oracle
 
 MCQ_CORPUS = Path(__file__).parent / "fixtures" / "mcq_corpus.jsonl"
 
@@ -334,7 +335,7 @@ def test_postings_skip_documents_without_terms():
     index = TfidfIndex(
         vocabulary=vocabulary,
         postings={0: ((1, (0, 2)), (2, (3, 5))), 1: ((1, (0,)), (3, (5,))), 2: ((1, (2,)),)},
-        corpus=tuple(corpus_of(["fever cough", "empty", "fever ghost", "fever fever", "none", "loud"])),
+        corpus=McqLines.of(corpus_of(["fever cough", "empty", "fever ghost", "fever fever", "none", "loud"])),
     )
     assert index.doc_norms[1] == index.doc_norms[4] == 0.0 and index.doc_norms[3] == 2 * index.idf(0)
     queries = ("fever ghost", "ghost cough fever", "fever", "ghost", "cough fever fever ghost", "nothing")
@@ -365,7 +366,7 @@ def test_save_merges_a_terms_count_groups_into_ascending_doc_ids(tmp_path):
     index = TfidfIndex(
         vocabulary={"fever": 0, "cough": 1},
         postings={0: ((1, (0, 2)), (2, (1, 3))), 1: ((3, (2,)),)},
-        corpus=tuple(corpus_of(["fever", "fever fever", "fever cough cough cough", "fever fever"])),
+        corpus=McqLines.of(corpus_of(["fever", "fever fever", "fever cough cough cough", "fever fever"])),
     )
     path = tmp_path / "index.json"
     save_index(index, path)
@@ -396,7 +397,7 @@ def test_unrelated_document_with_frozen_idf_leaves_scores_unchanged(monkeypatch)
     extended = TfidfIndex(
         vocabulary=vocabulary,
         postings=postings,
-        corpus=base.corpus + (make_mcq(" ".join(new_terms), {"A": "x", "B": "y"}, "A"),),
+        corpus=McqLines.of([*base.corpus, make_mcq(" ".join(new_terms), {"A": "x", "B": "y"}, "A")]),
     )
     assert extended.doc_norms[:frozen_n] == base.doc_norms
     after = {h.doc_id: h.score for h in query(extended, query_text, k=3)}
@@ -421,7 +422,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def layout_oracle(index: TfidfIndex) -> dict:
-    """The format-4 file of ``index``, its postings counted from each
+    """The format-5 file of ``index``, its postings counted from each
     document's tokens and packed by ``oracles.index_document``."""
     tokens = [tokenize(document_text(r)) for r in index.corpus]
     postings = []
@@ -429,7 +430,7 @@ def layout_oracle(index: TfidfIndex) -> dict:
         ids = [doc_id for doc_id, doc in enumerate(tokens) if term in doc]
         postings.append([ids, [tokens[doc_id].count(term) for doc_id in ids]])
     corpus = [{"question": r.question, "options": dict(r.options), "answer": r.correct_label} for r in index.corpus]
-    return json.loads(index_document(4, index.vocabulary, postings, corpus))
+    return json.loads(index_document(index.vocabulary, postings, corpus))
 
 
 def assert_round_trips(corpus, directory: Path, query_text: str) -> None:
@@ -490,6 +491,34 @@ def test_saved_index_round_trips_property(docs, query_text):
         assert_round_trips(corpus_of(docs), Path(directory), query_text)
 
 
+# MCQ text that the corpus lines escape: beyond ASCII, Latin-1 and the Basic
+# Multilingual Plane, U+2028, a newline, quotes and a backslash, among any
+# other characters but a lone surrogate, which no MCQ holds.
+_ESCAPED_TEXT = st.text(
+    st.one_of(st.sampled_from('\u00e9\u2265\U0001f600\u2028\n"\'\\ '), st.characters(exclude_categories=("Cs",))),
+    max_size=12,
+)
+
+
+@st.composite
+def _escaped_mcqs(draw):
+    options = draw(st.dictionaries(_ESCAPED_TEXT, _ESCAPED_TEXT, min_size=2, max_size=4))
+    return make_mcq(draw(_ESCAPED_TEXT), options, draw(st.sampled_from(sorted(options))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.lists(_escaped_mcqs(), min_size=1, max_size=6))
+def test_an_index_of_escaped_text_is_ascii_and_round_trips_byte_for_byte_property(records):
+    with tempfile.TemporaryDirectory() as directory:
+        path, again = Path(directory) / "index.json", Path(directory) / "again.json"
+        save_index(build_index(records), path)
+        assert path.read_bytes().isascii()
+        loaded = load_index(path)
+        assert loaded.corpus == tuple(records)
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
 def norms_oracle(corpus) -> list[float]:
     """Each document's norm counted from its own tokens by the pinned
     formulas: the root of its summed squared ``tf * idf``."""
@@ -512,10 +541,12 @@ def test_derived_norms_survive_a_round_trip_and_match_the_tokens_property(docs):
     assert all(math.isclose(norm, want, rel_tol=1e-12) for norm, want in zip(built.doc_norms, expected))
 
 
+_MCQ_OBJECT = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, "answer": "A"}
+
+
 def one_document_three_term_file(**fields) -> str:
-    """A format-4 file of one document whose three terms each have count 1."""
-    mcq = {"question": "Which drug?", "options": {"A": "aspirin", "B": "heparin"}, "answer": "A"}
-    return index_document(4, {"of": 0, "the": 1, "with": 2}, [[[0], [1]]] * 3, [mcq], **fields)
+    """A format-5 file of one document whose three terms each have count 1."""
+    return index_document({"of": 0, "the": 1, "with": 2}, [[[0], [1]]] * 3, [_MCQ_OBJECT], **fields)
 
 
 def test_a_one_document_three_term_file_loads_with_norm_sqrt_3(tmp_path):
@@ -527,7 +558,7 @@ def test_a_one_document_three_term_file_loads_with_norm_sqrt_3(tmp_path):
 
 
 def test_a_stored_doc_norms_field_is_not_read_and_not_written_back(tmp_path):
-    # A format-3 file relabelled as format 4 still carries its norms: the
+    # A format-3 file relabelled as format 5 still carries its norms: the
     # loaded norm is the derived sqrt(3), not the stored 1.7, and a save
     # leaves the field out.
     path, again = tmp_path / "index.json", tmp_path / "again.json"
@@ -541,14 +572,19 @@ def test_a_stored_doc_norms_field_is_not_read_and_not_written_back(tmp_path):
 TWO_DOCUMENTS = ["syncope workup syncope", "orthostatic syncope"]
 
 
-def test_format_4_layout_is_pinned(tmp_path):
-    # A typecode, byte-order or field-order change alters these strings.
+def test_format_5_layout_is_pinned(tmp_path):
+    # A typecode, byte-order, field-order or corpus-line change alters these strings.
     path = tmp_path / "index.json"
     built = build_index(corpus_of(TWO_DOCUMENTS))
     save_index(built, path)
+    assert path.read_bytes().isascii()
     payload = json.loads(path.read_bytes())
     assert list(payload) == ["format_version", "vocabulary", "posting_lengths", "doc_ids", "counts", "corpus"]
-    assert payload["format_version"] == 4
+    assert payload["format_version"] == 5
+    assert payload["corpus"] == (
+        '{"question":"syncope workup syncope","options":{"A":"alpha","B":"beta"},"answer":"A"}\n'
+        '{"question":"orthostatic syncope","options":{"A":"alpha","B":"beta"},"answer":"A"}\n'
+    )
     assert payload["vocabulary"] == {"syncope": 0, "workup": 1, "alpha": 2, "beta": 3, "orthostatic": 4}
     assert payload["posting_lengths"] == "AgAAAAEAAAACAAAAAgAAAAEAAAA="  # 2, 1, 2, 2, 1
     assert payload["doc_ids"] == "AAAAAAEAAAAAAAAAAAAAAAEAAAAAAAAAAQAAAAEAAAA="  # 0 1, 0, 0 1, 0 1, 1
@@ -578,6 +614,11 @@ def test_save_and_load_swap_bytes_on_a_big_endian_host(tmp_path, monkeypatch):
 def two_document_payload(**fields) -> dict:
     built = build_index(corpus_of(TWO_DOCUMENTS))
     return {**layout_oracle(built), **fields}
+
+
+def corpus_objects(payload: dict) -> list[dict]:
+    """The MCQ objects of a format-5 payload's corpus text, one per line."""
+    return [json.loads(line) for line in payload["corpus"].splitlines()]
 
 
 @pytest.mark.parametrize(
@@ -637,14 +678,14 @@ def test_load_accepts_a_zero_norm(tmp_path):
     # a document that no posting names has no terms, norm 0.0 and score 0.0
     path = tmp_path / "index.json"
     payload = two_document_payload()
-    payload["corpus"].append(payload["corpus"][0])
+    payload["corpus"] = mcq_lines([*corpus_objects(payload), corpus_objects(payload)[0]])
     path.write_text(json.dumps(payload), encoding="utf-8")
     index = load_index(path)
     assert index.doc_norms[2] == 0.0
     assert dict(pairs(query(index, "syncope workup", k=3)))[2] == 0.0
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_load_asks_to_rebuild_a_file_of_an_older_format(tmp_path, version):
     path = tmp_path / "index.json"
     path.write_text(json.dumps(two_document_payload(format_version=version)), encoding="utf-8")
@@ -655,9 +696,11 @@ def test_load_asks_to_rebuild_a_file_of_an_older_format(tmp_path, version):
 def test_load_rejects_an_option_text_that_is_not_a_string_naming_the_file(tmp_path):
     path = tmp_path / "index.json"
     payload = two_document_payload()
-    payload["corpus"][1]["options"]["B"] = None
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*option text that is not a string"):
+    objects = corpus_objects(payload)
+    objects[1]["options"]["B"] = None
+    path.write_text(json.dumps({**payload, "corpus": mcq_lines(objects)}), encoding="utf-8")
+    message = "corpus line 2: .*option text that is not a string"
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: {message}"):
         load_index(path)
 
 
@@ -677,13 +720,17 @@ def test_load_rejects_a_lone_surrogate_naming_the_file(tmp_path):
         load_index(path)
 
 
-def test_load_holds_one_form_of_the_corpus_at_a_time(tmp_path):
-    # The decoded MCQ objects and the built records are never all held at
-    # once: the load's peak exceeds what it keeps by less than the file's
-    # size (1.6x when the payload kept the whole decoded corpus to the end).
+@pytest.mark.parametrize("non_latin1", [False, True], ids=["ascii", "non-latin-1"])
+def test_load_holds_the_corpus_as_its_ascii_text_within_bounds_of_the_file_size(tmp_path, non_latin1):
+    # The corpus is held as the file's ASCII text of it, never as records,
+    # and the file text is freed once parsed. Format 4 kept 2.77x / 2.62x
+    # the file's size and peaked at 3.28x / 4.24x (ASCII / non-Latin-1): one
+    # character beyond Latin-1 made its whole text decode to 2 bytes each.
     rng = random.Random(35)
     words = [f"w{i}" for i in range(3000)]
     questions = [" ".join(rng.choices(words, k=24)) + f" case {i}?" for i in range(2000)]
+    if non_latin1:
+        questions[1000] += " SpO2 \u2265 92"
     mcqs = [make_mcq(q, {label: " ".join(rng.choices(words, k=2)) for label in "ABCD"}, "C") for q in questions]
     path = tmp_path / "index.json"
     save_index(build_index(mcqs), path)
@@ -696,14 +743,20 @@ def test_load_holds_one_form_of_the_corpus_at_a_time(tmp_path):
         tracemalloc.stop()
     assert index.corpus == tuple(mcqs)
     assert peak - kept < size, f"peak {peak} bytes, {kept} kept, for a {size}-byte file"
+    assert kept < 2.2 * size, f"{kept} bytes kept for a {size}-byte file"
+    assert peak < 2.8 * size, f"peak {peak} bytes for a {size}-byte file"
 
 
-@pytest.mark.parametrize("corpus", [[], {}, ""])
-def test_load_rejects_an_index_of_no_document_naming_the_file(tmp_path, corpus):
+@pytest.mark.parametrize(
+    ("corpus", "message"),
+    [("", "the corpus holds no question"), ([], "the corpus is not a string"), ({}, "the corpus is not a string")],
+    ids=["an-empty-string", "an-empty-list", "an-empty-object"],
+)
+def test_load_rejects_an_index_of_no_document_naming_the_file(tmp_path, corpus, message):
     # It loaded, and an ms predict over it then failed with a traceback.
     path = tmp_path / "index.json"
-    path.write_text(index_document(4, {}, [], corpus), encoding="utf-8")
-    with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: the corpus holds no question$"):
+    path.write_text(index_document({}, [], [], corpus=corpus), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: {message}$"):
         load_index(path)
 
 
@@ -718,6 +771,7 @@ def test_the_types_a_run_holds_by_the_thousand_carry_no_instance_dict():
 
     instances = [
         make_mcq("q", {"A": "a", "B": "b"}, "A"),
+        McqLines.of([make_mcq("q", {"A": "a", "B": "b"}, "A")]),
         ClinicalRecord("r1", ("one.",)),
         LmResponse("Flag: 0"),
         Message("user", "hi"),
@@ -729,31 +783,65 @@ def test_the_types_a_run_holds_by_the_thousand_carry_no_instance_dict():
     assert [type(i).__name__ for i in instances if hasattr(i, "__dict__")] == []
 
 
-# Documents 0 to 4 of one index; an MCQ object missing two of its keys, put
-# first, in the middle or last, fails the load as it did when the corpus was
-# converted in one pass, and so does a corpus that is an object or a string.
+# Documents 0 to 4 of one index. A list of MCQ objects is written as the
+# corpus's lines and a str as its text; any other value is the corpus as it
+# is. A line that is not one MCQ object fails the load naming its number,
+# wherever it is, as a corpus that is not a string does.
 _FIVE_DOCUMENTS = ["syncope workup", "orthostatic syncope", "chest pain", "fever workup", "syncope fever"]
+_NOT_ONE_OBJECT = "not one JSON object"
 
 
 @pytest.mark.parametrize(
     ("corpus_of_payload", "message"),
     [
-        pytest.param(lambda c: [{"question": "x"}, *c[1:]], "missing keys ['answer', 'options']", id="first"),
-        pytest.param(lambda c: [*c[:2], {"question": "x"}, *c[3:]], "missing keys ['answer', 'options']", id="middle"),
-        pytest.param(lambda c: [*c[:4], {"question": "x"}], "missing keys ['answer', 'options']", id="last"),
+        pytest.param(lambda c: [{"question": "x"}, *c[1:]], "corpus line 1: missing keys ['answer', 'options']",
+                     id="first"),
+        pytest.param(lambda c: [*c[:2], {"question": "x"}, *c[3:]], "corpus line 3: missing keys ['answer', 'options']",
+                     id="middle"),
+        pytest.param(lambda c: [*c[:4], {"question": "x"}], "corpus line 5: missing keys ['answer', 'options']",
+                     id="last"),
         pytest.param(lambda c: [*c[:1], {**c[1], "answer": "Z"}, {"question": "x"}, *c[3:]],
-                     "MCQ answer 'Z' is not among option labels ['A', 'B']", id="the-earlier-of-two"),
-        pytest.param(lambda c: c[0], "missing keys ['answer', 'options', 'question']", id="an-object"),
-        pytest.param(lambda c: "syncope", "missing keys ['answer', 'options', 'question']", id="a-string"),
-        pytest.param(lambda c: 5, "'int' object is not iterable", id="a-number"),
+                     "corpus line 2: MCQ answer 'Z' is not among option labels ['A', 'B']", id="the-earlier-of-two"),
+        pytest.param(lambda c: c[0], "the corpus is not a string", id="an-object"),
+        pytest.param(lambda c: 5, "the corpus is not a string", id="a-number"),
         pytest.param(lambda c: [], "term 0 has a doc id outside [0, 0)", id="empty-with-terms"),
+        pytest.param(lambda c: "syncope", "corpus line 1: Expecting value: line 1 column 1 (char 0)", id="a-string"),
+        pytest.param(lambda c: mcq_lines(c[:2]) + '{"question":]\n' + mcq_lines(c[3:]),
+                     "corpus line 3: Expecting value: line 3 column 13 (char 173)", id="a-line-not-json"),
+        pytest.param(lambda c: mcq_lines(c).replace("}\n", "}", 1), f"corpus line 1: {_NOT_ONE_OBJECT}",
+                     id="two-objects-on-a-line"),
+        pytest.param(lambda c: mcq_lines(c[:1]) + json.dumps(c[1:3]) + "\n" + mcq_lines(c[3:]),
+                     f"corpus line 2: {_NOT_ONE_OBJECT}", id="an-array-line"),
+        pytest.param(lambda c: mcq_lines(c[:4]) + "\n" + mcq_lines(c[4:]),
+                     "corpus line 5: Expecting value: line 5 column 1 (char 311)", id="a-blank-line"),
+        pytest.param(lambda c: mcq_lines(c).replace("}\n", "}\r\n"), f"corpus line 1: {_NOT_ONE_OBJECT}",
+                     id="a-crlf-line-end"),
+        pytest.param(lambda c: mcq_lines(c)[:-1], f"corpus line 5: {_NOT_ONE_OBJECT}", id="an-unended-last-line"),
+        pytest.param(lambda c: mcq_lines(c[:4]) + "[" * 100_000 + "\n",
+                     "corpus line 5: maximum recursion depth exceeded while decoding a JSON array from a unicode "
+                     "string",
+                     id="a-line-nested-too-deep"),
     ],
 )
 def test_load_rejects_a_malformed_corpus_naming_the_file(tmp_path, corpus_of_payload, message):
     path = tmp_path / "index.json"
     payload = layout_oracle(build_index(corpus_of(_FIVE_DOCUMENTS)))
-    path.write_text(json.dumps({**payload, "corpus": corpus_of_payload(payload["corpus"])}), encoding="utf-8")
+    corpus = corpus_of_payload(corpus_objects(payload))
+    payload["corpus"] = mcq_lines(corpus) if type(corpus) is list else corpus
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: {re.escape(message)}$"):
+        load_index(path)
+
+
+def test_load_rejects_a_repeated_key_in_a_corpus_line(tmp_path):
+    # It loaded, keeping the last text of option A, where `index build`
+    # rejects the same line of an MCQ corpus.
+    path = tmp_path / "index.json"
+    line = '{"question": "a?", "options": {"A": "x", "A": "y", "B": "z"}, "answer": "A"}\n'
+    payload = json.loads(index_document({"a": 0}, [[[0, 1], [1, 1]]], [_MCQ_OBJECT]))
+    path.write_text(json.dumps({**payload, "corpus": mcq_lines([_MCQ_OBJECT]) + line}), encoding="utf-8")
+    message = "corpus line 2: duplicate key 'A'"
+    with pytest.raises(ValidationError, match=f"^malformed index file {re.escape(str(path))}: {message}$"):
         load_index(path)
 
 
